@@ -49,7 +49,6 @@ struct ColdVolume {
   explicit ColdVolume(bool checksums) {
     dev = std::make_shared<MemoryBlockDevice>(kDev);
     OsdOptions opts;
-    opts.io_threads = 0;
     opts.page_checksums = checksums;
     opts.pager_capacity_pages = 64;  // ~256 KiB cache vs. a 16 MiB working set.
     osd = std::move(Osd::Create(dev, opts)).value();
@@ -91,7 +90,6 @@ struct Cluster {
       devices.push_back(std::make_shared<MemoryBlockDevice>(kDev / 4));
     }
     OsdOptions opts;
-    opts.io_threads = 0;
     cluster = std::move(OsdCluster::Create(devices, opts)).value();
     for (int i = 0; i < kObjects; i++) {
       auto oid = cluster->CreateObject();

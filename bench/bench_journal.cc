@@ -8,7 +8,7 @@
 //
 //   * CommitStorm@8 vs @1      — how group commit scales when every op syncs.
 //   * AppendDuringSync         — whether appenders ride out an in-flight fsync (the
-//                                leader/follower protocol) or queue behind it.
+//                                commit chain) or queue behind it.
 //   * OsdSyncStorm / TagStorm  — the same window measured end-to-end through the OSD and
 //                                FileSystem layers (journal_mu_ plumbing included).
 //   * CheckpointUnderLoad      — op throughput while the journal keeps filling (NoSpace
@@ -31,7 +31,6 @@
 
 #include "src/common/stats.h"
 #include "src/core/filesystem.h"
-#include "src/io/io_engine.h"
 #include "src/journal/journal.h"
 #include "src/osd/osd.h"
 #include "src/storage/block_device.h"
@@ -82,16 +81,15 @@ constexpr uint64_t kJournalRegion = 64ull * 1024 * 1024;
 
 std::shared_ptr<SlowSyncDevice> g_slow;
 std::unique_ptr<Journal> g_journal;
-std::unique_ptr<hfad::io::IoEngine> g_engine;
 std::unique_ptr<Osd> g_osd;
 std::unique_ptr<FileSystem> g_fs;
 std::atomic<int> g_storm_active{0};
 
 // ---------------------------------------------------------------- raw journal storms
 
-// Every iteration is one acknowledged durable record: Append + Commit. With one thread
-// this is the floor (one sync per record); with 8 it measures how many threads one
-// leader's sync covers.
+// Every iteration is one acknowledged durable record: Append + a blocking Commit. With
+// one thread this is the floor (one sync per record); with 8 it measures how many
+// threads one chain link's sync covers.
 void BM_CommitStorm(benchmark::State& state) {
   if (state.thread_index() == 0) {
     g_slow = std::make_shared<SlowSyncDevice>(
@@ -123,14 +121,12 @@ BENCHMARK(BM_CommitStorm)->ThreadRange(1, 8)->UseRealTime()->MeasureProcessCPUTi
 // blocking per record. One chained engine commit covers every record appended while the
 // previous link's fsync was in flight, so throughput is bounded by window-per-sync, not
 // threads-per-sync — the "thousands of in-flight commits on a handful of threads" shape,
-// held to 64 here to compare against BM_CommitStorm@8's leader/follower ceiling.
+// held to 64 here to compare against BM_CommitStorm@8's blocking ceiling.
 void BM_AsyncCommitStorm(benchmark::State& state) {
   if (state.thread_index() == 0) {
     g_slow = std::make_shared<SlowSyncDevice>(
         std::make_shared<MemoryBlockDevice>(kJournalRegion), kSyncCost);
     g_journal = std::make_unique<Journal>(g_slow.get(), 0, kJournalRegion);
-    g_engine = hfad::io::CreateIoEngine(g_slow.get(), hfad::io::IoEngineOptions{});
-    g_journal->SetIoEngine(g_engine.get());
     g_storm_active.store(state.threads());
   }
   const int window = std::max(1, 64 / static_cast<int>(state.threads()));
@@ -168,9 +164,9 @@ void BM_AsyncCommitStorm(benchmark::State& state) {
   if (state.thread_index() == 0) {
     while (g_storm_active.load() != 0) std::this_thread::yield();
     state.counters["syncs"] = static_cast<double>(g_slow->syncs());
-    state.counters["max_queue_depth"] = static_cast<double>(g_engine->max_queue_depth());
-    g_journal.reset();  // The engine (still running) drains into the live journal...
-    g_engine.reset();   // ...only after ~Journal has waited out the in-flight chain.
+    state.counters["max_queue_depth"] =
+        static_cast<double>(g_journal->io_engine()->max_queue_depth());
+    g_journal.reset();  // ~Journal shuts its engine down before the device goes.
     g_slow.reset();
   }
 }

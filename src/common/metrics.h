@@ -28,7 +28,7 @@ enum class Hist : int {
   kFind,            // FileSystem::Find (parse excluded; plan + execute + paginate).
   kSearchText,      // FileSystem::SearchText full-text conjunctions.
   kBatchCommit,     // NamespaceBatch::Commit via FileSystem::CommitBatch.
-  kJournalCommit,   // Journal leader Write+Sync (the group-commit fsync section).
+  kJournalCommit,   // Journal commit-chain link, drain to sync completion.
   kPageRead,        // Pager miss servicing (device read + frame install).
   kCheckpoint,      // Osd::CheckpointLocked end-to-end.
   kIndexerApply,    // LazyTagIndexer background batch application.

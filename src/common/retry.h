@@ -1,8 +1,8 @@
 // Bounded retry with exponential backoff for transient device errors.
 //
 // A RetryPolicy is consulted wherever a device IO failure may be transient (a
-// flaky cable, a momentarily saturated controller): the pager miss path, the
-// journal commit chain, and async write-back completion. Only kIoError is
+// flaky cable, a momentarily saturated controller): the pager miss, raw-IO,
+// flush and write-back paths, and the journal commit chain. Only kIoError is
 // treated as retryable — Corruption means the bytes arrived but are wrong
 // (retrying re-reads the same wrong bytes from the page cache), NoSpace and
 // caller errors are deterministic.
@@ -11,9 +11,9 @@
 //   - RunWithRetry(): synchronous paths. Sleeps base_backoff * 2^attempt
 //     between attempts. Callers must NOT hold stripe locks (or any lock a
 //     completion thread could need) across the call.
-//   - ShouldRetry(): completion-thread paths (FinishAsyncCommit, pager
-//     WritebackDone) where sleeping would stall the IO engine. The caller
-//     resubmits immediately and tracks its own attempt count.
+//   - ShouldRetry(): completion-thread paths (the journal's commit chain)
+//     where sleeping would stall the IO engine. The caller resubmits
+//     immediately and tracks its own attempt count.
 #ifndef HFAD_SRC_COMMON_RETRY_H_
 #define HFAD_SRC_COMMON_RETRY_H_
 

@@ -40,7 +40,7 @@ enum class Counter : int {
   kChecksumVerifies,       // Page checksum comparisons performed (read path + scrub).
   kChecksumFailures,       // Comparisons that mismatched: latent corruption detected.
   kIoRetries,              // Transient device errors retried by a RetryPolicy.
-  kPagerWritebackErrors,   // Async eviction write-backs that failed (sticky per pager).
+  kPagerWritebackErrors,   // Eviction write-back batches that failed.
   kScrubPagesScanned,      // Pages a scrub pass verified against the device.
   kScrubErrorsFound,       // Scrub-detected checksum mismatches.
   kScrubPagesRepaired,     // Mismatched pages rewritten from a clean cached copy.

@@ -1023,15 +1023,14 @@ std::string FileSystem::DumpMetrics() const {
   uint64_t pending_records = 0, resident_pages = 0, dirty_pages = 0;
   uint64_t io_submitted = 0, io_completed = 0, io_in_flight = 0, io_max_qd = 0;
   uint64_t scrub_passes = 0, quarantined = 0;
-  bool writeback_error = false, checksums_enabled = false;
-  std::string io_backend = "none";
+  bool checksums_enabled = false;
+  std::string backend;
   for (size_t k = 0; k < cluster_->shard_count(); k++) {
     osd::Osd* shard = cluster_->shard(k);
     occupancy = std::max(occupancy, shard->journal_occupancy());
     pending_records += shard->journal_pending_records();
     resident_pages += shard->pager()->cached_pages();
     dirty_pages += shard->pager()->dirty_pages();
-    writeback_error = writeback_error || !shard->pager()->writeback_error().ok();
     checksums_enabled = checksums_enabled || shard->checksums() != nullptr;
     if (shard->scrubber() != nullptr) {
       scrub_passes += shard->scrubber()->passes();
@@ -1039,13 +1038,12 @@ std::string FileSystem::DumpMetrics() const {
     if (shard->checksums() != nullptr) {
       quarantined += shard->checksums()->QuarantinedPages().size();
     }
-    if (io::IoEngine* eng = shard->io_engine()) {
-      io_backend = eng->backend_name();
-      io_submitted += eng->submitted();
-      io_completed += eng->completed();
-      io_in_flight += eng->in_flight();
-      io_max_qd = std::max(io_max_qd, eng->max_queue_depth());
-    }
+    const io::IoEngine* eng = shard->io_engine();
+    backend = eng->backend_name();
+    io_submitted += eng->submitted();
+    io_completed += eng->completed();
+    io_in_flight += eng->in_flight();
+    io_max_qd = std::max(io_max_qd, eng->max_queue_depth());
   }
   const HealthState worst_health = cluster_->worst_health();
   w.Key("gauges").BeginObject();
@@ -1053,7 +1051,7 @@ std::string FileSystem::DumpMetrics() const {
   w.Key("journal_pending_records").Value(pending_records);
   w.Key("pager_resident_pages").Value(resident_pages);
   w.Key("pager_dirty_pages").Value(dirty_pages);
-  w.Key("io_backend").Value(io_backend);
+  w.Key("io_backend").Value(backend);
   w.Key("io_submitted").Value(io_submitted);
   w.Key("io_completed").Value(io_completed);
   w.Key("io_in_flight").Value(io_in_flight);
@@ -1065,7 +1063,6 @@ std::string FileSystem::DumpMetrics() const {
   w.Key("shard_count").Value(static_cast<uint64_t>(cluster_->shard_count()));
   w.Key("volume_health").Value(static_cast<int64_t>(worst_health));
   w.Key("volume_health_name").Value(std::string(HealthStateName(worst_health)));
-  w.Key("pager_writeback_error").Value(static_cast<uint64_t>(writeback_error ? 1 : 0));
   w.Key("checksums_enabled").Value(static_cast<uint64_t>(checksums_enabled ? 1 : 0));
   w.Key("scrub_passes").Value(scrub_passes);
   w.Key("quarantined_pages").Value(quarantined);

@@ -1,95 +1,18 @@
 #include "src/io/io_engine.h"
 
-#include <utility>
-
 namespace hfad {
 namespace io {
-
-size_t IoEngine::Poll(std::vector<IoCompletion>* out) {
-  std::deque<IoCompletion> drained;
-  {
-    std::lock_guard<std::mutex> lock(cq_mu_);
-    drained.swap(cq_);
-  }
-  size_t n = drained.size();
-  for (auto& c : drained) out->push_back(std::move(c));
-  return n;
-}
-
-size_t IoEngine::Wait(std::vector<IoCompletion>* out) {
-  std::deque<IoCompletion> drained;
-  {
-    std::unique_lock<std::mutex> lock(cq_mu_);
-    cq_cv_.wait(lock, [this] {
-      return !cq_.empty() ||
-             (cq_shutdown_ && completed_.load(std::memory_order_acquire) >=
-                                  submitted_.load(std::memory_order_acquire));
-    });
-    drained.swap(cq_);
-  }
-  size_t n = drained.size();
-  for (auto& c : drained) out->push_back(std::move(c));
-  return n;
-}
-
-void IoEngine::Deliver(std::function<void(IoCompletion)> cb,
-                       IoCompletion completion) {
-  // Count the completion before dispatch so in_flight() never under-reports while
-  // a callback is still running, and so Wait()'s shutdown predicate (completed >=
-  // submitted) only fires once everything has been handed off.
-  completed_.fetch_add(1, std::memory_order_release);
-  if (cb) {
-    cb(std::move(completion));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(cq_mu_);
-    cq_.push_back(std::move(completion));
-  }
-  cq_cv_.notify_all();
-}
-
-void IoEngine::NotifyShutdownForWaiters() {
-  {
-    std::lock_guard<std::mutex> lock(cq_mu_);
-    cq_shutdown_ = true;
-  }
-  cq_cv_.notify_all();
-}
 
 std::unique_ptr<IoEngine> CreateIoEngine(BlockDevice* device,
                                          const IoEngineOptions& options) {
   int threads = options.threads > 0 ? options.threads : 1;
-  if (options.backend != IoBackend::kThreadPool) {
-    // kAuto / kUring: the uring factory itself checks HFAD_WITH_URING, the
-    // device's native fd, and whether io_uring_setup works in this process
-    // (seccomp filters commonly deny it); null means "use the fallback".
+  if (options.backend == IoBackend::kAuto) {
+    // The uring factory itself checks HFAD_WITH_URING, the device's native fd,
+    // and whether io_uring_setup works in this process (seccomp filters commonly
+    // deny it); null means "use the fallback".
     if (auto uring = CreateUringEngine(device, threads)) return uring;
   }
   return CreateThreadPoolEngine(device, threads);
-}
-
-Status SubmitAndWait(IoEngine* engine, IoRequest req) {
-  struct WaitState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-  };
-  auto state = std::make_shared<WaitState>();
-  req.on_complete = [state](IoCompletion c) {
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->status = std::move(c.status);
-      state->done = true;
-    }
-    state->cv.notify_one();
-  };
-  auto handle = engine->Submit(std::move(req));
-  if (!handle.ok()) return handle.status();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&state] { return state->done; });
-  return state->status;
 }
 
 }  // namespace io

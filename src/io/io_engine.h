@@ -1,22 +1,21 @@
 // Completion-based I/O engine: explicit submission/completion semantics over a
 // BlockDevice.
 //
-// Every op today burns a thread for the full device round-trip; the group-commit
-// leader still parks inside Sync(). The IoEngine splits each op into a non-blocking
-// Submit and an asynchronous completion, the DAOS/Ceph ObjectStore shape: callers
-// submit IoRequests (read | write | writev | sync) tagged with user_data, and
-// completions are delivered either to the request's on_complete callback (dispatched
-// on an engine-internal completion thread) or to a completion queue drained with
-// Poll()/Wait(). The thread count then stops being the ceiling on in-flight ops —
-// the journal keeps thousands of commits in flight on a handful of engine threads.
+// A blocking device call burns a thread for the full round-trip. The IoEngine splits
+// each op into a non-blocking Submit and an asynchronous completion, the DAOS/Ceph
+// ObjectStore shape: callers submit IoRequests (write | sync), and each request's
+// on_complete callback runs on an engine-internal thread once the op finishes. The
+// thread count then stops being the ceiling on in-flight ops — the journal's group
+// commit chain (its only client) keeps thousands of commits in flight on a handful of
+// engine threads.
 //
 // Two backends behind one interface (CreateIoEngine picks at runtime):
 //
 //   * thread-pool — portable: N workers pop a submission queue and run the device's
-//     own virtual Read/Write/WriteBatch/Sync. Because the device methods themselves
-//     execute, FaultyBlockDevice write-budget and sync-hook accounting is identical
-//     through the async path by construction, so the crash harness torn-write sweeps
-//     exercise the engine unchanged.
+//     own virtual Write/Sync. Because the device methods themselves execute,
+//     FaultyBlockDevice write-budget and sync-hook accounting is identical through
+//     the engine by construction, so the crash harness torn-write sweeps exercise
+//     the engine unchanged.
 //   * io_uring — Linux, raw syscalls (no liburing dependency), compiled under
 //     HFAD_WITH_URING and selected only when the device exposes a native fd
 //     (FileBlockDevice) and io_uring_setup succeeds at runtime (seccomp-restricted
@@ -24,27 +23,23 @@
 //
 // Completion contract (the engine's one hard invariant): every successfully
 // submitted request completes EXACTLY once — executed, failed, or aborted by
-// Shutdown — and buffers referenced by a request (write data, writev extents) must
-// stay valid until its completion fires. Completion ordering across requests is
-// unspecified; callers needing write-then-sync ordering chain the second submit
-// from the first completion (see Journal's async commit state machine).
+// Shutdown — and the buffer behind a write's data must stay valid until its
+// completion fires. Completion ordering across requests is unspecified; callers
+// needing write-then-sync ordering chain the second submit from the first completion
+// (see Journal's commit chain).
 //
 // Callback rules (docs/CONCURRENCY.md "completion threads"): on_complete runs on an
-// engine-internal thread with NO engine locks held. It may take leaf locks
-// (journal mu_, pager stripe/writeback locks) and may Submit follow-up requests,
-// but must never block on another completion or acquire the volume lock.
+// engine-internal thread with NO engine locks held. It may take leaf locks (the
+// journal's mu_) and may Submit follow-up requests, but must never block on another
+// completion or acquire the volume lock.
 #ifndef HFAD_SRC_IO_IO_ENGINE_H_
 #define HFAD_SRC_IO_IO_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "src/common/slice.h"
 #include "src/common/status.h"
@@ -54,39 +49,22 @@ namespace hfad {
 namespace io {
 
 enum class IoOp : uint8_t {
-  kRead = 0,   // offset/size -> IoCompletion::read_data
-  kWrite = 1,  // offset/data
-  kWritev = 2, // extents (sorted + coalesced like BlockDevice::WriteBatch)
-  kSync = 3,   // durability barrier for previously COMPLETED writes
+  kWrite,  // offset/data
+  kSync,   // durability barrier for previously COMPLETED writes
 };
 
-// Delivered exactly once per submitted request.
-struct IoCompletion {
-  uint64_t user_data = 0;
-  Status status;
-  std::string read_data;  // kRead only.
-};
-
-// One submission. Buffers behind `data` / `extents` must outlive the completion.
+// One submission. The buffer behind `data` must outlive the completion.
 struct IoRequest {
   IoOp op = IoOp::kWrite;
-  uint64_t offset = 0;               // kRead / kWrite.
-  size_t size = 0;                   // kRead.
-  Slice data;                        // kWrite.
-  std::vector<WriteExtent> extents;  // kWritev.
-  uint64_t user_data = 0;
-  // When set, the completion is dispatched to this callback on an engine thread and
-  // never enters the Poll/Wait queue. When null, Poll()/Wait() deliver it.
-  std::function<void(IoCompletion)> on_complete;
+  uint64_t offset = 0;  // kWrite.
+  Slice data;           // kWrite.
+  // Runs exactly once with the op's outcome, on an engine thread.
+  std::function<void(Status)> on_complete;
 };
 
-// Opaque per-submission id (monotonic within an engine).
-using IoHandle = uint64_t;
-
 enum class IoBackend : uint8_t {
-  kAuto = 0,        // io_uring when built + device + kernel allow it, else thread pool.
-  kThreadPool = 1,  // Portable worker-pool backend.
-  kUring = 2,       // io_uring or bust (CreateIoEngine falls back with a note).
+  kAuto,        // io_uring when built + device + kernel allow it, else thread pool.
+  kThreadPool,  // Portable worker-pool backend.
 };
 
 struct IoEngineOptions {
@@ -95,8 +73,7 @@ struct IoEngineOptions {
   IoBackend backend = IoBackend::kAuto;
 };
 
-// Shared engine shell: gauges and the no-callback completion queue. Backends call
-// Deliver() for every finished op; it routes to the callback or the queue.
+// Shared engine shell: the gauges. Backends call Deliver() for every finished op.
 class IoEngine {
  public:
   virtual ~IoEngine() = default;
@@ -105,7 +82,7 @@ class IoEngine {
   IoEngine& operator=(const IoEngine&) = delete;
 
   // Enqueue one request. Never blocks on device IO; fails only after Shutdown().
-  virtual Result<IoHandle> Submit(IoRequest req) = 0;
+  virtual Status Submit(IoRequest req) = 0;
 
   // Drain in-flight ops and stop. Requests accepted but not yet started complete
   // with IoError("aborted by engine shutdown") — still exactly once. Idempotent;
@@ -113,15 +90,6 @@ class IoEngine {
   virtual void Shutdown() = 0;
 
   virtual const char* backend_name() const = 0;
-
-  // Non-blocking: move every queued no-callback completion into *out (appended).
-  // Returns the number delivered.
-  size_t Poll(std::vector<IoCompletion>* out);
-
-  // Block until at least one no-callback completion is available (delivering all
-  // queued), or until the engine is shut down with nothing left in flight
-  // (returns 0).
-  size_t Wait(std::vector<IoCompletion>* out);
 
   // ---- Gauges (DumpMetrics "io" block) ----
   uint64_t submitted() const { return submitted_.load(std::memory_order_relaxed); }
@@ -138,49 +106,40 @@ class IoEngine {
  protected:
   IoEngine() = default;
 
-  // Account one accepted submission; returns its handle.
-  IoHandle RecordSubmit() {
+  // Account one accepted submission.
+  void RecordSubmit() {
     uint64_t s = submitted_.fetch_add(1, std::memory_order_relaxed) + 1;
     uint64_t depth = s - completed_.load(std::memory_order_relaxed);
     uint64_t prev = max_depth_.load(std::memory_order_relaxed);
     while (depth > prev &&
            !max_depth_.compare_exchange_weak(prev, depth, std::memory_order_relaxed)) {
     }
-    return s;
   }
 
-  // Deliver one finished op: run the callback (engine thread, no locks held) or
-  // queue it for Poll/Wait. The exactly-once contract is the caller's to uphold.
-  void Deliver(std::function<void(IoCompletion)> cb, IoCompletion completion);
-
-  // Wake Wait()ers blocked on an engine that is going idle-forever.
-  void NotifyShutdownForWaiters();
+  // Deliver one finished op: count it, then run its callback (engine thread, no
+  // locks held). The exactly-once contract is the caller's to uphold.
+  void Deliver(const std::function<void(Status)>& cb, Status status) {
+    // Counted before dispatch so in_flight() never under-reports while a callback
+    // is still running.
+    completed_.fetch_add(1, std::memory_order_release);
+    if (cb) cb(std::move(status));
+  }
 
  private:
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> max_depth_{0};
-
-  std::mutex cq_mu_;
-  std::condition_variable cq_cv_;
-  std::deque<IoCompletion> cq_;
-  bool cq_shutdown_ = false;
 };
 
-// Build an engine for `device`. Backend choice: kThreadPool always works; kAuto
-// (and kUring) use io_uring only when HFAD_WITH_URING is compiled in, the device
-// has a native fd, and io_uring_setup succeeds at runtime — otherwise the thread
-// pool is returned. Never fails: the thread-pool backend has no preconditions.
+// Build an engine for `device`. Backend choice: kThreadPool always works; kAuto uses
+// io_uring only when HFAD_WITH_URING is compiled in, the device has a native fd, and
+// io_uring_setup succeeds at runtime — otherwise the thread pool is returned. Never
+// fails: the thread-pool backend has no preconditions.
 std::unique_ptr<IoEngine> CreateIoEngine(BlockDevice* device,
                                          const IoEngineOptions& options);
 
-// Convenience: submit one request and block until its completion, returning its
-// status. Used by synchronous paths (pager Flush) that still want the engine to
-// carry the IO so fault injection and gauges see one code path.
-Status SubmitAndWait(IoEngine* engine, IoRequest req);
-
-// Internal backend factories (io_engine.cc / thread_pool_engine.cc /
-// uring_engine.cc). CreateUringEngine returns null when unsupported.
+// Internal backend factories (thread_pool_engine.cc / uring_engine.cc).
+// CreateUringEngine returns null when unsupported.
 std::unique_ptr<IoEngine> CreateThreadPoolEngine(BlockDevice* device, int threads);
 std::unique_ptr<IoEngine> CreateUringEngine(BlockDevice* device, int depth_hint);
 

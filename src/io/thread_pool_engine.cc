@@ -1,9 +1,13 @@
 // Portable IoEngine backend: N workers draining a submission deque and executing
 // each request through the BlockDevice virtuals. Fault injection, write-budget
 // accounting, and sync hooks on FaultyBlockDevice therefore behave identically to
-// the synchronous paths — the device cannot tell who called it.
+// direct device calls — the device cannot tell who called it.
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/io/io_engine.h"
 
@@ -22,17 +26,15 @@ class ThreadPoolEngine : public IoEngine {
 
   ~ThreadPoolEngine() override { Shutdown(); }
 
-  Result<IoHandle> Submit(IoRequest req) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) {
-        return Status::IoError("io engine is shut down");
-      }
-      IoHandle handle = RecordSubmit();
-      queue_.push_back(std::move(req));
-      work_cv_.notify_one();
-      return handle;
+  Status Submit(IoRequest req) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) {
+      return Status::IoError("io engine is shut down");
     }
+    RecordSubmit();
+    queue_.push_back(std::move(req));
+    work_cv_.notify_one();
+    return Status::Ok();
   }
 
   void Shutdown() override {
@@ -47,15 +49,11 @@ class ThreadPoolEngine : public IoEngine {
     }
     work_cv_.notify_all();
     for (auto& req : orphans) {
-      IoCompletion c;
-      c.user_data = req.user_data;
-      c.status = Status::IoError("aborted by engine shutdown");
-      Deliver(std::move(req.on_complete), std::move(c));
+      Deliver(req.on_complete, Status::IoError("aborted by engine shutdown"));
     }
     for (auto& w : workers_) {
       if (w.joinable()) w.join();
     }
-    NotifyShutdownForWaiters();
   }
 
   const char* backend_name() const override { return "thread_pool"; }
@@ -71,23 +69,9 @@ class ThreadPoolEngine : public IoEngine {
         req = std::move(queue_.front());
         queue_.pop_front();
       }
-      IoCompletion c;
-      c.user_data = req.user_data;
-      switch (req.op) {
-        case IoOp::kRead:
-          c.status = device_->Read(req.offset, req.size, &c.read_data);
-          break;
-        case IoOp::kWrite:
-          c.status = device_->Write(req.offset, req.data);
-          break;
-        case IoOp::kWritev:
-          c.status = device_->WriteBatch(req.extents);
-          break;
-        case IoOp::kSync:
-          c.status = device_->Sync();
-          break;
-      }
-      Deliver(std::move(req.on_complete), std::move(c));
+      Status status = req.op == IoOp::kSync ? device_->Sync()
+                                             : device_->Write(req.offset, req.data);
+      Deliver(req.on_complete, std::move(status));
     }
   }
 

@@ -5,12 +5,10 @@
 // kernel or a seccomp filter refuses, so callers transparently fall back to the
 // thread-pool backend.
 //
-// Shape: submitters fill SQEs under sq_mu_ and flush them with a non-blocking
-// io_uring_enter; one reactor thread parks in io_uring_enter(GETEVENTS) and
-// drains CQEs, resolving per-op state and calling IoEngine::Deliver. A writev
-// becomes one IORING_OP_WRITEV per coalesced run (CoalesceExtents — same
-// sort/merge and stats accounting as the synchronous WriteBatch paths), completed
-// when the last run's CQE lands, first error wins.
+// Shape: a submitter fills one SQE per op under sq_mu_ and flushes it with a
+// non-blocking io_uring_enter; one reactor thread parks in
+// io_uring_enter(GETEVENTS) and drains CQEs, resolving per-op state and calling
+// IoEngine::Deliver.
 #include "src/io/io_engine.h"
 
 #ifdef HFAD_WITH_URING
@@ -19,10 +17,10 @@
 #include <string.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -91,9 +89,8 @@ class UringEngine : public IoEngine {
     if (ring_fd_ >= 0) close(ring_fd_);
   }
 
-  Result<IoHandle> Submit(IoRequest req) override {
+  Status Submit(IoRequest req) override {
     auto op = std::make_unique<OpState>();
-    op->user_data = req.user_data;
     op->on_complete = std::move(req.on_complete);
 
     std::lock_guard<std::mutex> sq_lock(sq_mu_);
@@ -102,133 +99,41 @@ class UringEngine : public IoEngine {
     }
     uint64_t id = next_op_id_++;
 
-    // Bounds are enforced up front: the kernel would happily extend the file
-    // past the device's fixed capacity. Failing here still honors exactly-once —
-    // the op is resolved through the normal CQE path via a NOP carrying -errno.
-    Status bounds = Status::Ok();
-    unsigned sqes_needed = 1;
-    std::vector<blockdev_internal::WriteRun> runs;
-    switch (req.op) {
-      case IoOp::kRead:
-        bounds = RangeCheck(req.offset, req.size);
-        op->read_buf.resize(req.size);
-        op->expected_bytes = req.size;
-        break;
-      case IoOp::kWrite:
-        bounds = RangeCheck(req.offset, req.data.size());
-        op->write_data = req.data;  // Caller keeps the buffer alive.
-        op->expected_bytes = req.data.size();
-        break;
-      case IoOp::kWritev: {
-        runs = blockdev_internal::CoalesceExtents(&req.extents);
-        op->extents = std::move(req.extents);  // Runs' Slices point into these.
-        for (const auto& run : runs) {
-          Status s = RangeCheck(run.offset, run.size);
-          if (!s.ok()) {
-            bounds = s;
-            break;
-          }
-        }
-        if (bounds.ok() && !runs.empty()) {
-          sqes_needed = static_cast<unsigned>(runs.size());
-          op->iovecs.resize(runs.size());
-          for (size_t i = 0; i < runs.size(); ++i) {
-            for (const Slice& part : runs[i].parts) {
-              op->iovecs[i].push_back(
-                  {const_cast<char*>(part.data()), part.size()});
-            }
-          }
-        }
-        break;
-      }
-      case IoOp::kSync:
-        break;
+    // Compute the SQE's fields BEFORE publishing the op: once it is in ops_, the
+    // reactor may touch (and free) the state at any moment, and the only
+    // submit-to-reactor ordering visible to a race checker is the state_mu_
+    // hand-off. After the emplace the op is never dereferenced on this thread.
+    uint8_t opcode = IORING_OP_NOP;
+    unsigned fsync_flags = 0;
+    if (req.op == IoOp::kSync) {
+      opcode = IORING_OP_FSYNC;
+      fsync_flags = IORING_FSYNC_DATASYNC;  // Mirrors fdatasync().
+    } else {
+      // Bounds are enforced up front: the kernel would happily extend the file
+      // past the device's fixed capacity. A failure still completes exactly once,
+      // through the normal CQE path via a NOP.
+      op->forced_error = RangeCheck(req.offset, req.data.size());
+      op->expected_bytes = req.data.size();
+      if (op->forced_error.ok()) opcode = IORING_OP_WRITE;
     }
-    if (!bounds.ok()) {
-      op->forced_error = bounds;
-      runs.clear();
-      sqes_needed = 1;  // NOP to route the failure through the reactor.
-    }
-    if (sqes_needed > sq_entries_) {
-      return Status::IoError("writev exceeds io_uring queue depth");
-    }
-    op->remaining = sqes_needed;
-    IoHandle handle = RecordSubmit();
-
-    // Precompute every SQE's fields BEFORE publishing the op: once it is in
-    // ops_, the reactor may touch (and on the final CQE, free) the state at any
-    // moment, and the only submit-to-reactor ordering visible to a race checker
-    // is the state_mu_ hand-off. After the emplace the op is never dereferenced
-    // on this thread again.
-    struct PreparedSqe {
-      uint8_t opcode = IORING_OP_NOP;
-      uint64_t addr = 0;
-      unsigned len = 0;
-      uint64_t off = 0;
-      unsigned fsync_flags = 0;
-    };
-    std::vector<PreparedSqe> prepared(sqes_needed);
-    if (bounds.ok()) {
-      switch (req.op) {
-        case IoOp::kRead:
-          prepared[0] = {IORING_OP_READ,
-                         reinterpret_cast<uint64_t>(op->read_buf.data()),
-                         static_cast<unsigned>(op->read_buf.size()), req.offset,
-                         0};
-          break;
-        case IoOp::kWrite:
-          prepared[0] = {IORING_OP_WRITE,
-                         reinterpret_cast<uint64_t>(op->write_data.data()),
-                         static_cast<unsigned>(op->write_data.size()),
-                         req.offset, 0};
-          break;
-        case IoOp::kWritev:
-          // runs.empty() (every extent empty) leaves the single NOP default.
-          for (size_t i = 0; i < runs.size(); ++i) {
-            prepared[i] = {IORING_OP_WRITEV,
-                           reinterpret_cast<uint64_t>(op->iovecs[i].data()),
-                           static_cast<unsigned>(op->iovecs[i].size()),
-                           runs[i].offset, 0};
-          }
-          break;
-        case IoOp::kSync:
-          // IORING_FSYNC_DATASYNC mirrors fdatasync().
-          prepared[0] = {IORING_OP_FSYNC, 0, 0, 0, IORING_FSYNC_DATASYNC};
-          break;
-      }
-    }
-
+    RecordSubmit();
     {
       std::lock_guard<std::mutex> st_lock(state_mu_);
       ops_.emplace(id, std::move(op));
     }
 
-    // Fill + flush the SQEs. SQ-full is transient (the kernel consumes entries
-    // inside io_uring_enter), so flushing and retrying cannot spin forever.
-    unsigned filled = 0;
-    while (filled < sqes_needed) {
-      unsigned tail = *sq_tail_;
-      unsigned head = LoadAcquire(sq_head_);
-      if (tail - head >= sq_entries_) {
-        FlushSq(0);
-        continue;
-      }
-      unsigned idx = tail & sq_mask_;
-      io_uring_sqe* sqe = &sqes_[idx];
-      memset(sqe, 0, sizeof(*sqe));
-      sqe->fd = file_fd_;
-      sqe->user_data = id;
-      sqe->opcode = prepared[filled].opcode;
-      sqe->addr = prepared[filled].addr;
-      sqe->len = prepared[filled].len;
-      sqe->off = prepared[filled].off;
-      sqe->fsync_flags = prepared[filled].fsync_flags;
-      sq_array_[idx] = idx;
-      StoreRelease(sq_tail_, tail + 1);
-      ++filled;
+    io_uring_sqe* sqe = NextSqeLocked();
+    sqe->fd = file_fd_;
+    sqe->user_data = id;
+    sqe->opcode = opcode;
+    if (opcode == IORING_OP_WRITE) {
+      sqe->addr = reinterpret_cast<uint64_t>(req.data.data());
+      sqe->len = static_cast<unsigned>(req.data.size());
+      sqe->off = req.offset;
     }
-    FlushSq(filled);
-    return handle;
+    sqe->fsync_flags = fsync_flags;
+    PublishSqeLocked();
+    return Status::Ok();
   }
 
   void Shutdown() override {
@@ -241,24 +146,15 @@ class UringEngine : public IoEngine {
       SubmitWakeNopLocked();
     }
     if (reactor_.joinable()) reactor_.join();
-    NotifyShutdownForWaiters();
   }
 
   const char* backend_name() const override { return "io_uring"; }
 
  private:
   struct OpState {
-    uint64_t user_data = 0;
-    std::function<void(IoCompletion)> on_complete;
-    unsigned remaining = 1;  // CQEs outstanding (writev: one per run).
-    Status first_error = Status::Ok();
+    std::function<void(Status)> on_complete;
     Status forced_error = Status::Ok();  // Pre-submit bounds failure.
-    uint64_t done_bytes = 0;
-    uint64_t expected_bytes = 0;  // kRead / kWrite short-transfer detection.
-    std::string read_buf;
-    Slice write_data;
-    std::vector<WriteExtent> extents;
-    std::vector<std::vector<struct iovec>> iovecs;
+    uint64_t expected_bytes = 0;         // kWrite short-transfer detection.
   };
 
   Status RangeCheck(uint64_t offset, uint64_t size) const {
@@ -277,24 +173,33 @@ class UringEngine : public IoEngine {
     }
   }
 
-  void SubmitWakeNopLocked() {
+  // Claim the next SQE (zeroed) under sq_mu_; PublishSqeLocked hands it to the
+  // kernel. SQ-full is transient (the kernel consumes entries inside
+  // io_uring_enter), so flushing and retrying cannot spin forever.
+  io_uring_sqe* NextSqeLocked() {
     for (;;) {
       unsigned tail = *sq_tail_;
-      unsigned head = LoadAcquire(sq_head_);
-      if (tail - head >= sq_entries_) {
-        FlushSq(0);
-        continue;
+      if (tail - LoadAcquire(sq_head_) < sq_entries_) {
+        unsigned idx = tail & sq_mask_;
+        io_uring_sqe* sqe = &sqes_[idx];
+        memset(sqe, 0, sizeof(*sqe));
+        sq_array_[idx] = idx;
+        return sqe;
       }
-      unsigned idx = tail & sq_mask_;
-      io_uring_sqe* sqe = &sqes_[idx];
-      memset(sqe, 0, sizeof(*sqe));
-      sqe->opcode = IORING_OP_NOP;
-      sqe->user_data = kWakeUserData;
-      sq_array_[idx] = idx;
-      StoreRelease(sq_tail_, tail + 1);
-      FlushSq(1);
-      return;
+      FlushSq(0);
     }
+  }
+
+  void PublishSqeLocked() {
+    StoreRelease(sq_tail_, *sq_tail_ + 1);
+    FlushSq(1);
+  }
+
+  void SubmitWakeNopLocked() {
+    io_uring_sqe* sqe = NextSqeLocked();
+    sqe->opcode = IORING_OP_NOP;
+    sqe->user_data = kWakeUserData;
+    PublishSqeLocked();
   }
 
   void ReactorMain() {
@@ -337,31 +242,16 @@ class UringEngine : public IoEngine {
       std::lock_guard<std::mutex> st_lock(state_mu_);
       auto it = ops_.find(cqe.user_data);
       if (it == ops_.end()) return;  // Defensive: unknown CQE.
-      OpState* op = it->second.get();
-      if (cqe.res < 0) {
-        if (op->first_error.ok()) {
-          op->first_error =
-              Status::IoError(std::string("io_uring op: ") + strerror(-cqe.res));
-        }
-      } else {
-        op->done_bytes += static_cast<uint64_t>(cqe.res);
-      }
-      if (--op->remaining > 0) return;
       finished = std::move(it->second);
       ops_.erase(it);
     }
-    IoCompletion c;
-    c.user_data = finished->user_data;
-    if (!finished->forced_error.ok()) {
-      c.status = finished->forced_error;
-    } else if (!finished->first_error.ok()) {
-      c.status = finished->first_error;
-    } else if (finished->done_bytes < finished->expected_bytes) {
-      c.status = Status::IoError("io_uring short transfer");
-    } else {
-      c.read_data = std::move(finished->read_buf);
+    Status status = finished->forced_error;
+    if (status.ok() && cqe.res < 0) {
+      status = Status::IoError(std::string("io_uring op: ") + strerror(-cqe.res));
+    } else if (status.ok() && static_cast<uint64_t>(cqe.res) < finished->expected_bytes) {
+      status = Status::IoError("io_uring short transfer");
     }
-    Deliver(std::move(finished->on_complete), std::move(c));
+    Deliver(finished->on_complete, std::move(status));
   }
 
   void AbortAllPending(const Status& why) {
@@ -371,10 +261,7 @@ class UringEngine : public IoEngine {
       orphans.swap(ops_);
     }
     for (auto& kv : orphans) {
-      IoCompletion c;
-      c.user_data = kv.second->user_data;
-      c.status = why;
-      Deliver(std::move(kv.second->on_complete), std::move(c));
+      Deliver(kv.second->on_complete, why);
     }
   }
 

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <utility>
 
 #include "src/common/coding.h"
 #include "src/common/crc32.h"
 #include "src/common/metrics.h"
 #include "src/common/stats.h"
-#include "src/common/trace.h"
-#include "src/io/io_engine.h"
 
 namespace hfad {
 namespace journal {
@@ -27,11 +26,10 @@ uint32_t RecordCrc(uint32_t length, uint64_t sequence, Slice payload) {
 
 }  // namespace
 
-// One link of the async chain. Owns the drained batch bytes so the engine's
-// buffer-lifetime rule holds without copying, and carries the bookkeeping the
-// completion needs to finish what LeadCommit does synchronously.
-struct Journal::AsyncCommitState {
-  uint64_t gen = 0;             // Chain generation (lead-once accounting).
+// One link of the commit chain. Owns the drained batch bytes so the engine's
+// buffer-lifetime rule holds without copying, and carries the bookkeeping its
+// completion needs.
+struct Journal::ChainLink {
   std::string batch;            // Drained pending_ bytes; Slice target for the write.
   size_t count = 0;             // Records in the batch.
   uint64_t batch_last = 0;      // Highest sequence in the batch.
@@ -46,19 +44,13 @@ Journal::Journal(BlockDevice* device, uint64_t region_offset, uint64_t region_si
       region_offset_(region_offset),
       region_size_(region_size),
       next_seq_(first_sequence),
-      committed_seq_(first_sequence - 1) {}
+      committed_seq_(first_sequence - 1),
+      engine_(io::CreateIoEngine(device, {})) {}
 
 Journal::~Journal() {
-  // An async chain link may still be in flight; its completion touches this
-  // object, so wait it out. (Engines owned above the journal are shut down
-  // before the journal is destroyed, which also drives this to quiescence.)
-  std::unique_lock<std::mutex> lock(mu_);
-  commit_cv_.wait(lock, [&] { return !commit_in_progress_; });
-}
-
-void Journal::SetIoEngine(io::IoEngine* engine) {
-  std::lock_guard<std::mutex> lock(mu_);
-  engine_ = engine;
+  // Every accepted request completes before Shutdown returns, so no completion can
+  // touch this object afterwards.
+  engine_->Shutdown();
 }
 
 void Journal::SetRetryPolicy(const RetryPolicy& retry) {
@@ -70,7 +62,7 @@ Result<uint64_t> Journal::Append(Slice payload) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t need = kRecordHeaderSize + payload.size();
   // Keep one trailing header's worth of zeroes so recovery always sees a terminator.
-  // The in-flight batch still occupies [write_pos_, +inflight_bytes_) until its leader
+  // The in-flight batch still occupies [write_pos_, +inflight_bytes_) until its link
   // either advances write_pos_ or returns the records to pending_.
   if (write_pos_ + inflight_bytes_ + pending_.size() + need + kRecordHeaderSize >
       region_size_) {
@@ -89,249 +81,151 @@ Result<uint64_t> Journal::Append(Slice payload) {
   return seq;
 }
 
-Status Journal::LeadCommit(std::unique_lock<std::mutex>& lock) {
-  // Drain the pending buffer: the batch covers (committed_seq_, batch_last].
-  std::string batch;
-  batch.swap(pending_);
-  const size_t batch_count = pending_count_;
+std::shared_ptr<Journal::ChainLink> Journal::PrepareLinkLocked() {
+  auto link = std::make_shared<ChainLink>();
+  link->batch.swap(pending_);
+  link->count = pending_count_;
   pending_count_ = 0;
-  const uint64_t batch_last = next_seq_ - 1;
-  const uint64_t pos = write_pos_;
-  inflight_bytes_ = batch.size();
-  inflight_count_ = batch_count;
-
-  lock.unlock();  // Appenders (and new followers) proceed during the Write+Sync.
-  Status s;
-  {
-    // The histogram records every group commit; the span only lands when the
-    // leading thread is inside a sampled operation.
-    metrics::ScopedLatency latency(metrics::Hist::kJournalCommit);
-    trace::SpanScope span("journal_commit");
-    s = retry_.RunWithRetry([&] {
-      Status ws = device_->Write(region_offset_ + pos, Slice(batch));
-      if (ws.ok()) {
-        ws = device_->Sync();
-      }
-      return ws;
-    });
-  }
-  lock.lock();
-
-  inflight_bytes_ = 0;
-  inflight_count_ = 0;
-  if (s.ok()) {
-    write_pos_ += batch.size();
-    committed_seq_ = batch_last;
-    stats::Add(stats::Counter::kJournalCommits);
-    stats::Add(stats::Counter::kJournalRecords, batch_count);
-    stats::Add(stats::Counter::kJournalBytes, batch.size());
-  } else {
-    // Failed batches stay pending (prepended: records must remain in sequence order
-    // ahead of anything appended during the failed IO).
-    batch.append(pending_);
-    pending_.swap(batch);
-    pending_count_ += batch_count;
-  }
-  commit_in_progress_ = false;
-  commit_cv_.notify_all();
-  return s;
-}
-
-std::shared_ptr<Journal::AsyncCommitState> Journal::PrepareAsyncCommitLocked() {
-  auto st = std::make_shared<AsyncCommitState>();
-  st->gen = chain_next_gen_++;
-  st->batch.swap(pending_);
-  st->count = pending_count_;
-  pending_count_ = 0;
-  st->batch_last = next_seq_ - 1;
-  st->pos = write_pos_;
-  inflight_bytes_ = st->batch.size();
-  inflight_count_ = st->count;
+  link->batch_last = next_seq_ - 1;
+  link->pos = write_pos_;
+  inflight_bytes_ = link->batch.size();
+  inflight_count_ = link->count;
   commit_in_progress_ = true;
-  st->start = std::chrono::steady_clock::now();
-  return st;
+  link->start = std::chrono::steady_clock::now();
+  return link;
 }
 
-void Journal::SubmitAsyncBatch(std::shared_ptr<AsyncCommitState> st) {
-  // The leader never parks in Sync(): the write's completion submits the sync,
-  // the sync's completion advances the watermark. Both callbacks run on engine
-  // completion threads and take only mu_ (a leaf lock on that path).
+void Journal::SubmitLink(std::shared_ptr<ChainLink> link) {
+  // The write's completion submits the sync, the sync's completion advances the
+  // watermark. Both callbacks run on engine completion threads and take only mu_ (a
+  // leaf lock on that path).
   io::IoRequest write;
   write.op = io::IoOp::kWrite;
-  write.offset = region_offset_ + st->pos;
-  write.data = Slice(st->batch);
-  write.on_complete = [this, st](io::IoCompletion c) {
-    if (!c.status.ok()) {
-      // Transient failure: resubmit the whole link immediately (completion
-      // threads never sleep; rewriting the same batch bytes is idempotent).
-      if (retry_.ShouldRetry(c.status, st->attempts)) {
-        st->attempts++;
-        SubmitAsyncBatch(st);
-        return;
-      }
-      FinishAsyncCommit(st, c.status);
+  write.offset = region_offset_ + link->pos;
+  write.data = Slice(link->batch);
+  write.on_complete = [this, link](Status ws) {
+    if (ws.ok()) {
+      io::IoRequest sync;
+      sync.op = io::IoOp::kSync;
+      sync.on_complete = [this, link](Status ss) {
+        if (!ss.ok() && retry_.ShouldRetry(ss, link->attempts)) {
+          link->attempts++;
+          SubmitLink(link);
+          return;
+        }
+        FinishLink(link, std::move(ss));
+      };
+      ws = engine_->Submit(std::move(sync));
+      if (ws.ok()) return;
+    } else if (retry_.ShouldRetry(ws, link->attempts)) {
+      // Transient failure: resubmit the whole link immediately (completion threads
+      // never sleep; rewriting the same batch bytes is idempotent).
+      link->attempts++;
+      SubmitLink(link);
       return;
     }
-    io::IoRequest sync;
-    sync.op = io::IoOp::kSync;
-    sync.on_complete = [this, st](io::IoCompletion sc) {
-      if (!sc.status.ok() && retry_.ShouldRetry(sc.status, st->attempts)) {
-        st->attempts++;
-        SubmitAsyncBatch(st);
-        return;
-      }
-      FinishAsyncCommit(st, sc.status);
-    };
-    auto h = engine_->Submit(std::move(sync));
-    if (!h.ok()) {
-      FinishAsyncCommit(st, h.status());
-    }
+    FinishLink(link, std::move(ws));
   };
-  auto h = engine_->Submit(std::move(write));
-  if (!h.ok()) {
-    FinishAsyncCommit(std::move(st), h.status());
+  Status submitted = engine_->Submit(std::move(write));
+  if (!submitted.ok()) {
+    FinishLink(std::move(link), std::move(submitted));
   }
 }
 
-void Journal::FinishAsyncCommit(std::shared_ptr<AsyncCommitState> st, Status s) {
+void Journal::FinishLink(std::shared_ptr<ChainLink> link, Status s) {
   std::vector<std::function<void(Status)>> fire;
-  Status fire_status = s;
-  std::shared_ptr<AsyncCommitState> next;
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     inflight_bytes_ = 0;
     inflight_count_ = 0;
     if (s.ok()) {
-      write_pos_ += st->batch.size();
-      committed_seq_ = st->batch_last;
+      write_pos_ += link->batch.size();
+      committed_seq_ = link->batch_last;
       stats::Add(stats::Counter::kJournalCommits);
-      stats::Add(stats::Counter::kJournalRecords, st->count);
-      stats::Add(stats::Counter::kJournalBytes, st->batch.size());
-    } else {
-      // Failed batches stay pending, prepended ahead of anything appended while
-      // the chain link was in flight (records must stay in sequence order).
-      st->batch.append(pending_);
-      pending_.swap(st->batch);
-      pending_count_ += st->count;
-    }
-    chain_done_gen_ = st->gen;
-    last_chain_status_ = s;
-    commit_in_progress_ = false;
-    if (s.ok()) {
-      // Covered waiters resolve now; uncovered ones elect this completion thread
-      // as the next leader, keeping the chain dense under a commit storm.
-      auto split = std::partition(
-          async_waiters_.begin(), async_waiters_.end(),
-          [&](const auto& w) { return w.first > committed_seq_; });
-      for (auto it = split; it != async_waiters_.end(); ++it) {
+      stats::Add(stats::Counter::kJournalRecords, link->count);
+      stats::Add(stats::Counter::kJournalBytes, link->batch.size());
+      auto split = std::partition(waiters_.begin(), waiters_.end(),
+                                  [&](const auto& w) { return w.first > committed_seq_; });
+      for (auto it = split; it != waiters_.end(); ++it) {
         fire.push_back(std::move(it->second));
       }
-      async_waiters_.erase(split, async_waiters_.end());
-      fire_status = Status::Ok();
-      if (!async_waiters_.empty()) {
-        if (!pending_.empty()) {
-          next = PrepareAsyncCommitLocked();
-        } else {
-          // Unreachable by construction (an uncovered target implies records in
-          // pending_), but never strand a waiter if the invariant ever bends.
-          for (auto& w : async_waiters_) fire.push_back(std::move(w.second));
-          async_waiters_.clear();
-        }
-      }
+      waiters_.erase(split, waiters_.end());
     } else {
-      // Every waiter learns this chain link's failure, exactly as a blocking
-      // follower of a failed sync leader retries/reports for itself.
-      for (auto& w : async_waiters_) fire.push_back(std::move(w.second));
-      async_waiters_.clear();
+      // Failed batches stay pending, prepended ahead of anything appended while the
+      // link was in flight (records must stay in sequence order). Every waiter learns
+      // this link's failure; the next commit rewrites the records.
+      link->batch.append(pending_);
+      pending_.swap(link->batch);
+      pending_count_ += link->count;
+      for (auto& w : waiters_) fire.push_back(std::move(w.second));
+      waiters_.clear();
+    }
+  }
+  metrics::Record(metrics::Hist::kJournalCommit,
+                  static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                            std::chrono::steady_clock::now() - link->start)
+                                            .count()));
+  for (auto& f : fire) f(s);
+  // The chain moves on only now, with the covered callers released: uncovered waiters
+  // (and any that registered meanwhile) ride the next link, drained from this thread.
+  // With none left the chain idles, and a CommitThrough caller that waited out this
+  // link drains the next one from its own thread — after its wake-up, so usually with
+  // the released callers' next records on board.
+  std::shared_ptr<ChainLink> next;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (waiters_.empty()) {
+      commit_in_progress_ = false;
+    } else {
+      next = PrepareLinkLocked();
     }
     commit_cv_.notify_all();
   }
-  metrics::Record(metrics::Hist::kJournalCommit,
-                  static_cast<uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - st->start)
-                          .count()));
-  for (auto& f : fire) f(fire_status);
-  if (next) SubmitAsyncBatch(std::move(next));
-}
-
-Status Journal::CommitThrough(uint64_t sequence) {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Clamp to what has actually been appended: sequences from before a Reset() are
-  // durable by checkpoint, and asking beyond next_seq_-1 is a caller bug we degrade
-  // to "everything appended so far".
-  uint64_t target = std::min(sequence, next_seq_ - 1);
-  if (engine_ != nullptr) {
-    // Async mode: kick the chain instead of leading in place, then sleep on the
-    // watermark. Lead-once: after this caller's generation completes it reports
-    // that link's outcome rather than retrying forever on a failing device.
-    bool led = false;
-    uint64_t my_gen = 0;
-    for (;;) {
-      if (committed_seq_ >= target) {
-        return Status::Ok();
-      }
-      if (led && chain_done_gen_ >= my_gen) {
-        return last_chain_status_;
-      }
-      if (!commit_in_progress_ && !led) {
-        if (pending_.empty()) {
-          return Status::Ok();  // Reset raced ahead of us.
-        }
-        auto st = PrepareAsyncCommitLocked();
-        my_gen = st->gen;
-        led = true;
-        lock.unlock();
-        SubmitAsyncBatch(std::move(st));
-        lock.lock();
-        continue;
-      }
-      commit_cv_.wait(lock);
-    }
-  }
-  for (;;) {
-    if (committed_seq_ >= target) {
-      return Status::Ok();
-    }
-    if (!commit_in_progress_) {
-      break;
-    }
-    commit_cv_.wait(lock);
-  }
-  if (pending_.empty()) {
-    return Status::Ok();  // Nothing to write (e.g. Reset raced ahead of us).
-  }
-  commit_in_progress_ = true;
-  return LeadCommit(lock);
+  if (next) SubmitLink(std::move(next));
 }
 
 void Journal::CommitAsync(uint64_t sequence, std::function<void(Status)> done) {
-  std::shared_ptr<AsyncCommitState> st;
+  std::shared_ptr<ChainLink> link;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (engine_ == nullptr) {
-      lock.unlock();
-      done(CommitThrough(sequence));  // Degraded mode: block, then report.
-      return;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    // Clamp to what has actually been appended: sequences from before a Reset() are
+    // durable by checkpoint, and asking beyond next_seq_-1 is a caller bug we degrade
+    // to "everything appended so far".
     uint64_t target = std::min(sequence, next_seq_ - 1);
-    if (committed_seq_ >= target ||
-        (!commit_in_progress_ && pending_.empty())) {
-      lock.unlock();  // Covered already (or Reset raced): resolve immediately.
-      done(Status::Ok());
-      return;
+    if (committed_seq_ < target) {
+      waiters_.emplace_back(target, std::move(done));
+      if (commit_in_progress_) {
+        return;  // The in-flight link (or its successor) resolves us.
+      }
+      link = PrepareLinkLocked();
     }
-    async_waiters_.emplace_back(target, std::move(done));
-    if (commit_in_progress_) {
-      return;  // The in-flight link (or its successor) will resolve us.
-    }
-    st = PrepareAsyncCommitLocked();
   }
-  SubmitAsyncBatch(std::move(st));
+  if (link) {
+    SubmitLink(std::move(link));
+  } else {
+    done(Status::Ok());  // Already covered.
+  }
+}
+
+Status Journal::CommitThrough(uint64_t sequence) {
+  {
+    // Wait out an in-flight link rather than pile onto the one after it: the link
+    // usually covers this caller, and if not, the caller drains the next one itself.
+    std::unique_lock<std::mutex> lock(mu_);
+    uint64_t target = std::min(sequence, next_seq_ - 1);
+    commit_cv_.wait(lock, [&] { return committed_seq_ >= target || !commit_in_progress_; });
+    if (committed_seq_ >= target) {
+      return Status::Ok();
+    }
+  }
+  auto done = std::make_shared<std::promise<Status>>();
+  std::future<Status> result = done->get_future();
+  CommitAsync(sequence, [done](Status s) { done->set_value(std::move(s)); });
+  return result.get();
 }
 
 Status Journal::Commit() {
-  // The target is re-read under the lock inside CommitThrough; max() simply means
+  // The target is re-read under the lock inside CommitAsync; max() simply means
   // "everything appended before the call".
   return CommitThrough(~uint64_t{0});
 }
@@ -364,35 +258,23 @@ double Journal::Occupancy() const {
 }
 
 Status Journal::Reset() {
-  std::vector<std::function<void(Status)>> fire;
-  Status result;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // An in-flight leader still owns [write_pos_, +inflight_bytes_); wait it out so
-    // the head zeroes below cannot be overwritten by its batch.
-    commit_cv_.wait(lock, [&] { return !commit_in_progress_; });
-    pending_.clear();
-    pending_count_ = 0;
-    write_pos_ = 0;
-    committed_seq_ = next_seq_ - 1;  // Everything before the reset is checkpoint-durable.
-    // Any async waiter still parked is now covered by the checkpoint that mandated
-    // this reset (in steady state the chain epilogue already drained them all).
-    // Fired after the head is zeroed: releasing mu_ earlier would let a resolved
-    // caller kick a new chain writing at write_pos_ 0 concurrently with the zeroes.
-    for (auto& w : async_waiters_) fire.push_back(std::move(w.second));
-    async_waiters_.clear();
-    // Zero one header so a recovery scan terminates immediately.
-    std::string zeroes(kRecordHeaderSize, '\0');
-    result = retry_.RunWithRetry([&] {
-      Status ws = device_->Write(region_offset_, Slice(zeroes));
-      if (ws.ok()) {
-        ws = device_->Sync();
-      }
-      return ws;
-    });
-  }
-  for (auto& f : fire) f(Status::Ok());
-  return result;
+  std::unique_lock<std::mutex> lock(mu_);
+  // An in-flight link still owns [write_pos_, +inflight_bytes_); wait it out so the
+  // head zeroes below cannot be overwritten by its batch. No waiter outlives it.
+  commit_cv_.wait(lock, [&] { return !commit_in_progress_; });
+  pending_.clear();
+  pending_count_ = 0;
+  write_pos_ = 0;
+  committed_seq_ = next_seq_ - 1;  // Everything before the reset is checkpoint-durable.
+  // Zero one header so a recovery scan terminates immediately.
+  std::string zeroes(kRecordHeaderSize, '\0');
+  return retry_.RunWithRetry([&] {
+    Status ws = device_->Write(region_offset_, Slice(zeroes));
+    if (ws.ok()) {
+      ws = device_->Sync();
+    }
+    return ws;
+  });
 }
 
 Result<uint64_t> Journal::Recover(
@@ -401,16 +283,6 @@ Result<uint64_t> Journal::Recover(
   commit_cv_.wait(lock, [&] { return !commit_in_progress_; });
   pending_.clear();
   pending_count_ = 0;
-  // Recovery supersedes any parked async waiter (their records either survived on
-  // disk or are gone with the crash being recovered from); resolve rather than
-  // strand them. Ok mirrors Reset: the caller owns interpreting recovered state.
-  if (!async_waiters_.empty()) {
-    auto orphans = std::move(async_waiters_);
-    async_waiters_.clear();
-    lock.unlock();
-    for (auto& w : orphans) w.second(Status::Ok());
-    lock.lock();
-  }
   uint64_t pos = 0;
   uint64_t recovered = 0;
   bool have_prev_seq = false;

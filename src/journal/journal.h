@@ -10,13 +10,18 @@
 // The CRC covers (length, sequence, payload), is masked as in crc32.h, and a record of all
 // zeroes marks the end of the log. Sequences increase by exactly one per record.
 //
-// Commit runs a leader/follower protocol (see docs/CONCURRENCY.md): every Commit() caller
-// targets the highest sequence appended so far; whoever finds no commit in flight becomes
-// the leader, drains the pending buffer, and performs the Write+Sync with the journal lock
-// RELEASED — so Append() never waits out an in-flight fsync — then advances the
-// committed_seq_ watermark and wakes the followers. A follower whose target is already
-// covered returns without touching the device: one fsync amortizes across every thread
-// that committed inside its window.
+// Commits run as a completion chain on the journal's own io::IoEngine (see
+// docs/CONCURRENCY.md). A caller whose target is not yet durable registers as a waiter;
+// if no commit is in flight it drains the pending buffer into a chain link and submits
+// the link's write. The write's completion submits the sync, and the sync's completion
+// advances the committed_seq_ watermark, fires every covered waiter, and drains the
+// next link if uncovered waiters remain. No thread parks inside Sync() and the journal
+// lock is never held across device IO, so Append() never waits out an in-flight fsync
+// and one fsync amortizes across every waiter that registered inside its window.
+// Blocking Commit()/CommitThrough() wait out an in-flight link (which usually covers
+// them) and are otherwise CommitAsync() plus a wait: the caller then drains the next
+// link itself, after its wake-up, by which time the callers the previous link released
+// have usually appended their next records.
 //
 // The log is linear, not a ring: when the region fills, Append returns NoSpace and the
 // caller must Checkpoint() — i.e. durably flush the state the journal protects, then reset
@@ -44,14 +49,10 @@
 #include "src/common/retry.h"
 #include "src/common/slice.h"
 #include "src/common/status.h"
+#include "src/io/io_engine.h"
 #include "src/storage/block_device.h"
 
 namespace hfad {
-
-namespace io {
-class IoEngine;
-}  // namespace io
-
 namespace journal {
 
 // Fixed per-record framing overhead (CRC + length + sequence).
@@ -59,31 +60,24 @@ constexpr uint64_t kRecordHeaderSize = 16;
 
 class Journal {
  public:
-  // The journal owns [region_offset, region_offset + region_size) of `device`. A fresh
-  // journal starts empty with first_sequence as its next sequence number; call Recover()
-  // instead when opening an existing volume.
+  // The journal owns [region_offset, region_offset + region_size) of `device` and
+  // commits through its own IoEngine on it. A fresh journal starts empty with
+  // first_sequence as its next sequence number; call Recover() instead when opening an
+  // existing volume.
   Journal(BlockDevice* device, uint64_t region_offset, uint64_t region_size,
           uint64_t first_sequence = 1);
 
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  // Waits out any in-flight commit chain. Callers owning an IoEngine must destroy
-  // (or Shutdown) the engine first so its completion threads have quiesced.
+  // Shuts the engine down first, so every in-flight chain link completes (or aborts)
+  // into still-live journal state.
   ~Journal();
 
-  // Route commits through `engine` (null reverts to synchronous leader commits).
-  // The group-commit leader then becomes a completion-driven state machine:
-  // reserve -> submit write -> submit sync -> advance the watermark from the sync
-  // completion. No thread parks inside Sync(); CommitThrough waiters sleep on the
-  // journal condvar and thousands of CommitAsync callers can be in flight at
-  // once. Call before the journal is shared across threads.
-  void SetIoEngine(io::IoEngine* engine);
-
-  // Retry transiently failing commit IO. Sync leaders sleep the policy's
-  // backoff between attempts (journal lock released); async chain links
-  // resubmit immediately from the completion thread — a completion thread
-  // must never sleep. Call before the journal is shared across threads.
+  // Retry transiently failing IO. Chain links resubmit immediately from the
+  // completion thread — a completion thread must never sleep — so only the policy's
+  // attempt count applies there; Reset and Recover retry in place with its backoff.
+  // Call before the journal is shared across threads.
   void SetRetryPolicy(const RetryPolicy& retry);
 
   // Buffer one record. It is durable only after a Commit() covers its sequence. Returns
@@ -92,25 +86,27 @@ class Journal {
   // device Write/Sync never blocks an append.
   Result<uint64_t> Append(Slice payload);
 
-  // Make every record appended before this call durable. Leader/follower group commit:
-  // returns as soon as the committed watermark covers the caller's target — possibly
-  // without any device IO of its own. On IO failure the batch's records are returned to
-  // the pending buffer (a follower of a failed leader retries as leader and reports its
-  // own outcome).
+  // Make every record appended before this call durable: CommitThrough(<highest
+  // appended>).
   Status Commit();
 
-  // Block until the watermark covers `sequence` (committing as leader when needed).
-  // Sequences from a previous log generation (at or below the last Reset) count as
-  // covered. Commit() is CommitThrough(<highest appended>).
+  // Block until the watermark covers `sequence`. Sequences from a previous log
+  // generation (at or below the last Reset) count as covered. Waits out an in-flight
+  // link first, then joins the waiter list like CommitAsync and returns the outcome of
+  // the link that resolved it: if that link fails, every waiter on it gets its error
+  // and its records stay pending for the next commit.
   Status CommitThrough(uint64_t sequence);
 
   // Non-blocking CommitThrough: `done` fires with the commit outcome once the
-  // watermark covers `sequence` (immediately, from this call, when it already
-  // does). Requires no dedicated thread per caller — completions ride the engine's
-  // completion thread, so `done` must follow the completion-thread rules in
-  // docs/CONCURRENCY.md (leaf locks only, never block on another completion).
-  // Without an engine this degrades to a synchronous CommitThrough + callback.
+  // watermark covers `sequence` (immediately, from this call, when it already does),
+  // or with the error of the chain link that failed while it waited. Requires no
+  // dedicated thread per caller — completions ride the engine's completion thread, so
+  // `done` must follow the completion-thread rules in docs/CONCURRENCY.md (leaf locks
+  // only, never block on another completion).
   void CommitAsync(uint64_t sequence, std::function<void(Status)> done);
+
+  // The engine the commit chain runs on (never null). The OSD reports its gauges.
+  io::IoEngine* io_engine() const { return engine_.get(); }
 
   // Number of records appended but not yet durable (pending buffer + in-flight batch).
   size_t pending_records() const;
@@ -143,61 +139,50 @@ class Journal {
   uint64_t committed_bytes() const;
 
  private:
-  // One link of the async commit chain: the batch drained by an async leader, alive
-  // (via shared_ptr) until its sync completion lands — the engine requires request
-  // buffers to outlive their completions.
-  struct AsyncCommitState;
+  // One link of the commit chain: the batch drained from pending_, alive (via
+  // shared_ptr) until its sync completion lands — the engine requires request buffers
+  // to outlive their completions.
+  struct ChainLink;
 
-  // Leader body: drain pending_, Write+Sync with `lock` released, advance the watermark
-  // (or restore the batch on failure), wake followers. Caller holds `lock` and has
-  // already set commit_in_progress_.
-  Status LeadCommit(std::unique_lock<std::mutex>& lock);
-
-  // Async leader election: drain pending_ into a chain link and mark the commit in
-  // progress. Caller holds mu_ and must call SubmitAsyncBatch with mu_ released.
-  std::shared_ptr<AsyncCommitState> PrepareAsyncCommitLocked();
+  // Drain pending_ into a new chain link and mark the commit in progress. Caller holds
+  // mu_ and must call SubmitLink with mu_ released.
+  std::shared_ptr<ChainLink> PrepareLinkLocked();
 
   // Submit the link's write; its completion submits the sync; the sync's completion
-  // calls FinishAsyncCommit. Called with mu_ RELEASED (engine locks are leaves).
-  void SubmitAsyncBatch(std::shared_ptr<AsyncCommitState> st);
+  // calls FinishLink. Called with mu_ RELEASED (engine locks are leaves).
+  void SubmitLink(std::shared_ptr<ChainLink> link);
 
   // Chain epilogue, called from a completion thread: advance the watermark (or
-  // restore the batch), fire covered waiters, and lead the next link if uncovered
+  // restore the batch), fire resolved waiters, and drain the next link if uncovered
   // waiters remain. Takes mu_; fires callbacks only after releasing it.
-  void FinishAsyncCommit(std::shared_ptr<AsyncCommitState> st, Status s);
+  void FinishLink(std::shared_ptr<ChainLink> link, Status s);
 
   BlockDevice* const device_;
   const uint64_t region_offset_;
   const uint64_t region_size_;
 
   mutable std::mutex mu_;
-  // Signalled when a commit finishes (watermark advanced or leader failed) so followers
-  // re-check their target, and when commit_in_progress_ clears.
+  // Signalled when a chain link finishes (after its covered waiters fired), so
+  // CommitThrough and Reset/Recover can wait out the link in flight.
   std::condition_variable commit_cv_;
   bool commit_in_progress_ = false;
 
   uint64_t next_seq_;
   uint64_t committed_seq_;       // Highest durable sequence (== next_seq_-1 when clean).
   uint64_t write_pos_ = 0;       // Byte offset within the region of the next commit.
-  uint64_t inflight_bytes_ = 0;  // Bytes drained by the in-flight leader (space-reserved).
+  uint64_t inflight_bytes_ = 0;  // Bytes drained by the in-flight link (space-reserved).
   std::string pending_;          // Encoded records awaiting a commit batch.
   size_t pending_count_ = 0;
-  size_t inflight_count_ = 0;    // Records in the in-flight batch.
+  size_t inflight_count_ = 0;    // Records in the in-flight link.
 
   // Transient-failure policy for commit IO (write, sync, Reset's head zeroing).
   RetryPolicy retry_ = RetryPolicy::None();
 
-  // ---- Async commit chain (engine_ != nullptr) ----
-  io::IoEngine* engine_ = nullptr;
-  // CommitAsync callers whose target the watermark does not yet cover.
-  std::vector<std::pair<uint64_t, std::function<void(Status)>>> async_waiters_;
-  // Lead-once bookkeeping for async CommitThrough: a blocking caller that kicked
-  // chain generation G returns last_chain_status_ once chain_done_gen_ >= G,
-  // mirroring the sync mode where each caller leads at most once and reports its
-  // own batch's outcome.
-  uint64_t chain_next_gen_ = 1;
-  uint64_t chain_done_gen_ = 0;
-  Status last_chain_status_;
+  // Callers whose target the watermark does not yet cover, blocking and async alike.
+  // Invariant: non-empty only while a chain link is in flight.
+  std::vector<std::pair<uint64_t, std::function<void(Status)>>> waiters_;
+
+  std::unique_ptr<io::IoEngine> engine_;
 };
 
 }  // namespace journal

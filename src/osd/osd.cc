@@ -105,8 +105,8 @@ void Osd::InitStructures() {
                                    /*no_steal=*/options_.journaling);
   journal_ = std::make_unique<journal::Journal>(device_.get(), sb_.journal_offset,
                                                 sb_.journal_size);
-  // cksum_offset == 0 means the volume predates checksums (pre-v3 superblock)
-  // or was created with them off; it keeps running unverified.
+  // cksum_offset == 0 means the volume was created with checksums off; it keeps
+  // running unverified.
   if (sb_.cksum_offset != 0 && sb_.cksum_size != 0) {
     checksums_ = std::make_unique<PageChecksums>(sb_.device_size, kPageSize);
     pager_->SetChecksums(checksums_.get());
@@ -128,14 +128,6 @@ void Osd::InitStructures() {
     scrubber_ = std::make_unique<Scrubber>(device_.get(), pager_.get(), checksums_.get(),
                                            &health_, sopts);
     scrubber_->SetRepairKick([this] { RequestCheckpoint(); });
-  }
-  if (options_.io_threads > 0) {
-    io::IoEngineOptions eopts;
-    eopts.threads = options_.io_threads;
-    eopts.backend = options_.io_backend;
-    io_engine_ = io::CreateIoEngine(device_.get(), eopts);
-    journal_->SetIoEngine(io_engine_.get());
-    pager_->SetIoEngine(io_engine_.get());
   }
   next_oid_.store(sb_.next_oid);
 }
@@ -592,8 +584,8 @@ Status Osd::JournalRecord(Slice payload, uint64_t reserved, bool force_sync) {
     seq = *seq_or;
   }
   if (force_sync || !options_.group_commit) {
-    // Outside journal_mu_: the journal's leader/follower protocol does the fsync, and
-    // concurrent appenders must be able to ride (or simply ignore) it.
+    // Outside journal_mu_: the journal's commit chain does the fsync, and concurrent
+    // appenders must be able to ride (or simply ignore) it.
     return journal_->CommitThrough(seq);
   }
   return Status::Ok();
@@ -830,8 +822,8 @@ Status Osd::Sync() {
   if (!options_.journaling) {
     return Checkpoint();
   }
-  // No journal_mu_: Commit is the journal's leader/follower protocol, and holding the
-  // append lock across an fsync is exactly what group commit exists to avoid.
+  // No journal_mu_: Commit rides the journal's commit chain, and holding the append
+  // lock across an fsync is exactly what group commit exists to avoid.
   std::shared_lock<std::shared_mutex> vlock(volume_mu_);
   return journal_->Commit();
 }
@@ -1111,14 +1103,14 @@ std::string Osd::DumpMetrics() const {
   w.Key("checkpointer_state").Value(static_cast<int64_t>(checkpointer_state()));
   w.Key("object_count").Value(object_count());
   w.Key("heap_allocated_bytes").Value(heap_allocated_bytes());
-  w.Key("io_backend").Value(io_engine_ ? io_engine_->backend_name() : "none");
-  w.Key("io_submitted").Value(io_engine_ ? io_engine_->submitted() : 0);
-  w.Key("io_completed").Value(io_engine_ ? io_engine_->completed() : 0);
-  w.Key("io_in_flight").Value(io_engine_ ? io_engine_->in_flight() : 0);
-  w.Key("io_max_queue_depth").Value(io_engine_ ? io_engine_->max_queue_depth() : 0);
+  const io::IoEngine* engine = io_engine();
+  w.Key("io_backend").Value(engine->backend_name());
+  w.Key("io_submitted").Value(engine->submitted());
+  w.Key("io_completed").Value(engine->completed());
+  w.Key("io_in_flight").Value(engine->in_flight());
+  w.Key("io_max_queue_depth").Value(engine->max_queue_depth());
   w.Key("volume_health").Value(static_cast<int64_t>(health_.state()));
   w.Key("volume_health_name").Value(std::string(HealthStateName(health_.state())));
-  w.Key("pager_writeback_error").Value(int64_t{pager_->writeback_error().ok() ? 0 : 1});
   w.Key("checksums_enabled").Value(int64_t{checksums_ ? 1 : 0});
   w.Key("scrub_passes").Value(scrubber_ ? scrubber_->passes() : 0);
   w.Key("quarantined_pages")

@@ -22,6 +22,9 @@
 //     journal the dirty page images plus a commit record (jbd-style), then write in place.
 //     Recovery either redoes a completed checkpoint or replays the logical records.
 //   * journaling off: a plain write-back cache; durability only at Checkpoint().
+// Every journal commit rides the journal's own io::IoEngine completion chain; page
+// write-back (checkpoints, and eviction when journaling is off) is one synchronous
+// sorted batch on the calling thread.
 //
 // Concurrency: per-object sharded reader/writer locks (common::ShardedMutex) for data
 // ops — mutations exclusive, reads shared — plus a global reader/writer lock that lets
@@ -91,21 +94,11 @@ struct OsdOptions {
   // so a checkpoint is usually already done (or in flight) before any op ever sees
   // NoSpace and has to checkpoint synchronously. <= 0 or >= 1 disables the kick.
   double checkpoint_kick_occupancy = 0.7;
-  // IoEngine worker threads for this volume. The engine turns the group-commit
-  // leader and pager write-back into completion-driven state machines (see
-  // src/io/io_engine.h): commits ride Journal::CommitAsync chains and eviction
-  // write-back clears dirty bits from completions, so a handful of threads
-  // sustains thousands of in-flight commits. 0 disables the engine entirely and
-  // restores the fully synchronous pre-engine paths (crash tests sweep both).
-  int io_threads = 2;
-  // Engine backend selection; kAuto probes io_uring (when built and the device
-  // has a native fd) and falls back to the portable thread pool.
-  io::IoBackend io_backend = io::IoBackend::kAuto;
   // Maintain per-page CRC32C checksums (fresh volumes only; existing volumes keep
   // whatever their superblock says). Verified on every pager miss and by scrub.
   bool page_checksums = true;
-  // Transient-IO retry policy for the pager miss path, journal commit chain, and
-  // write-back completions. RetryPolicy::None() disables retry (crash tests that
+  // Transient-IO retry policy for the pager's read, flush and write-back paths and
+  // the journal commit chain. RetryPolicy::None() disables retry (crash tests that
   // count device writes sweep with it disabled).
   RetryPolicy retry;
   // Background scrub cadence; 0 disables the scrub thread (ScrubNow() still
@@ -293,9 +286,9 @@ class Osd {
   double journal_occupancy() const;
   uint64_t journal_pending_records() const;
 
-  // This volume's IoEngine (null when io_threads == 0). OsdCluster aggregates the
-  // per-shard engines' gauges in FileSystem::DumpMetrics.
-  io::IoEngine* io_engine() const { return io_engine_.get(); }
+  // The IoEngine the volume's journal commits through (never null). FileSystem::
+  // DumpMetrics aggregates the per-shard engines' gauges.
+  io::IoEngine* io_engine() const { return journal_->io_engine(); }
 
   // One JSON document: process counters + latency histograms + this volume's gauges
   // (journal occupancy, pager residency, checkpointer state) + per-shard lock hot
@@ -322,8 +315,8 @@ class Osd {
   const VolumeHealth& health() const { return health_; }
   HealthState health_state() const { return health_.state(); }
 
-  // Per-page checksum table; null when the volume predates checksums (pre-v3
-  // superblock) or was created with page_checksums off.
+  // Per-page checksum table; null when the volume was created with page_checksums
+  // off.
   PageChecksums* checksums() const { return checksums_.get(); }
 
   // Run one full synchronous scrub pass (independent of the background
@@ -407,9 +400,6 @@ class Osd {
   std::unique_ptr<btree::BTree> object_table_;
   std::unique_ptr<btree::BTree> named_roots_;
   std::unique_ptr<Scrubber> scrubber_;  // Null when checksums are off.
-  // Declared after everything it serves: destroyed FIRST, so its Shutdown drains
-  // every completion callback into still-live journal/pager state.
-  std::unique_ptr<io::IoEngine> io_engine_;
 
   // Ops hold shared; Checkpoint holds exclusive.
   mutable std::shared_mutex volume_mu_;

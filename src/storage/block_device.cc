@@ -28,10 +28,15 @@ Status RangeCheck(uint64_t offset, size_t size, uint64_t capacity) {
   return Status::Ok();
 }
 
-}  // namespace
+// One coalesced run: parts are offset-adjacent in order, covering [offset, offset+size).
+struct WriteRun {
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  std::vector<Slice> parts;
+};
 
-namespace blockdev_internal {
-
+// Sort extents by offset, drop empties, and merge adjacent ranges into runs. Counts the
+// batch into hfad::stats (kDeviceWriteBatches / kDeviceBatchRuns).
 std::vector<WriteRun> CoalesceExtents(std::vector<WriteExtent>* extents) {
   std::sort(extents->begin(), extents->end(),
             [](const WriteExtent& a, const WriteExtent& b) { return a.offset < b.offset; });
@@ -56,11 +61,10 @@ std::vector<WriteRun> CoalesceExtents(std::vector<WriteExtent>* extents) {
   return runs;
 }
 
-}  // namespace blockdev_internal
+}  // namespace
 
 Status BlockDevice::WriteBatch(std::vector<WriteExtent> extents) {
-  std::vector<blockdev_internal::WriteRun> runs =
-      blockdev_internal::CoalesceExtents(&extents);
+  std::vector<WriteRun> runs = CoalesceExtents(&extents);
   std::string scratch;
   for (const auto& run : runs) {
     if (run.parts.size() == 1) {
@@ -92,8 +96,7 @@ Status MemoryBlockDevice::Write(uint64_t offset, Slice data) {
 }
 
 Status MemoryBlockDevice::WriteBatch(std::vector<WriteExtent> extents) {
-  std::vector<blockdev_internal::WriteRun> runs =
-      blockdev_internal::CoalesceExtents(&extents);
+  std::vector<WriteRun> runs = CoalesceExtents(&extents);
   for (const auto& run : runs) {
     HFAD_RETURN_IF_ERROR(RangeCheck(run.offset, run.size, data_.size()));
     uint64_t pos = run.offset;
@@ -165,8 +168,7 @@ Status FileBlockDevice::Write(uint64_t offset, Slice data) {
 }
 
 Status FileBlockDevice::WriteBatch(std::vector<WriteExtent> extents) {
-  std::vector<blockdev_internal::WriteRun> runs =
-      blockdev_internal::CoalesceExtents(&extents);
+  std::vector<WriteRun> runs = CoalesceExtents(&extents);
   std::vector<struct iovec> iov;
   for (const auto& run : runs) {
     HFAD_RETURN_IF_ERROR(RangeCheck(run.offset, run.size, size_));
@@ -282,8 +284,7 @@ Status FaultyBlockDevice::Write(uint64_t offset, Slice data) {
 }
 
 Status FaultyBlockDevice::WriteBatch(std::vector<WriteExtent> extents) {
-  std::vector<blockdev_internal::WriteRun> runs =
-      blockdev_internal::CoalesceExtents(&extents);
+  std::vector<WriteRun> runs = CoalesceExtents(&extents);
   std::lock_guard<std::mutex> lock(mu_);
   std::string scratch;
   for (const auto& run : runs) {

@@ -65,21 +65,6 @@ class BlockDevice {
   virtual int native_fd() const { return -1; }
 };
 
-namespace blockdev_internal {
-
-// One coalesced run: parts are offset-adjacent in order, covering [offset, offset+size).
-struct WriteRun {
-  uint64_t offset = 0;
-  uint64_t size = 0;
-  std::vector<Slice> parts;
-};
-
-// Sort extents by offset, drop empties, and merge adjacent ranges into runs. Counts the
-// batch into hfad::stats (kDeviceWriteBatches / kDeviceBatchRuns).
-std::vector<WriteRun> CoalesceExtents(std::vector<WriteExtent>* extents);
-
-}  // namespace blockdev_internal
-
 // RAM-backed device. Thread-safe for non-overlapping concurrent access.
 class MemoryBlockDevice : public BlockDevice {
  public:

@@ -14,8 +14,8 @@
 //   bit   32     valid — a checksum has been stamped since the last invalidate
 //   bit   33     quarantined — scrub confirmed corruption with no clean source;
 //                reads must fail loudly until the page is rewritten
-//   0            absent — page never stamped (fresh volume, pre-v3 volume, or
-//                invalidated by a recovery redo); Verify passes it.
+//   0            absent — page never stamped (fresh volume, or invalidated by a
+//                recovery redo); Verify passes it.
 //
 // Crash consistency: the table is serialized into the checksum region during
 // checkpoint, *before* the superblock commit, and its validity is gated by a

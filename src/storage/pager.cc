@@ -6,7 +6,6 @@
 #include "src/common/metrics.h"
 #include "src/common/stats.h"
 #include "src/common/trace.h"
-#include "src/io/io_engine.h"
 #include "src/storage/checksums.h"
 #include "src/storage/volume_health.h"
 
@@ -29,24 +28,6 @@ Pager::Pager(BlockDevice* device, size_t capacity_pages, bool no_steal)
       stripe_count_(StripeCountFor(capacity_)),
       stripe_capacity_(std::max<size_t>(1, capacity_ / stripe_count_)),
       stripes_(std::make_unique<Stripe[]>(stripe_count_)) {}
-
-Pager::~Pager() {
-  // In-flight async write-back completions dereference stripes_; wait them out.
-  // (Engines owned above the pager are shut down first, which drives this to
-  // zero before we are ever entered.)
-  std::unique_lock<std::mutex> lock(wb_mu_);
-  wb_cv_.wait(lock, [&] { return pending_writebacks_ == 0; });
-}
-
-void Pager::SetIoEngine(io::IoEngine* engine) {
-  std::lock_guard<std::mutex> lock(wb_mu_);
-  engine_ = engine;
-}
-
-void Pager::AwaitPendingWritebacks() const {
-  std::unique_lock<std::mutex> lock(wb_mu_);
-  wb_cv_.wait(lock, [&] { return pending_writebacks_ == 0; });
-}
 
 std::shared_lock<std::shared_mutex> Pager::LockStripeShared(const Stripe& s) const {
   std::shared_lock<std::shared_mutex> lock(s.mu, std::try_to_lock);
@@ -266,38 +247,6 @@ Status Pager::FlushWriteback(Stripe& s, std::vector<Writeback>* writeback) {
   // own SharedMutationHold, so try_to_lock is load-bearing.
   std::shared_lock<std::shared_mutex> snapshot_guard(flush_mu_, std::try_to_lock);
   if (snapshot_guard.owns_lock()) {
-    if (engine_ != nullptr) {
-      // Completion-driven write-back: submit and return — the evicting thread
-      // never waits out device IO. pending_writebacks_ is incremented while
-      // flush_mu_ is still held shared, so an exclusive snapshotter (Flush /
-      // CollectDirty) that gets the lock after us is guaranteed to see — and
-      // drain — this batch before reading dirty bits.
-      auto st = std::make_shared<WritebackBatch>();
-      st->items = std::move(*writeback);
-      writeback->clear();
-      std::vector<WriteExtent> extents;
-      extents.reserve(st->items.size());
-      for (const Writeback& w : st->items) {
-        extents.push_back(WriteExtent{w.page->offset(), Slice(w.image)});
-      }
-      stats::Add(stats::Counter::kPageWrites, st->items.size());
-      {
-        std::lock_guard<std::mutex> wb_lock(wb_mu_);
-        pending_writebacks_++;
-      }
-      io::IoRequest req;
-      req.op = io::IoOp::kWritev;
-      req.extents = std::move(extents);
-      Stripe* stripe = &s;  // Stable: stripes_ is a fixed array member.
-      req.on_complete = [this, st, stripe](io::IoCompletion c) {
-        WritebackDone(*stripe, st, c.status);
-      };
-      auto h = engine_->Submit(std::move(req));
-      if (!h.ok()) {
-        WritebackDone(s, std::move(st), h.status());
-      }
-      return Status::Ok();
-    }
     stats::Add(stats::Counter::kPageWrites, writeback->size());
     Status wrote = retry_.RunWithRetry([&] {
       std::vector<WriteExtent> extents;
@@ -307,7 +256,10 @@ Status Pager::FlushWriteback(Stripe& s, std::vector<Writeback>* writeback) {
       }
       return device_->WriteBatch(std::move(extents));
     });
-    HFAD_RETURN_IF_ERROR(wrote);
+    if (!wrote.ok()) {
+      stats::Add(stats::Counter::kPagerWritebackErrors);
+      return wrote;  // The victims stay dirty; a later sweep or Flush rewrites them.
+    }
     if (checksums_ != nullptr) {
       // Stamp the snapshotted images unconditionally: the device now holds exactly
       // these bytes even for pages re-dirtied since the snapshot (their newer content
@@ -337,82 +289,11 @@ Status Pager::FlushWriteback(Stripe& s, std::vector<Writeback>* writeback) {
   return Status::Ok();
 }
 
-void Pager::WritebackDone(Stripe& s, std::shared_ptr<WritebackBatch> st,
-                          Status status) {
-  if (!status.ok() && engine_ != nullptr && retry_.ShouldRetry(status, st->attempts)) {
-    // Completion-thread retry: resubmit immediately (never sleep here — backoff
-    // would stall the engine's completion loop). The batch stays counted in
-    // pending_writebacks_, so an exclusive Flush keeps draining it before
-    // snapshotting dirty bits.
-    st->attempts++;
-    std::vector<WriteExtent> extents;
-    extents.reserve(st->items.size());
-    for (const Writeback& w : st->items) {
-      extents.push_back(WriteExtent{w.page->offset(), Slice(w.image)});
-    }
-    io::IoRequest req;
-    req.op = io::IoOp::kWritev;
-    req.extents = std::move(extents);
-    Stripe* stripe = &s;
-    req.on_complete = [this, st, stripe](io::IoCompletion c) {
-      WritebackDone(*stripe, st, c.status);
-    };
-    auto h = engine_->Submit(std::move(req));
-    if (h.ok()) {
-      return;
-    }
-    status = h.status();  // Resubmission itself failed: give up below.
-  }
-  if (status.ok()) {
-    if (checksums_ != nullptr) {
-      // Same rationale as the synchronous path: the device holds these images now.
-      for (const Writeback& w : st->items) {
-        checksums_->Stamp(w.page->offset(), Slice(w.image));
-      }
-    }
-    // Identical validation to the synchronous path — the only difference is which
-    // thread runs it. Stripe locks are leaves, so taking one on a completion
-    // thread cannot deadlock (docs/CONCURRENCY.md).
-    std::unique_lock<std::shared_mutex> lock = LockStripeExclusive(s);
-    for (const Writeback& w : st->items) {
-      auto it = s.map.find(w.page->offset());
-      if (it == s.map.end() || it->second != w.page) {
-        continue;  // Invalidated (and possibly replaced) mid-IO; nothing to clean.
-      }
-      // use_count == 2 is exactly {map, this WritebackBatch}.
-      if (w.page.use_count() > 2 || w.page->epoch() != w.epoch) {
-        continue;  // Pinned or re-dirtied since the snapshot: stays dirty, written later.
-      }
-      w.page->ClearDirty();
-      if (s.map.size() >= stripe_capacity_ && !w.page->referenced()) {
-        s.map.erase(it);  // The ring entry goes stale; the sweep skips it.
-      }
-    }
-  }
-  st->items.clear();  // Drop the pins.
-  if (!status.ok()) {
-    stats::Add(stats::Counter::kPagerWritebackErrors);
-  }
-  {
-    std::lock_guard<std::mutex> wb_lock(wb_mu_);
-    pending_writebacks_--;
-    if (!status.ok() && writeback_error_.ok()) {
-      writeback_error_ = status;  // Sticky; the pages stay dirty and retry later.
-    }
-  }
-  wb_cv_.notify_all();
-}
-
 Status Pager::Flush() {
   // Exclude in-flight multi-page structure mutations (see SharedMutationHold) so the
   // write-back is a consistent snapshot. Content stability while we write without the
   // stripe locks comes from the same exclusion (plus volume_mu_ at the OSD layer).
   std::unique_lock<std::shared_mutex> mutation_barrier(flush_mu_);
-  // A stale async write-back completing AFTER this flush could clear the dirty
-  // bit of a page whose latest content only this flush wrote — losing the next
-  // rewrite. Drain first: no new batch can be submitted while we hold flush_mu_
-  // exclusive (submission requires it shared).
-  AwaitPendingWritebacks();
   std::vector<PageRef> dirty;
   for (size_t i = 0; i < stripe_count_; i++) {
     Stripe& s = stripes_[i];
@@ -431,14 +312,6 @@ Status Pager::Flush() {
       for (const PageRef& page : dirty) {
         extents.push_back(WriteExtent{page->offset(), Slice(page->cdata(), kPageSize)});
       }
-      if (engine_ != nullptr) {
-        // Blocking by contract, but carried by the engine: one IO path for gauges
-        // and fault injection, and identical device-op counts either way.
-        io::IoRequest batch;
-        batch.op = io::IoOp::kWritev;
-        batch.extents = std::move(extents);
-        return io::SubmitAndWait(engine_, std::move(batch));
-      }
       return device_->WriteBatch(std::move(extents));
     });
     HFAD_RETURN_IF_ERROR(wrote);
@@ -451,22 +324,11 @@ Status Pager::Flush() {
       page->ClearDirty();
     }
   }
-  return retry_.RunWithRetry([&]() -> Status {
-    if (engine_ != nullptr) {
-      io::IoRequest sync;
-      sync.op = io::IoOp::kSync;
-      return io::SubmitAndWait(engine_, std::move(sync));
-    }
-    return device_->Sync();
-  });
+  return retry_.RunWithRetry([&] { return device_->Sync(); });
 }
 
 void Pager::CollectDirty(std::vector<std::pair<uint64_t, std::string>>* out) const {
   std::unique_lock<std::shared_mutex> mutation_barrier(flush_mu_);
-  // A completion racing this snapshot could clear dirty bits mid-collection;
-  // drain so the checkpoint epilogue sees a stable dirty set. (Journaled volumes
-  // run no-steal, so in practice the pending count is already zero here.)
-  AwaitPendingWritebacks();
   std::vector<PageRef> dirty;
   for (size_t i = 0; i < stripe_count_; i++) {
     const Stripe& s = stripes_[i];
@@ -563,7 +425,6 @@ void Pager::Invalidate(uint64_t offset) {
 
 Status Pager::DropCacheForTesting() {
   std::unique_lock<std::shared_mutex> mutation_barrier(flush_mu_);
-  AwaitPendingWritebacks();  // Same stale-completion hazard as Flush.
   std::vector<PageRef> dirty;
   for (size_t i = 0; i < stripe_count_; i++) {
     Stripe& s = stripes_[i];

@@ -14,9 +14,12 @@
 // No device IO ever happens under a stripe lock. Flush and CollectDirty snapshot the
 // dirty set per stripe, drop the lock, and issue ONE sorted WriteBatch (adjacent pages
 // coalesce into single device writes). Eviction prefers clean victims; when only dirty
-// victims remain it leaves them resident, write-backs them in a batch after the stripe
-// lock is released, and clears their dirty bits only if the page's mutation epoch is
-// unchanged — a page re-dirtied mid-IO simply stays dirty and is written again later.
+// victims remain it leaves them resident, writes them back synchronously in one batch
+// after the stripe lock is released, and clears their dirty bits only if the page's
+// mutation epoch is unchanged — a page re-dirtied mid-IO simply stays dirty and is
+// written again later. Every write-back runs on the calling thread: journaled volumes
+// run no-steal, so eviction write-back never happens there, and Flush blocks its caller
+// by contract.
 //
 // Hits/misses/write-backs are counted in hfad::stats so benchmarks can report IO
 // amplification. Page *content* synchronization remains the responsibility of the
@@ -26,7 +29,6 @@
 #define HFAD_SRC_STORAGE_PAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -45,10 +47,6 @@ namespace hfad {
 
 class PageChecksums;
 class VolumeHealth;
-
-namespace io {
-class IoEngine;
-}  // namespace io
 
 constexpr size_t kPageSize = 4096;
 
@@ -112,26 +110,6 @@ class Pager {
   // state is exactly the last checkpoint, so crash recovery can replay the journal onto it.
   Pager(BlockDevice* device, size_t capacity_pages, bool no_steal = false);
 
-  // Waits out in-flight async write-backs (their completions touch the stripes).
-  // Callers owning an IoEngine must destroy (or Shutdown) the engine first.
-  ~Pager();
-
-  // Route write-back IO through `engine` (null reverts to synchronous device
-  // calls). Eviction write-back becomes completion-driven: the sweep submits the
-  // sorted coalesced batch and returns; dirty bits are cleared on the completion
-  // thread under the existing epoch validation. Flush() stays synchronous to its
-  // caller but carries its batch + sync through the engine so fault injection and
-  // io gauges see one code path. Call before the pager is shared across threads.
-  void SetIoEngine(io::IoEngine* engine);
-
-  // First error from an async eviction write-back, sticky. Not a data-loss signal:
-  // the victims' dirty bits stay set, so a later sweep or Flush rewrites them; the
-  // accessor exists so callers can surface repeated device trouble.
-  Status writeback_error() const {
-    std::lock_guard<std::mutex> lock(wb_mu_);
-    return writeback_error_;
-  }
-
   // Attach the volume's per-page CRC table (null disables, the default). Every miss
   // read and raw read verifies against it; every successful device write of page
   // content (Flush, eviction write-back, WriteRaw) stamps it. Call before the pager
@@ -144,9 +122,8 @@ class Pager {
   void SetVolumeHealth(VolumeHealth* health) { health_ = health; }
 
   // Retry policy for transient device IO errors on the miss-read, raw-IO, flush,
-  // and write-back paths. Sync paths back off and retry in place (no stripe lock is
-  // ever held across device IO, so none is held across a backoff sleep); async
-  // write-back completions resubmit without sleeping.
+  // and write-back paths. Each backs off and retries in place (no stripe lock is ever
+  // held across device IO, so none is held across a backoff sleep).
   void SetRetryPolicy(const RetryPolicy& policy) { retry_ = policy; }
 
   // Fetch the page at the given byte offset (must be page-aligned), reading on miss.
@@ -254,33 +231,14 @@ class Pager {
   // capacity is a target, not a hard bound — pinned and no-steal-dirty pages stay).
   // Clean victims are evicted in place; dirty victims (non-no-steal) are snapshotted
   // into *writeback and stay resident — the caller issues the batch IO after releasing
-  // s.mu and then calls FinishWriteback. Caller holds s.mu exclusively.
+  // s.mu by calling FlushWriteback. Caller holds s.mu exclusively.
   void EvictLocked(Stripe& s, std::vector<Writeback>* writeback);
 
   // Issue one sorted WriteBatch for `writeback` (no locks held), then, under s.mu, clear
   // the dirty bit of every page whose epoch is unchanged and evict it if the stripe is
-  // still over budget. No-op on an empty list. With an engine set the batch is submitted
-  // asynchronously and the post-IO pass runs in WritebackDone on a completion thread.
+  // still over budget. No-op on an empty list. A failed batch counts into
+  // kPagerWritebackErrors and leaves the victims dirty.
   Status FlushWriteback(Stripe& s, std::vector<Writeback>* writeback);
-
-  // One in-flight async eviction batch: pins (and snapshots) live here until the
-  // completion lands, satisfying the engine's buffer-lifetime rule. `attempts`
-  // counts submissions for the completion-thread retry (no sleeping there).
-  struct WritebackBatch {
-    std::vector<Writeback> items;
-    int attempts = 1;
-  };
-
-  // Async epilogue of FlushWriteback, run on an engine completion thread: on success,
-  // the exact same epoch/identity validation + ClearDirty as the synchronous path
-  // (stripe lock only — a leaf, so this never deadlocks a Flush); then drop the pins
-  // and retire the batch from pending_writebacks_.
-  void WritebackDone(Stripe& s, std::shared_ptr<WritebackBatch> st, Status status);
-
-  // Block until no async write-back is in flight. Called under an exclusive
-  // flush_mu_: submission increments pending_writebacks_ while holding flush_mu_
-  // shared, so after this returns no batch can race the caller's snapshot.
-  void AwaitPendingWritebacks() const;
 
   BlockDevice* const device_;
   PageChecksums* checksums_ = nullptr;  // Optional; see SetChecksums.
@@ -294,13 +252,6 @@ class Pager {
   mutable std::atomic<int64_t> dirty_count_{0};
   // See SharedMutationHold().
   mutable std::shared_mutex flush_mu_;
-
-  // ---- Async write-back (engine_ != nullptr) ----
-  io::IoEngine* engine_ = nullptr;
-  mutable std::mutex wb_mu_;  // Guards the two fields below; leaf under flush_mu_.
-  mutable std::condition_variable wb_cv_;
-  mutable size_t pending_writebacks_ = 0;
-  Status writeback_error_;  // See writeback_error().
 };
 
 }  // namespace hfad

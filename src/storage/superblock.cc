@@ -47,10 +47,7 @@ Result<Superblock> DecodeSlot(const char* data) {
   if (!GetFixed32(&in, &magic) || magic != Superblock::kMagic) {
     return Status::Corruption("superblock: bad magic");
   }
-  // v2 slots differ only by the absent checksum-region fields; accept both and
-  // leave cksum_* zeroed (checksums disabled) for v2.
-  if (!GetFixed32(&in, &version) ||
-      (version != Superblock::kVersion && version != 2)) {
+  if (!GetFixed32(&in, &version) || version != Superblock::kVersion) {
     return Status::Corruption("superblock: unsupported version");
   }
   bool ok = GetFixed64(&in, &sb.device_size) && GetFixed64(&in, &sb.alloc_area_offset) &&
@@ -58,11 +55,9 @@ Result<Superblock> DecodeSlot(const char* data) {
             GetFixed64(&in, &sb.journal_offset) && GetFixed64(&in, &sb.journal_size) &&
             GetFixed64(&in, &sb.heap_offset) && GetFixed64(&in, &sb.heap_size) &&
             GetFixed64(&in, &sb.object_table_root) && GetFixed64(&in, &sb.index_dir_root) &&
-            GetFixed64(&in, &sb.next_oid) && GetFixed64(&in, &sb.journal_sequence);
-  if (ok && version >= 3) {
-    ok = GetFixed64(&in, &sb.cksum_offset) && GetFixed64(&in, &sb.cksum_size) &&
-         GetFixed64(&in, &sb.cksum_generation);
-  }
+            GetFixed64(&in, &sb.next_oid) && GetFixed64(&in, &sb.journal_sequence) &&
+            GetFixed64(&in, &sb.cksum_offset) && GetFixed64(&in, &sb.cksum_size) &&
+            GetFixed64(&in, &sb.cksum_generation);
   if (!ok) {
     return Status::Corruption("superblock: truncated");
   }
@@ -81,41 +76,6 @@ std::string Superblock::Encode() const {
   return out;
 }
 
-namespace {
-
-// Read-compatibility with the v1 layout: one whole-page image, same field order,
-// CRC in the page's last 4 bytes. A v1 volume opens normally and is rewritten as v2
-// dual-slot by its next checkpoint.
-Result<Superblock> DecodeV1(const std::string& buf) {
-  uint32_t stored_crc = DecodeFixed32(
-      reinterpret_cast<const uint8_t*>(buf.data() + Superblock::kSuperblockSize - 4));
-  uint32_t actual = Crc32c(Slice(buf.data(), Superblock::kSuperblockSize - 4));
-  if (UnmaskCrc(stored_crc) != actual) {
-    return Status::Corruption("superblock: CRC mismatch");
-  }
-  Slice in(buf);
-  Superblock sb;
-  uint32_t magic, version;
-  if (!GetFixed32(&in, &magic) || magic != Superblock::kMagic) {
-    return Status::Corruption("superblock: bad magic");
-  }
-  if (!GetFixed32(&in, &version) || version != 1) {
-    return Status::Corruption("superblock: unsupported version");
-  }
-  bool ok = GetFixed64(&in, &sb.device_size) && GetFixed64(&in, &sb.alloc_area_offset) &&
-            GetFixed64(&in, &sb.alloc_area_size) && GetFixed64(&in, &sb.alloc_snapshot_size) &&
-            GetFixed64(&in, &sb.journal_offset) && GetFixed64(&in, &sb.journal_size) &&
-            GetFixed64(&in, &sb.heap_offset) && GetFixed64(&in, &sb.heap_size) &&
-            GetFixed64(&in, &sb.object_table_root) && GetFixed64(&in, &sb.index_dir_root) &&
-            GetFixed64(&in, &sb.next_oid) && GetFixed64(&in, &sb.journal_sequence);
-  if (!ok) {
-    return Status::Corruption("superblock: truncated");
-  }
-  return sb;
-}
-
-}  // namespace
-
 Result<Superblock> Superblock::Decode(const std::string& buf) {
   if (buf.size() != kSuperblockSize) {
     return Status::Corruption("superblock: wrong size " + std::to_string(buf.size()));
@@ -127,10 +87,6 @@ Result<Superblock> Superblock::Decode(const std::string& buf) {
   auto replica = DecodeSlot(buf.data() + kSlotSize);
   if (replica.ok()) {
     return replica;
-  }
-  auto v1 = DecodeV1(buf);
-  if (v1.ok()) {
-    return v1;
   }
   return primary.status();  // Report the primary slot's failure.
 }

@@ -24,7 +24,7 @@ namespace hfad {
 
 struct Superblock {
   static constexpr uint32_t kMagic = 0x68464144;  // "hFAD"
-  static constexpr uint32_t kVersion = 3;         // v3: checksum region; v2: dual-slot layout.
+  static constexpr uint32_t kVersion = 3;         // The only version Decode accepts.
   static constexpr uint64_t kSuperblockSize = 4096;
   static constexpr uint64_t kSlotSize = kSuperblockSize / 2;
 
@@ -40,16 +40,17 @@ struct Superblock {
   uint64_t index_dir_root = 0;     // Index-store directory btree root (0 = empty).
   uint64_t next_oid = 1;           // Next unallocated object id.
   uint64_t journal_sequence = 0;   // First journal sequence not yet checkpointed.
-  // v3 checksum region: per-page CRC table persisted at checkpoint. All three fields
-  // are 0 on volumes created before v3 (and on v1/v2 decode), which disables page
-  // checksumming — pre-existing volumes keep opening and working unchecked.
+  // Checksum region: per-page CRC table persisted at checkpoint. All three fields are
+  // 0 on volumes created with page checksums off, which runs them unchecked.
   uint64_t cksum_offset = 0;       // Checksum region start (0 = no region).
   uint64_t cksum_size = 0;         // Checksum region byte size.
   uint64_t cksum_generation = 0;   // Generation the region must carry to be trusted.
 
   // Serialize to exactly kSuperblockSize bytes with trailing CRC.
   std::string Encode() const;
-  // Validate magic/version/CRC and decode. buf must be kSuperblockSize bytes.
+  // Validate magic/version/CRC and decode, falling back to the replica slot. buf must
+  // be kSuperblockSize bytes; any other version, including the retired single-slot v1
+  // and checksum-less v2 layouts, is Corruption.
   static Result<Superblock> Decode(const std::string& buf);
 };
 

@@ -599,7 +599,6 @@ TEST(ClusterFaultSweepTest, BitFlipOnOneShardIsCaughtAndConfined) {
   std::vector<std::shared_ptr<BlockDevice>> devices = {
       faulty0, std::make_shared<MemoryBlockDevice>(kFlipDev)};
   OsdOptions opts;
-  opts.io_threads = 0;
   opts.pager_capacity_pages = 16;  // Small cache: reads hit the device, not memory.
   auto created = OsdCluster::Create(devices, opts);
   ASSERT_TRUE(created.ok()) << created.status().ToString();

@@ -40,12 +40,6 @@ std::string Payload(int i, size_t len = 8000) {
   return out;
 }
 
-OsdOptions SyncOptions() {
-  OsdOptions opts;
-  opts.io_threads = 0;  // Synchronous paths: deterministic read/write counts.
-  return opts;
-}
-
 // ---------------------------------------------------------------- corruption sweep
 
 // Flip one bit in every page of the device in turn. For each flip: scrub must flag
@@ -54,7 +48,7 @@ OsdOptions SyncOptions() {
 TEST(FaultsTest, BitFlipSweepNeverServesCorruptDataSilently) {
   auto base = std::make_shared<MemoryBlockDevice>(kSmallDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  auto created = Osd::Create(faulty, SyncOptions());
+  auto created = Osd::Create(faulty, OsdOptions{});
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   auto osd = std::move(created).value();
   ASSERT_NE(osd->checksums(), nullptr);
@@ -131,7 +125,7 @@ uint64_t LastStampedPage(Osd* osd, uint64_t device_bytes) {
 TEST(FaultsTest, ScrubRepairsCorruptPageFromCachedCopy) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  auto created = Osd::Create(faulty, SyncOptions());
+  auto created = Osd::Create(faulty, OsdOptions{});
   ASSERT_TRUE(created.ok());
   auto osd = std::move(created).value();
 
@@ -173,7 +167,7 @@ TEST(FaultsTest, ScrubRepairsCorruptPageFromCachedCopy) {
 TEST(FaultsTest, ScrubQuarantinesCorruptPageWithNoCachedCopy) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  OsdOptions opts = SyncOptions();
+  OsdOptions opts;
   uint64_t victim = 0;
   {
     auto created = Osd::Create(faulty, opts);
@@ -206,7 +200,7 @@ TEST(FaultsTest, ScrubQuarantinesCorruptPageWithNoCachedCopy) {
 TEST(FaultsTest, TransientReadFaultIsAbsorbedByRetry) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  OsdOptions opts = SyncOptions();  // Default RetryPolicy: 3 attempts.
+  OsdOptions opts;  // Default RetryPolicy: 3 attempts.
   auto created = Osd::Create(faulty, opts);
   ASSERT_TRUE(created.ok());
   auto osd = std::move(created).value();
@@ -229,7 +223,7 @@ TEST(FaultsTest, TransientReadFaultIsAbsorbedByRetry) {
 TEST(FaultsTest, PersistentReadFaultDegradesVolumeButKeepsItWritable) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  OsdOptions opts = SyncOptions();
+  OsdOptions opts;
   auto created = Osd::Create(faulty, opts);
   ASSERT_TRUE(created.ok());
   auto osd = std::move(created).value();
@@ -258,7 +252,7 @@ TEST(FaultsTest, PersistentReadFaultDegradesVolumeButKeepsItWritable) {
 TEST(FaultsTest, ReadFaultSweepIsInvisibleUnderRetry) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  OsdOptions opts = SyncOptions();
+  OsdOptions opts;
   std::vector<ObjectId> oids;
   {
     auto created = Osd::Create(faulty, opts);
@@ -290,7 +284,7 @@ TEST(FaultsTest, ReadFaultSweepIsInvisibleUnderRetry) {
 // ---------------------------------------------------------------- health gates
 
 TEST(FaultsTest, ReadOnlyVolumeServesReadsAndRejectsMutations) {
-  auto osd_r = Osd::Create(std::make_shared<MemoryBlockDevice>(kDev), SyncOptions());
+  auto osd_r = Osd::Create(std::make_shared<MemoryBlockDevice>(kDev), OsdOptions{});
   ASSERT_TRUE(osd_r.ok());
   auto osd = std::move(osd_r).value();
   auto oid = osd->CreateObject();
@@ -325,7 +319,7 @@ TEST(FaultsTest, ReadOnlyVolumeServesReadsAndRejectsMutations) {
 TEST(FaultsTest, CheckpointWriteFailureEscalatesToReadOnly) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  OsdOptions opts = SyncOptions();
+  OsdOptions opts;
   opts.retry = RetryPolicy::None();  // One shot: the budget kill is persistent.
   auto created = Osd::Create(faulty, opts);
   ASSERT_TRUE(created.ok());
@@ -361,7 +355,7 @@ std::vector<std::shared_ptr<BlockDevice>> MakeDevices(size_t n) {
 // The acceptance scenario: one persistently failing shard fails exactly its own
 // objects; every other shard stays fully available and the health gauges say so.
 TEST(FaultsTest, FailedShardLeavesOtherShardsAvailable) {
-  auto r = OsdCluster::Create(MakeDevices(4), SyncOptions());
+  auto r = OsdCluster::Create(MakeDevices(4), OsdOptions{});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   auto cluster = std::move(r).value();
 
@@ -422,7 +416,7 @@ TEST(FaultsTest, FailedShardLeavesOtherShardsAvailable) {
 }
 
 TEST(FaultsTest, ReadOnlyShardRejectsForeignAppends) {
-  auto r = OsdCluster::Create(MakeDevices(4), SyncOptions());
+  auto r = OsdCluster::Create(MakeDevices(4), OsdOptions{});
   ASSERT_TRUE(r.ok());
   auto cluster = std::move(r).value();
   auto oid = cluster->CreateObject();
@@ -502,7 +496,6 @@ TEST(FaultsTest, FsckReportsQuarantinedPages) {
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   core::FileSystemOptions opts;
   opts.lazy_indexing_threads = 0;
-  opts.osd.io_threads = 0;
   uint64_t victim = 0;
   {
     auto fs_r = core::FileSystem::Create(faulty, opts);
@@ -532,7 +525,7 @@ TEST(FaultsTest, FsckReportsQuarantinedPages) {
 // they simply run unverified, and ScrubNow is a no-op.
 TEST(FaultsTest, VolumeCreatedWithoutChecksumsStillOpens) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
-  OsdOptions opts = SyncOptions();
+  OsdOptions opts;
   opts.page_checksums = false;
   ObjectId oid_v = 0;
   {
@@ -561,7 +554,7 @@ TEST(FaultsTest, VolumeCreatedWithoutChecksumsStillOpens) {
 // stale table (generation mismatch) is dropped rather than trusted.
 TEST(FaultsTest, ChecksumTablePersistsAcrossReopen) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
-  OsdOptions opts = SyncOptions();
+  OsdOptions opts;
   ObjectId oid_v = 0;
   {
     auto created = Osd::Create(dev, opts);

@@ -1,16 +1,15 @@
-// Tests for the src/io/ completion-based IoEngine: exactly-once user_data
-// round-trips through Poll/Wait, callback delivery, error propagation from
-// fault-injected runs, shutdown with in-flight ops, multi-submitter stress
-// (run under TSan in CI), and parity of FaultyBlockDevice accounting between
-// the synchronous device API and the engine path. The io_uring backend is
-// exercised when the runtime allows it, with a skip (not a failure) otherwise.
-#include <algorithm>
+// Tests for the src/io/ completion-based IoEngine: error propagation from
+// fault-injected runs, shutdown with in-flight ops, multi-submitter stress (run
+// under TSan in CI), re-entrant submission from a completion, and parity of
+// FaultyBlockDevice accounting between the synchronous device API and the engine
+// path. The io_uring backend is exercised when the runtime allows it, with a skip
+// (not a failure) otherwise.
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,92 +40,28 @@ std::unique_ptr<IoEngine> MakePoolEngine(BlockDevice* dev, int threads = 3) {
   return CreateIoEngine(dev, opts);
 }
 
-TEST(IoEngineTest, UserDataRoundTripsExactlyOnceThroughPollAndWait) {
-  MemoryBlockDevice dev(kMiB);
-  auto engine = MakePoolEngine(&dev, 4);
-
-  constexpr uint64_t kOps = 200;
-  for (uint64_t i = 0; i < kOps; ++i) {
-    IoRequest req;
-    req.user_data = 1000 + i;
-    switch (i % 3) {
-      case 0:
-        req.op = IoOp::kWrite;
-        req.offset = 4096 + i * 16;
-        req.data = Slice("payload");
-        break;
-      case 1:
-        req.op = IoOp::kRead;
-        req.offset = 0;
-        req.size = 8;
-        break;
-      default:
-        req.op = IoOp::kSync;
-        break;
-    }
-    auto h = engine->Submit(std::move(req));
-    ASSERT_TRUE(h.ok()) << h.status().ToString();
-  }
-
-  // Completion order is unspecified; the contract is each user_data arrives
-  // exactly once. Mix Poll and Wait while draining.
-  std::multiset<uint64_t> seen;
-  std::vector<IoCompletion> batch;
-  while (seen.size() < kOps) {
-    batch.clear();
-    if (engine->Poll(&batch) == 0) {
-      engine->Wait(&batch);
-    }
-    for (const auto& c : batch) {
-      EXPECT_TRUE(c.status.ok()) << c.status.ToString();
-      seen.insert(c.user_data);
-    }
-  }
-  EXPECT_EQ(seen.size(), kOps);
-  for (uint64_t i = 0; i < kOps; ++i) {
-    EXPECT_EQ(seen.count(1000 + i), 1u) << "user_data " << 1000 + i;
-  }
-  EXPECT_EQ(engine->submitted(), kOps);
-  EXPECT_EQ(engine->completed(), kOps);
-  EXPECT_EQ(engine->in_flight(), 0u);
-  EXPECT_GE(engine->max_queue_depth(), 1u);
+// Submit one request and block until its completion, returning its status.
+Status RunToCompletion(IoEngine* engine, IoRequest req) {
+  auto done = std::make_shared<std::promise<Status>>();
+  std::future<Status> result = done->get_future();
+  req.on_complete = [done](Status s) { done->set_value(std::move(s)); };
+  Status submitted = engine->Submit(std::move(req));
+  if (!submitted.ok()) return submitted;
+  return result.get();
 }
 
-TEST(IoEngineTest, CallbacksBypassTheCompletionQueue) {
-  MemoryBlockDevice dev(kMiB);
-  auto engine = MakePoolEngine(&dev);
+IoRequest Write(uint64_t offset, Slice data) {
+  IoRequest req;
+  req.op = IoOp::kWrite;
+  req.offset = offset;
+  req.data = data;
+  return req;
+}
 
-  IoRequest write;
-  write.op = IoOp::kWrite;
-  write.offset = 512;
-  write.data = Slice("callback data");
-  ASSERT_TRUE(SubmitAndWait(engine.get(), std::move(write)).ok());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::string read_back;
-  IoRequest read;
-  read.op = IoOp::kRead;
-  read.offset = 512;
-  read.size = 13;
-  read.on_complete = [&](IoCompletion c) {
-    std::lock_guard<std::mutex> lock(mu);
-    ASSERT_TRUE(c.status.ok()) << c.status.ToString();
-    read_back = std::move(c.read_data);
-    done = true;
-    cv.notify_one();
-  };
-  ASSERT_TRUE(engine->Submit(std::move(read)).ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-  }
-  EXPECT_EQ(read_back, "callback data");
-
-  // Nothing may have leaked into the Poll/Wait queue.
-  std::vector<IoCompletion> leaked;
-  EXPECT_EQ(engine->Poll(&leaked), 0u);
+IoRequest Sync() {
+  IoRequest req;
+  req.op = IoOp::kSync;
+  return req;
 }
 
 TEST(IoEngineTest, ErrorsFromAFailedRunPropagateToTheCompletion) {
@@ -137,11 +72,7 @@ TEST(IoEngineTest, ErrorsFromAFailedRunPropagateToTheCompletion) {
   faulty.SetWriteBudget(2);
   std::vector<Status> results;
   for (int i = 0; i < 4; ++i) {
-    IoRequest req;
-    req.op = IoOp::kWrite;
-    req.offset = 4096 * (1 + i);
-    req.data = Slice("x");
-    results.push_back(SubmitAndWait(engine.get(), std::move(req)));
+    results.push_back(RunToCompletion(engine.get(), Write(4096 * (1 + i), Slice("x"))));
   }
   EXPECT_TRUE(results[0].ok());
   EXPECT_TRUE(results[1].ok());
@@ -150,9 +81,7 @@ TEST(IoEngineTest, ErrorsFromAFailedRunPropagateToTheCompletion) {
 
   // Sync after the injected crash fails through the engine exactly as it does
   // through the direct device API.
-  IoRequest sync;
-  sync.op = IoOp::kSync;
-  EXPECT_FALSE(SubmitAndWait(engine.get(), std::move(sync)).ok());
+  EXPECT_FALSE(RunToCompletion(engine.get(), Sync()).ok());
 }
 
 TEST(IoEngineTest, FaultyDeviceAccountingIsIdenticalThroughTheEngine) {
@@ -160,26 +89,14 @@ TEST(IoEngineTest, FaultyDeviceAccountingIsIdenticalThroughTheEngine) {
   // identical writes_attempted / syncs_attempted counts — the crash harness
   // depends on budget positions meaning the same thing on both paths.
   auto run_ops = [](FaultyBlockDevice* dev, IoEngine* engine) {
-    std::vector<WriteExtent> batch = {{8192, Slice("tail")},
-                                      {4096, Slice("head")},
-                                      {4100, Slice("-mid-")}};
     if (engine == nullptr) {
       ASSERT_TRUE(dev->Write(0, Slice("one")).ok());
-      ASSERT_TRUE(dev->WriteBatch(std::move(batch)).ok());
+      ASSERT_TRUE(dev->Write(4096, Slice("two")).ok());
       ASSERT_TRUE(dev->Sync().ok());
     } else {
-      IoRequest w;
-      w.op = IoOp::kWrite;
-      w.offset = 0;
-      w.data = Slice("one");
-      ASSERT_TRUE(SubmitAndWait(engine, std::move(w)).ok());
-      IoRequest v;
-      v.op = IoOp::kWritev;
-      v.extents = std::move(batch);
-      ASSERT_TRUE(SubmitAndWait(engine, std::move(v)).ok());
-      IoRequest s;
-      s.op = IoOp::kSync;
-      ASSERT_TRUE(SubmitAndWait(engine, std::move(s)).ok());
+      ASSERT_TRUE(RunToCompletion(engine, Write(0, Slice("one"))).ok());
+      ASSERT_TRUE(RunToCompletion(engine, Write(4096, Slice("two"))).ok());
+      ASSERT_TRUE(RunToCompletion(engine, Sync()).ok());
     }
   };
 
@@ -215,13 +132,12 @@ TEST(IoEngineTest, ShutdownAbortsQueuedOpsAndCompletesEverySubmission) {
 
   std::atomic<int> completions{0};
   std::atomic<int> aborted{0};
-  auto counting_cb = [&](IoCompletion c) {
+  auto counting_cb = [&](Status s) {
     completions.fetch_add(1);
-    if (!c.status.ok()) aborted.fetch_add(1);
+    if (!s.ok()) aborted.fetch_add(1);
   };
 
-  IoRequest sync;
-  sync.op = IoOp::kSync;
+  IoRequest sync = Sync();
   sync.on_complete = counting_cb;
   ASSERT_TRUE(engine->Submit(std::move(sync)).ok());
   {
@@ -230,10 +146,7 @@ TEST(IoEngineTest, ShutdownAbortsQueuedOpsAndCompletesEverySubmission) {
   }
   constexpr int kQueued = 5;
   for (int i = 0; i < kQueued; ++i) {
-    IoRequest w;
-    w.op = IoOp::kWrite;
-    w.offset = 4096 * (1 + i);
-    w.data = Slice("queued");
+    IoRequest w = Write(4096 * (1 + i), Slice("queued"));
     w.on_complete = counting_cb;
     ASSERT_TRUE(engine->Submit(std::move(w)).ok());
   }
@@ -245,10 +158,7 @@ TEST(IoEngineTest, ShutdownAbortsQueuedOpsAndCompletesEverySubmission) {
   // since the lone worker is still parked inside the sync hook.
   int extra = 0;
   for (;;) {
-    IoRequest w;
-    w.op = IoOp::kWrite;
-    w.offset = 4096 * (1 + kQueued + extra);
-    w.data = Slice("racing");
+    IoRequest w = Write(4096 * (1 + kQueued + extra), Slice("racing"));
     w.on_complete = counting_cb;
     if (!engine->Submit(std::move(w)).ok()) break;
     ++extra;
@@ -267,12 +177,7 @@ TEST(IoEngineTest, ShutdownAbortsQueuedOpsAndCompletesEverySubmission) {
   EXPECT_EQ(aborted.load(), kQueued + extra);
   EXPECT_EQ(engine->completed(), engine->submitted());
 
-  auto refused = engine->Submit(IoRequest{});
-  EXPECT_FALSE(refused.ok());
-
-  // Wait() on a drained, shut-down engine returns 0 instead of blocking.
-  std::vector<IoCompletion> none;
-  EXPECT_EQ(engine->Wait(&none), 0u);
+  EXPECT_FALSE(engine->Submit(IoRequest{}).ok());
 }
 
 TEST(IoEngineTest, EightSubmitterStress) {
@@ -291,25 +196,18 @@ TEST(IoEngineTest, EightSubmitterStress) {
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        IoRequest req;
-        if (i % 7 == 0) {
-          req.op = IoOp::kSync;
-        } else {
-          req.op = IoOp::kWrite;
-          req.offset =
-              static_cast<uint64_t>(t) * kMiB + static_cast<uint64_t>(i) * 64;
-          req.data = Slice("stress");
-        }
-        req.user_data = static_cast<uint64_t>(t) * 1000 + i;
-        req.on_complete = [&](IoCompletion c) {
-          if (c.status.ok()) ok_count.fetch_add(1);
+        IoRequest req =
+            i % 7 == 0 ? Sync()
+                       : Write(static_cast<uint64_t>(t) * kMiB + static_cast<uint64_t>(i) * 64,
+                               Slice("stress"));
+        req.on_complete = [&](Status s) {
+          if (s.ok()) ok_count.fetch_add(1);
           if (done_count.fetch_add(1) + 1 == kThreads * kOpsPerThread) {
             std::lock_guard<std::mutex> lock(done_mu);
             done_cv.notify_all();
           }
         };
-        auto h = engine->Submit(std::move(req));
-        ASSERT_TRUE(h.ok());
+        ASSERT_TRUE(engine->Submit(std::move(req)).ok());
       }
     });
   }
@@ -321,7 +219,9 @@ TEST(IoEngineTest, EightSubmitterStress) {
   }
   EXPECT_EQ(ok_count.load(), kThreads * kOpsPerThread);
   EXPECT_EQ(engine->submitted(), static_cast<uint64_t>(kThreads * kOpsPerThread));
+  EXPECT_EQ(engine->completed(), engine->submitted());
   EXPECT_EQ(engine->in_flight(), 0u);
+  EXPECT_GE(engine->max_queue_depth(), 1u);
 }
 
 TEST(IoEngineTest, CompletionCallbackMaySubmitFollowUpRequests) {
@@ -335,23 +235,19 @@ TEST(IoEngineTest, CompletionCallbackMaySubmitFollowUpRequests) {
   bool chain_done = false;
   Status chain_status;
 
-  IoRequest write;
-  write.op = IoOp::kWrite;
-  write.offset = 4096;
-  write.data = Slice("chained");
-  write.on_complete = [&](IoCompletion wc) {
-    if (!wc.status.ok()) {
+  IoRequest write = Write(4096, Slice("chained"));
+  write.on_complete = [&](Status ws) {
+    if (!ws.ok()) {
       std::lock_guard<std::mutex> lock(mu);
-      chain_status = wc.status;
+      chain_status = ws;
       chain_done = true;
       cv.notify_one();
       return;
     }
-    IoRequest sync;
-    sync.op = IoOp::kSync;
-    sync.on_complete = [&](IoCompletion sc) {
+    IoRequest sync = Sync();
+    sync.on_complete = [&](Status ss) {
       std::lock_guard<std::mutex> lock(mu);
-      chain_status = sc.status;
+      chain_status = ss;
       chain_done = true;
       cv.notify_one();
     };
@@ -379,62 +275,20 @@ TEST(UringEngineTest, RoundTripsThroughTheKernelWhenAvailable) {
                     "thread-pool fallback covered by IoEngineTest";
   }
 
-  IoRequest write;
-  write.op = IoOp::kWrite;
-  write.offset = 4096;
-  write.data = Slice("via the ring");
-  ASSERT_TRUE(SubmitAndWait(engine.get(), std::move(write)).ok());
+  ASSERT_TRUE(RunToCompletion(engine.get(), Write(4096, Slice("via the ring"))).ok());
+  ASSERT_TRUE(RunToCompletion(engine.get(), Write(8192, Slice("second op"))).ok());
+  ASSERT_TRUE(RunToCompletion(engine.get(), Sync()).ok());
 
-  // Out-of-order adjacent extents: the engine must coalesce exactly like the
-  // synchronous WriteBatch path before handing runs to the kernel.
-  IoRequest writev;
-  writev.op = IoOp::kWritev;
-  writev.extents = {{16384, Slice("tail")}, {8192, Slice("head")},
-                    {8196, Slice("-mid-")}};
-  ASSERT_TRUE(SubmitAndWait(engine.get(), std::move(writev)).ok());
+  // The kernel wrote through the same fd the device reads from.
+  std::string got;
+  ASSERT_TRUE((*dev)->Read(4096, 12, &got).ok());
+  EXPECT_EQ(got, "via the ring");
+  ASSERT_TRUE((*dev)->Read(8192, 9, &got).ok());
+  EXPECT_EQ(got, "second op");
 
-  IoRequest sync;
-  sync.op = IoOp::kSync;
-  ASSERT_TRUE(SubmitAndWait(engine.get(), std::move(sync)).ok());
-
-  struct ReadCase {
-    uint64_t offset;
-    size_t size;
-    std::string expect;
-  };
-  for (const auto& rc : {ReadCase{4096, 12, "via the ring"},
-                         ReadCase{8192, 9, "head-mid-"},
-                         ReadCase{16384, 4, "tail"}}) {
-    IoRequest read;
-    read.op = IoOp::kRead;
-    read.offset = rc.offset;
-    read.size = rc.size;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::string got;
-    Status st;
-    read.on_complete = [&](IoCompletion c) {
-      std::lock_guard<std::mutex> lock(mu);
-      st = c.status;
-      got = std::move(c.read_data);
-      done = true;
-      cv.notify_one();
-    };
-    ASSERT_TRUE(engine->Submit(std::move(read)).ok());
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(got, rc.expect);
-  }
-
-  // Reads/writes beyond the fixed capacity must fail instead of growing the
-  // file the way a raw kernel write would.
-  IoRequest oob;
-  oob.op = IoOp::kWrite;
-  oob.offset = kMiB;
-  oob.data = Slice("x");
-  EXPECT_FALSE(SubmitAndWait(engine.get(), std::move(oob)).ok());
+  // Writes beyond the fixed capacity must fail instead of growing the file the way
+  // a raw kernel write would.
+  EXPECT_FALSE(RunToCompletion(engine.get(), Write(kMiB, Slice("x"))).ok());
 
   engine->Shutdown();
   EXPECT_EQ(engine->completed(), engine->submitted());

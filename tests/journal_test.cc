@@ -1,6 +1,7 @@
 // Unit and failure-injection tests for the write-ahead journal.
 #include <atomic>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -9,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/io/io_engine.h"
 #include "src/journal/journal.h"
 #include "src/storage/block_device.h"
 #include "tests/crash_harness.h"
@@ -271,11 +271,11 @@ TEST(JournalTest, SequencesContinueAfterRecovery) {
   EXPECT_EQ(j2.next_sequence(), 102u);
 }
 
-// ---- Group commit: the leader/follower protocol ----
+// ---- Group commit: the completion chain ----
 
-// Park the device inside its first Sync (the leader's fsync), let two more threads
-// append AND commit meanwhile, then release: the two followers' records must share one
-// further sync between them — fsync cost amortizes across the whole commit window.
+// Park the device inside its first Sync (the first chain link's fsync), let two more
+// threads append AND commit meanwhile, then release: the two waiters' records must share
+// one further sync between them — fsync cost amortizes across the whole commit window.
 TEST(JournalGroupCommitTest, FollowersShareOneSyncPerWindow) {
   auto base = std::make_shared<MemoryBlockDevice>(kRegion);
   FaultyBlockDevice dev(base);
@@ -318,8 +318,8 @@ TEST(JournalGroupCommitTest, FollowersShareOneSyncPerWindow) {
 
   EXPECT_EQ(j.committed_sequence(), 3u);
   EXPECT_EQ(j.pending_records(), 0u);
-  // Exactly two batch syncs: the parked leader's window, then ONE window shared by both
-  // followers (whichever of them led drained both records).
+  // Exactly two batch syncs: the parked link's window, then ONE link that drained both
+  // waiters' records.
   EXPECT_EQ(dev.syncs_attempted(), 2u);
 
   Journal j2(base.get(), 0, kRegion);
@@ -329,7 +329,7 @@ TEST(JournalGroupCommitTest, FollowersShareOneSyncPerWindow) {
 }
 
 // The acceptance-criterion test: Append must complete while a slow device Sync is in
-// flight, because the commit protocol releases the journal lock around the fsync.
+// flight, because the journal lock is never held across the chain's device IO.
 TEST(JournalGroupCommitTest, AppendNeverBlocksOnInFlightSync) {
   auto base = std::make_shared<MemoryBlockDevice>(kRegion);
   FaultyBlockDevice dev(base);
@@ -349,8 +349,8 @@ TEST(JournalGroupCommitTest, AppendNeverBlocksOnInFlightSync) {
   while (!in_sync.load()) {
     std::this_thread::yield();
   }
-  // 100 appends land while the fsync is parked. If Append took the lock the leader holds
-  // across Sync, this loop would deadlock (the hook never releases by itself).
+  // 100 appends land while the fsync is parked. If Append needed a lock held across
+  // Sync, this loop would deadlock (the hook never releases by itself).
   for (int i = 0; i < 100; i++) {
     auto seq = j.Append("unblocked append " + std::to_string(i));
     ASSERT_TRUE(seq.ok());
@@ -386,25 +386,131 @@ TEST(JournalGroupCommitTest, CommittedSequenceWatermark) {
   EXPECT_EQ(j.committed_sequence(), 3u);
 }
 
+// ---- CommitAsync: one waiter list for blocking and async callers ----
+
+TEST(JournalCommitAsyncTest, CoveredTargetFiresBeforeReturning) {
+  auto base = std::make_shared<MemoryBlockDevice>(kRegion);
+  FaultyBlockDevice dev(base);
+  Journal j(&dev, 0, kRegion);
+  auto expect_inline_ok = [&](uint64_t sequence) {
+    bool fired = false;
+    Status got = Status::IoError("not fired");
+    j.CommitAsync(sequence, [&](Status s) {
+      fired = true;
+      got = s;
+    });
+    EXPECT_TRUE(fired) << "sequence " << sequence;
+    EXPECT_TRUE(got.ok()) << got.ToString();
+  };
+  expect_inline_ok(~uint64_t{0});  // Nothing appended yet: trivially covered.
+  auto seq = j.Append("durable");
+  ASSERT_TRUE(seq.ok());
+  ASSERT_TRUE(j.Commit().ok());
+  const uint64_t syncs = dev.syncs_attempted();
+  expect_inline_ok(*seq);
+  expect_inline_ok(~uint64_t{0});  // Clamped to the highest appended, also covered.
+  EXPECT_EQ(dev.syncs_attempted(), syncs);  // No device work for covered targets.
+}
+
+// While the first link's sync is parked, one blocking Commit() and two CommitAsync
+// waiters register for later records. All three resolve Ok from ONE further link.
+TEST(JournalCommitAsyncTest, BlockingAndAsyncWaitersShareOneLink) {
+  auto base = std::make_shared<MemoryBlockDevice>(kRegion);
+  FaultyBlockDevice dev(base);
+  Journal j(&dev, 0, kRegion);
+  std::atomic<bool> in_sync{false};
+  std::atomic<bool> release{false};
+  dev.SetSyncHook([&] {
+    in_sync.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+
+  ASSERT_TRUE(j.Append("first window").ok());
+  std::thread first([&] { EXPECT_TRUE(j.Commit().ok()); });
+  while (!in_sync.load()) {
+    std::this_thread::yield();
+  }
+  auto b = j.Append("second window b");
+  auto c = j.Append("second window c");
+  ASSERT_TRUE(b.ok() && c.ok());
+  std::atomic<int> async_ok{0};
+  std::atomic<int> async_fired{0};
+  auto on_done = [&](Status s) {
+    if (s.ok()) async_ok.fetch_add(1);
+    async_fired.fetch_add(1);
+  };
+  j.CommitAsync(*b, on_done);
+  j.CommitAsync(*c, on_done);
+  EXPECT_EQ(async_fired.load(), 0);  // Parked behind the in-flight link.
+  std::thread blocking([&] { EXPECT_TRUE(j.Commit().ok()); });
+  release.store(true);
+  first.join();
+  blocking.join();
+  while (async_fired.load() < 2) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(async_ok.load(), 2);
+  EXPECT_EQ(j.committed_sequence(), *c);
+  EXPECT_EQ(dev.syncs_attempted(), 2u);
+}
+
+// A link that fails hands its error to every waiter on it, blocking and async alike,
+// and its records stay pending; the next Commit() makes each durable exactly once.
+TEST(JournalCommitAsyncTest, FailedLinkFailsEveryWaiterAndKeepsRecords) {
+  auto base = std::make_shared<MemoryBlockDevice>(kRegion);
+  FaultyBlockDevice dev(base);
+  Journal j(&dev, 0, kRegion);
+  std::atomic<bool> in_sync{false};
+  std::atomic<bool> release{false};
+  dev.SetSyncHook([&] {
+    in_sync.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  });
+
+  ASSERT_TRUE(j.Append("record a").ok());
+  std::thread blocking([&] { EXPECT_FALSE(j.Commit().ok()); });
+  while (!in_sync.load()) {
+    std::this_thread::yield();
+  }
+  auto b = j.Append("record b");
+  ASSERT_TRUE(b.ok());
+  std::atomic<bool> async_fired{false};
+  Status async_status;
+  j.CommitAsync(*b, [&](Status s) {
+    async_status = s;
+    async_fired.store(true);
+  });
+  dev.SetWriteBudget(0);  // The parked sync now fails.
+  release.store(true);
+  blocking.join();
+  while (!async_fired.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(async_status.ok());
+  EXPECT_EQ(j.committed_sequence(), 0u);
+  EXPECT_EQ(j.pending_records(), 2u);
+
+  dev.SetWriteBudget(-1);
+  ASSERT_TRUE(j.Commit().ok());
+  EXPECT_EQ(j.pending_records(), 0u);
+  Journal j2(base.get(), 0, kRegion);
+  Records r = RecoverAll(&j2);
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r[0], (std::pair<uint64_t, std::string>{1, "record a"}));
+  EXPECT_EQ(r[1], (std::pair<uint64_t, std::string>{2, "record b"}));
+}
+
 // A torn commit never advances the watermark, and recovery replays exactly the covered
 // records plus at most a durable prefix of the torn batch — never a torn suffix.
-// Parameterized over the commit path: sync leader vs the IoEngine completion chain,
-// which must tear identically (same device ops in the same order).
-class JournalTearModeTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(JournalTearModeTest, WatermarkNeverIncludesATornSuffix) {
-  const bool async = GetParam();
+TEST(JournalTest, WatermarkNeverIncludesATornSuffix) {
   test::RunTornWriteCrash(
       kRegion, /*budget=*/0,
       [&](const std::shared_ptr<FaultyBlockDevice>& dev, test::CrashPoint* point) {
         Journal j(dev.get(), 0, kRegion);
-        // Declared after the journal so the engine shuts down (draining its
-        // completions into the still-live journal) before the journal dies.
-        std::unique_ptr<io::IoEngine> engine;
-        if (async) {
-          engine = io::CreateThreadPoolEngine(dev.get(), 2);
-          j.SetIoEngine(engine.get());
-        }
         ASSERT_TRUE(j.Append("covered 1").ok());
         ASSERT_TRUE(j.Append("covered 2").ok());
         ASSERT_TRUE(j.Append("covered 3").ok());
@@ -433,18 +539,18 @@ TEST_P(JournalTearModeTest, WatermarkNeverIncludesATornSuffix) {
       });
 }
 
-INSTANTIATE_TEST_SUITE_P(SyncAndAsync, JournalTearModeTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "AsyncEngine" : "SyncLeader";
-                         });
-
 // Property sweep: random append/commit/crash cycles always recover exactly the committed
 // prefix, across payload-size regimes.
 struct JournalWorkload {
   uint64_t seed;
   uint64_t max_payload;
-  bool async = false;  // Commit through the IoEngine completion chain.
 };
+
+// Printed into the CTest name (".../seed11_max32"). Without a printer gtest dumps the
+// raw struct bytes, padding included, so the name changes from build to build.
+void PrintTo(const JournalWorkload& w, std::ostream* os) {
+  *os << "seed" << w.seed << "_max" << w.max_payload;
+}
 
 class JournalPropertyTest : public ::testing::TestWithParam<JournalWorkload> {};
 
@@ -457,11 +563,6 @@ TEST_P(JournalPropertyTest, RecoversExactlyCommittedPrefix) {
   {
     FaultyBlockDevice dev(base);
     Journal j(&dev, 0, 4 * 1024 * 1024);
-    std::unique_ptr<io::IoEngine> engine;  // After j: engine drains first.
-    if (p.async) {
-      engine = io::CreateThreadPoolEngine(&dev, 2);
-      j.SetIoEngine(engine.get());
-    }
     Records batch;
     for (int op = 0; op < 500; op++) {
       if (rng.OneIn(4)) {
@@ -508,11 +609,7 @@ INSTANTIATE_TEST_SUITE_P(Workloads, JournalPropertyTest,
                          ::testing::Values(JournalWorkload{11, 32},
                                            JournalWorkload{22, 512},
                                            JournalWorkload{33, 4096},
-                                           JournalWorkload{44, 1},
-                                           JournalWorkload{11, 32, true},
-                                           JournalWorkload{22, 512, true},
-                                           JournalWorkload{33, 4096, true},
-                                           JournalWorkload{44, 1, true}));
+                                           JournalWorkload{44, 1}));
 
 }  // namespace
 }  // namespace journal

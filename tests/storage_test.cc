@@ -741,23 +741,30 @@ TEST(SuperblockTest, TornWriteLeavesADecodableSuperblock) {
   }
 }
 
-TEST(SuperblockTest, ReadsV1SingleSlotLayout) {
-  // v1 volumes (single whole-page image, CRC in the last 4 bytes, version field 1)
-  // must still open; the next checkpoint rewrites them as v2 dual-slot.
-  Superblock sample = MakeSample();
-  std::string slot = sample.Encode().substr(0, Superblock::kSlotSize);
-  std::string v1 = slot.substr(0, Superblock::kSlotSize - 4);  // Fields, minus slot CRC.
-  v1[4] = 1;                                                   // Version field = 1.
+TEST(SuperblockTest, RejectsPreV3Images) {
+  // Only v3 decodes. Both retired layouts, each with a valid CRC, are Corruption: v1
+  // (one whole-page image, CRC in the page's last 4 bytes) and v2 (dual-slot, no
+  // checksum-region fields).
+  auto put_crc = [](std::string* image) {
+    uint32_t crc = MaskCrc(Crc32c(Slice(*image)));
+    for (int shift = 0; shift < 32; shift += 8) {
+      image->push_back(static_cast<char>((crc >> shift) & 0xff));
+    }
+  };
+  std::string fields = MakeSample().Encode().substr(0, Superblock::kSlotSize - 4);
+
+  std::string v1 = fields;
+  v1[4] = 1;  // Version field.
   v1.resize(Superblock::kSuperblockSize - 4, 0);
-  uint32_t crc = MaskCrc(Crc32c(Slice(v1)));
-  v1.push_back(static_cast<char>(crc & 0xff));
-  v1.push_back(static_cast<char>((crc >> 8) & 0xff));
-  v1.push_back(static_cast<char>((crc >> 16) & 0xff));
-  v1.push_back(static_cast<char>((crc >> 24) & 0xff));
+  put_crc(&v1);
   auto decoded = Superblock::Decode(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->object_table_root, sample.object_table_root);
-  EXPECT_EQ(decoded->next_oid, sample.next_oid);
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+
+  std::string v2_slot = fields;
+  v2_slot[4] = 2;
+  put_crc(&v2_slot);
+  decoded = Superblock::Decode(v2_slot + v2_slot);
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 
 TEST(SuperblockTest, WrongSizeRejected) {

@@ -39,7 +39,6 @@ REQUIRED_GAUGES = [
     # Fault-domain health (both scopes).
     "volume_health",
     "volume_health_name",
-    "pager_writeback_error",
     "checksums_enabled",
     "scrub_passes",
     "quarantined_pages",
@@ -131,8 +130,9 @@ def main():
             f"unknown gauge(s) {unknown} for scope '{doc['scope']}' — "
             "add them to KNOWN_GAUGES and docs/OBSERVABILITY.md"
         )
-    if not isinstance(gauges["io_backend"], str):
-        fail("gauge 'io_backend' must be a string")
+    # Every volume commits through its journal's IoEngine, so a backend is always named.
+    if gauges["io_backend"] not in ("io_uring", "thread_pool"):
+        fail(f"unexpected io_backend '{gauges['io_backend']}'")
     if not isinstance(gauges["volume_health_name"], str):
         fail("gauge 'volume_health_name' must be a string")
     if gauges["volume_health_name"] not in ("healthy", "degraded", "read_only", "failed"):
@@ -140,14 +140,12 @@ def main():
     for name in INT_IO_GAUGES:
         if not isinstance(gauges[name], int):
             fail(f"gauge '{name}' must be an integer")
-    for name in ("volume_health", "pager_writeback_error", "checksums_enabled",
-                 "scrub_passes", "quarantined_pages"):
+    for name in ("volume_health", "checksums_enabled", "scrub_passes",
+                 "quarantined_pages"):
         if not isinstance(gauges[name], int):
             fail(f"gauge '{name}' must be an integer")
     if not 0 <= gauges["volume_health"] <= 3:
         fail(f"gauge 'volume_health' out of range: {gauges['volume_health']}")
-    if gauges["pager_writeback_error"] not in (0, 1):
-        fail("gauge 'pager_writeback_error' must be 0 or 1")
     if gauges["checksums_enabled"] not in (0, 1):
         fail("gauge 'checksums_enabled' must be 0 or 1")
 

@@ -63,6 +63,8 @@ std::string_view CounterName(Counter c) {
       return "scrub_pages_repaired";
     case Counter::kScrubPagesQuarantined:
       return "scrub_pages_quarantined";
+    case Counter::kCheckpointsInline:
+      return "checkpoints_inline";
     case Counter::kNumCounters:
       break;
   }

@@ -45,6 +45,8 @@ enum class Counter : int {
   kScrubErrorsFound,       // Scrub-detected checksum mismatches.
   kScrubPagesRepaired,     // Mismatched pages rewritten from a clean cached copy.
   kScrubPagesQuarantined,  // Mismatched pages with no clean source; reads now fail loudly.
+  kCheckpointsInline,      // Checkpoints run on an op's own thread (journal-space backstop,
+                           // ops too large to journal) rather than the checkpointer's.
   kNumCounters,  // Sentinel.
 };
 

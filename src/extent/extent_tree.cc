@@ -176,21 +176,7 @@ class ExtentTree::Impl {
     if (root_ == 0) {
       HFAD_ASSIGN_OR_RETURN(root_, NewPage(kExtentLeaf));
     }
-    // Make `offset` an extent boundary, then add the new extents one chunk at a time.
-    HFAD_RETURN_IF_ERROR(SplitBoundary(offset));
-    uint64_t at = offset;
-    size_t done = 0;
-    while (done < data.size()) {
-      size_t chunk = std::min<size_t>(kMaxExtentSize, data.size() - done);
-      HFAD_ASSIGN_OR_RETURN(BuddyAllocator::Extent ext, alloc_->Allocate(chunk));
-      HFAD_RETURN_IF_ERROR(pager_->WriteRaw(ext.offset, Slice(data.data() + done, chunk)));
-      Entry e{ext.offset, chunk};
-      HFAD_RETURN_IF_ERROR(InsertExtentAt(at, e));
-      size_ += chunk;
-      at += chunk;
-      done += chunk;
-    }
-    return Status::Ok();
+    return SpliceIn(offset, data);
   }
 
   Status RemoveRange(uint64_t offset, uint64_t length) {
@@ -204,15 +190,26 @@ class ExtentTree::Impl {
       return Status::Ok();
     }
     stats::Add(stats::Counter::kIndexTraversals);
-    HFAD_RETURN_IF_ERROR(SplitBoundary(offset));
-    HFAD_RETURN_IF_ERROR(SplitBoundary(offset + length));
-    uint64_t removed = 0;
-    HFAD_RETURN_IF_ERROR(RemoveRec(root_, offset, length, &removed));
-    if (removed != length) {
-      return Status::Internal("removed " + std::to_string(removed) + " of " +
-                              std::to_string(length) + " bytes");
+    // Split only at the end: the surviving tail moves to a fresh extent. The extent
+    // holding `offset` is then cut in place, and the whole extents after it up to the
+    // end boundary are dropped, so no removed byte is read or written.
+    HFAD_RETURN_IF_ERROR(SpliceIn(offset + length, Slice()));
+    uint64_t whole = length;
+    if (offset > 0) {
+      HFAD_ASSIGN_OR_RETURN(LeafSlot slot, FindLeafEntry(offset));
+      if (slot.rel > 0) {
+        whole -= ShrinkInPlace(slot);
+      }
     }
-    size_ -= length;
+    if (whole > 0) {
+      uint64_t removed = 0;
+      HFAD_RETURN_IF_ERROR(RemoveRec(root_, offset, whole, &removed));
+      if (removed != whole) {
+        return Status::Internal("removed " + std::to_string(removed) + " of " +
+                                std::to_string(whole) + " whole-extent bytes");
+      }
+      size_ -= whole;
+    }
     // Collapse a root with a single child (or free an empty root).
     for (;;) {
       if (root_ == 0) {
@@ -320,97 +317,118 @@ class ExtentTree::Impl {
     return Status::Ok();
   }
 
-  // Ensure an extent boundary exists at logical offset k (0 <= k <= size_). If k falls
-  // strictly inside an extent, the tail is copied to a fresh allocation and re-inserted as
-  // its own extent. No net byte-count change.
-  Status SplitBoundary(uint64_t k) {
-    if (k == 0 || k == size_ || root_ == 0) {
-      return Status::Ok();
-    }
-    // Locate the leaf entry containing k.
+  // Where a logical offset k (0 < k < size_) falls: the leaf entry holding byte k, k's
+  // position inside that extent, and the interior entries above it (root first), so a
+  // shrink can fix their totals without a second descent.
+  struct LeafSlot {
+    std::vector<std::pair<PageRef, int>> path;
+    PageRef leaf;
+    int idx = 0;
+    uint64_t rel = 0;  // 0: k is the extent's first byte, i.e. already a boundary.
+  };
+
+  Result<LeafSlot> FindLeafEntry(uint64_t k) const {
+    LeafSlot slot;
     uint64_t page_off = root_;
     uint64_t rel = k;
-    PageRef page;
-    for (;;) {
-      HFAD_ASSIGN_OR_RETURN(page, pager_->Get(page_off));
-      if (PageType(*page) == kExtentLeaf) {
-        break;
-      }
-      uint16_t cnt = Count(*page);
-      bool descended = false;
-      uint64_t acc = 0;
-      for (int i = 0; i < cnt; i++) {
-        Entry e = GetEntry(*page, i);
-        if (rel < acc + e.b || i == cnt - 1) {
-          page_off = e.a;
-          rel -= acc;
-          descended = true;
-          break;
-        }
-        acc += e.b;
-      }
-      if (!descended) {
-        return Status::Corruption("extent interior with no children");
-      }
-    }
-    int idx = 0;
-    uint16_t cnt = Count(*page);
-    while (idx < cnt && rel >= GetEntry(*page, idx).b) {
-      rel -= GetEntry(*page, idx).b;
-      idx++;
-    }
-    if (idx >= cnt || rel == 0) {
-      return Status::Ok();  // Already a boundary.
-    }
-    Entry e = GetEntry(*page, idx);
-    // Copy the tail [rel, e.b) into a fresh allocation.
-    uint64_t tail_len = e.b - rel;
-    std::string tail;
-    HFAD_RETURN_IF_ERROR(pager_->ReadRaw(e.a + rel, static_cast<size_t>(tail_len), &tail));
-    HFAD_ASSIGN_OR_RETURN(BuddyAllocator::Extent ext, alloc_->Allocate(tail_len));
-    HFAD_RETURN_IF_ERROR(pager_->WriteRaw(ext.offset, Slice(tail)));
-    // Shrink the head in place; ancestors lose tail_len until the insert restores it.
-    SetEntry(*page, idx, Entry{e.a, rel});
-    HFAD_RETURN_IF_ERROR(AdjustAncestors(k - 1, -static_cast<int64_t>(tail_len)));
-    size_ -= tail_len;
-    Status s = InsertExtentAt(k, Entry{ext.offset, tail_len});
-    if (s.ok()) {
-      size_ += tail_len;
-    }
-    return s;
-  }
-
-  // Add delta to every interior entry on the descent path covering logical offset `at`
-  // (evaluated against pre-adjustment totals).
-  Status AdjustAncestors(uint64_t at, int64_t delta) {
-    if (root_ == 0) {
-      return Status::Ok();
-    }
-    uint64_t page_off = root_;
-    uint64_t rel = at;
     for (;;) {
       HFAD_ASSIGN_OR_RETURN(PageRef page, pager_->Get(page_off));
-      if (PageType(*page) == kExtentLeaf) {
-        return Status::Ok();
+      const int cnt = Count(*page);
+      const bool leaf = PageType(*page) == kExtentLeaf;
+      // Interior descents take the last child for anything past the earlier ones.
+      const int last = leaf ? cnt : cnt - 1;
+      int i = 0;
+      while (i < last && rel >= GetEntry(*page, i).b) {
+        rel -= GetEntry(*page, i).b;
+        i++;
       }
-      uint16_t cnt = Count(*page);
-      bool descended = false;
-      uint64_t acc = 0;
-      for (int i = 0; i < cnt; i++) {
-        Entry e = GetEntry(*page, i);
-        if (rel < acc + e.b || i == cnt - 1) {
-          SetEntry(*page, i, Entry{e.a, e.b + static_cast<uint64_t>(delta)});
-          page_off = e.a;
-          rel -= acc;
-          descended = true;
-          break;
-        }
-        acc += e.b;
+      if (i >= cnt) {
+        return Status::Corruption("extent offset " + std::to_string(k) +
+                                  " lies past its page's entries");
       }
-      if (!descended) {
-        return Status::Corruption("extent interior with no children");
+      if (leaf) {
+        slot.leaf = std::move(page);
+        slot.idx = i;
+        slot.rel = rel;
+        return slot;
+      }
+      page_off = GetEntry(*page, i).a;
+      slot.path.emplace_back(std::move(page), i);
+    }
+  }
+
+  // Shrink the slot's extent in place to its first slot.rel bytes; the device bytes past
+  // that stay inside its allocation, unreferenced. Returns the number of bytes cut.
+  uint64_t ShrinkInPlace(const LeafSlot& slot) {
+    Entry e = GetEntry(*slot.leaf, slot.idx);
+    uint64_t cut = e.b - slot.rel;
+    SetEntry(*slot.leaf, slot.idx, Entry{e.a, slot.rel});
+    for (const auto& [page, i] : slot.path) {
+      Entry pe = GetEntry(*page, i);
+      SetEntry(*page, i, Entry{pe.a, pe.b - cut});
+    }
+    size_ -= cut;
+    return cut;
+  }
+
+  // Insert `data` so that it begins at logical offset k (0 <= k <= size_). When k falls
+  // strictly inside an extent, that extent's tail is carried: data + tail are written as
+  // fresh extents in one raw write per kMaxExtentSize chunk, then the old extent is
+  // shrunk in place to end at k. With empty data this just makes k an extent boundary.
+  // Every fresh extent is allocated and written before the tree changes, so a NoSpace from
+  // the allocator or an IO error from a raw read or write leaves the object's bytes and
+  // size exactly as they were.
+  Status SpliceIn(uint64_t k, Slice data) {
+    std::optional<LeafSlot> inside;
+    std::string carried;
+    if (k > 0 && k < size_) {
+      HFAD_ASSIGN_OR_RETURN(LeafSlot slot, FindLeafEntry(k));
+      if (slot.rel > 0) {
+        Entry e = GetEntry(*slot.leaf, slot.idx);
+        std::string tail;
+        HFAD_RETURN_IF_ERROR(
+            pager_->ReadRaw(e.a + slot.rel, static_cast<size_t>(e.b - slot.rel), &tail));
+        carried.assign(data.data(), data.size());
+        carried += tail;
+        data = Slice(carried);
+        inside = std::move(slot);
       }
     }
+    std::vector<Entry> fresh;
+    HFAD_RETURN_IF_ERROR(WriteFreshExtents(data, &fresh));
+    if (inside) {
+      ShrinkInPlace(*inside);
+    }
+    uint64_t at = k;
+    for (const Entry& e : fresh) {
+      HFAD_RETURN_IF_ERROR(InsertExtentAt(at, e));
+      size_ += e.b;
+      at += e.b;
+    }
+    return Status::Ok();
+  }
+
+  // Allocate and write `data` as fresh extents of at most kMaxExtentSize bytes each. On
+  // failure every extent allocated here is freed again and *out is left empty.
+  Status WriteFreshExtents(Slice data, std::vector<Entry>* out) {
+    for (size_t done = 0; done < data.size();) {
+      size_t chunk = std::min<size_t>(kMaxExtentSize, data.size() - done);
+      Result<BuddyAllocator::Extent> ext = alloc_->Allocate(chunk);
+      Status s = ext.status();
+      if (s.ok()) {
+        out->push_back(Entry{ext->offset, chunk});
+        s = pager_->WriteRaw(ext->offset, Slice(data.data() + done, chunk));
+      }
+      if (!s.ok()) {
+        for (const Entry& e : *out) {
+          (void)alloc_->Free(e.a);
+        }
+        out->clear();
+        return s;
+      }
+      done += chunk;
+    }
+    return Status::Ok();
   }
 
   struct SplitOut {
@@ -534,8 +552,8 @@ class ExtentTree::Impl {
   }
 
   // Remove logical [rel, rel+len) from the subtree at page_off. Both ends are extent
-  // boundaries (SplitBoundary ran first). Accumulates bytes removed into *removed.
-  // Offsets are evaluated against the subtree's *original* layout.
+  // boundaries (RemoveRange split or cut there first). Accumulates bytes removed into
+  // *removed. Offsets are evaluated against the subtree's *original* layout.
   Status RemoveRec(uint64_t page_off, uint64_t rel, uint64_t len, uint64_t* removed) {
     HFAD_ASSIGN_OR_RETURN(PageRef page, pager_->Get(page_off));
     uint16_t cnt = Count(*page);

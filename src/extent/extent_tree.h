@@ -11,9 +11,14 @@
 // O(log n) — only ancestor totals change. bench_btree ablates this against re-keying.
 //
 // Each extent owns exactly one buddy allocation (its device offset is the allocation
-// offset). Splitting an extent copies the tail into a fresh allocation, which bounds split
-// cost by kMaxExtentSize. Payload IO bypasses the page cache (raw device IO); only the
-// tree pages themselves go through the pager.
+// offset), so an extent can shrink in place from its end but never from its start. An
+// Insert strictly inside an extent carries the extent's tail: data + tail are written as
+// fresh extents (one raw write per kMaxExtentSize chunk) before the old extent shrinks in
+// place to end at the insert offset. RemoveRange copies only the bytes after the range
+// (when its end falls inside an extent), cuts the extent holding its start in place, and
+// drops the whole extents between, so removed bytes are never read or written. Copy cost
+// stays bounded by kMaxExtentSize. Payload IO bypasses the page cache (raw device IO);
+// only the tree pages themselves go through the pager.
 //
 // Not thread-safe: the OSD serializes access per object.
 #ifndef HFAD_SRC_EXTENT_EXTENT_TREE_H_
@@ -58,7 +63,8 @@ class ExtentTree {
   Status Write(uint64_t offset, Slice data);
 
   // Insert data at offset, shifting everything at and after offset up by data.size().
-  // offset == Size() appends. This is the hFAD `insert` call.
+  // offset == Size() appends. This is the hFAD `insert` call. A NoSpace from the
+  // allocator or an IO error from a payload write leaves the object's bytes unchanged.
   Status Insert(uint64_t offset, Slice data);
 
   // Remove `length` bytes starting at offset, shifting the tail down. This is the hFAD

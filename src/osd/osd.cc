@@ -644,7 +644,7 @@ Result<bool> Osd::EnsureJournalSpace(uint64_t record_bytes, uint64_t* reserved) 
   // checkpoint and re-check.
   for (int attempt = 0; attempt < 8; attempt++) {
     std::unique_lock<std::shared_mutex> vlock(volume_mu_);
-    HFAD_RETURN_IF_ERROR(CheckpointLocked());
+    HFAD_RETURN_IF_ERROR(CheckpointInline());
     if (try_reserve()) {
       return true;
     }
@@ -805,6 +805,11 @@ Status Osd::CheckpointLocked() {
     callback();
   }
   return Status::Ok();
+}
+
+Status Osd::CheckpointInline() {
+  stats::Add(stats::Counter::kCheckpointsInline);
+  return CheckpointLocked();
 }
 
 Status Osd::Checkpoint() {
@@ -1261,7 +1266,7 @@ Status Osd::Write(ObjectId oid, uint64_t offset, Slice data) {
     // so no later journal record can depend on unjournaled state.
     std::unique_lock<std::shared_mutex> vlock(volume_mu_);
     HFAD_RETURN_IF_ERROR(DoWrite(oid, offset, data, NowNs()));
-    return CheckpointLocked();
+    return CheckpointInline();
   }
   std::shared_lock<std::shared_mutex> vlock(volume_mu_);
   auto olock = object_mu_.LockExclusive(oid);
@@ -1288,7 +1293,7 @@ Status Osd::Insert(ObjectId oid, uint64_t offset, Slice data) {
   if (!fits) {
     std::unique_lock<std::shared_mutex> vlock(volume_mu_);
     HFAD_RETURN_IF_ERROR(DoInsert(oid, offset, data, NowNs()));
-    return CheckpointLocked();
+    return CheckpointInline();
   }
   std::shared_lock<std::shared_mutex> vlock(volume_mu_);
   auto olock = object_mu_.LockExclusive(oid);

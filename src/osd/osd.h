@@ -369,6 +369,10 @@ class Osd {
 
   Status CheckpointLocked();
 
+  // CheckpointLocked on the thread of the op that needs it (the journal-space backstop,
+  // or an op too large to journal), counted into stats::Counter::kCheckpointsInline.
+  Status CheckpointInline();
+
   // Rewrite the pending-foreign btree from the registered provider's snapshot. Called
   // at the top of CheckpointLocked (volume lock exclusive), so the rewritten pages ride
   // the checkpoint's own epilogue. Accesses named_roots_ directly — Get/SetNamedRoot

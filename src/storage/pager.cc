@@ -348,7 +348,13 @@ void Pager::CollectDirty(std::vector<std::pair<uint64_t, std::string>>* out) con
 }
 
 Status Pager::ReadRaw(uint64_t offset, size_t size, std::string* out) const {
-  Status read = retry_.RunWithRetry([&] { return device_->Read(offset, size, out); });
+  // Read the page cover [floor(offset), ceil(offset + size)) in one device call, so
+  // every page the range touches can be verified whole — a bit flip in the unrequested
+  // part of a boundary page still fails the read.
+  const uint64_t first = offset / kPageSize * kPageSize;
+  const uint64_t end = (offset + size + kPageSize - 1) / kPageSize * kPageSize;
+  Status read = retry_.RunWithRetry(
+      [&] { return device_->Read(first, static_cast<size_t>(end - first), out); });
   if (!read.ok()) {
     if (health_ != nullptr && retry_.IsTransient(read)) {
       health_->Escalate(HealthState::kDegraded,
@@ -358,24 +364,8 @@ Status Pager::ReadRaw(uint64_t offset, size_t size, std::string* out) const {
     return read;
   }
   if (checksums_ != nullptr) {
-    // Verify every page the read touches. Fully contained pages check straight from
-    // the buffer; partially covered head/tail pages that carry an entry (or are
-    // quarantined) are read back whole — one extra page read per boundary, only when
-    // there is actually something to check, so a bit flip in the uncovered half of a
-    // boundary page can never ride out silently.
-    uint64_t first = offset / kPageSize * kPageSize;
-    uint64_t end = offset + size;
     for (uint64_t page = first; page < end; page += kPageSize) {
-      Status verify;
-      if (page >= offset && page + kPageSize <= end) {
-        verify = checksums_->Verify(page, Slice(out->data() + (page - offset), kPageSize));
-      } else if (checksums_->HasChecksum(page) || checksums_->IsQuarantined(page)) {
-        std::string full;
-        verify = retry_.RunWithRetry([&] { return device_->Read(page, kPageSize, &full); });
-        if (verify.ok()) {
-          verify = checksums_->Verify(page, Slice(full));
-        }
-      }
+      Status verify = checksums_->Verify(page, Slice(out->data() + (page - first), kPageSize));
       if (!verify.ok()) {
         if (health_ != nullptr) {
           health_->Escalate(HealthState::kDegraded, verify.message());
@@ -384,6 +374,8 @@ Status Pager::ReadRaw(uint64_t offset, size_t size, std::string* out) const {
       }
     }
   }
+  out->erase(0, static_cast<size_t>(offset - first));
+  out->resize(size);
   return Status::Ok();
 }
 

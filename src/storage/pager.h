@@ -158,8 +158,19 @@ class Pager {
   // Drop a page from the cache (after its extent is freed). Discards dirty data.
   void Invalidate(uint64_t offset);
 
-  // Uncached device IO for overflow extents (large btree values). Callers guarantee these
-  // ranges are never simultaneously cached as pages (freed pages are Invalidate()d).
+  // Uncached device IO for extent payloads and large btree values. Callers guarantee
+  // these ranges are never simultaneously cached as pages (freed pages are
+  // Invalidate()d).
+  //
+  // ReadRaw makes exactly one device read: the page cover [floor(offset),
+  // ceil(offset + size)). With checksums attached it verifies every page of the cover
+  // whole (unstamped pages pass, quarantined pages fail), then returns only the
+  // requested bytes. The cover never reads another owner's bytes: raw ranges lie inside
+  // one buddy allocation, and allocations are page-aligned and at least one page.
+  //
+  // WriteRaw writes the payload in one device call and stamps every page it fully
+  // covers from the payload; a partially covered head or tail page is read back whole
+  // from the device and stamped (one extra read per such page).
   Status ReadRaw(uint64_t offset, size_t size, std::string* out) const;
   Status WriteRaw(uint64_t offset, Slice data);
 

@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -284,6 +285,13 @@ struct WorkloadParam {
   size_t max_value;
   int ops;
 };
+
+// Printed into the CTest name (".../seed1_values1to32_ops4000") instead of the raw
+// struct bytes, whose padding changes from build to build.
+void PrintTo(const WorkloadParam& w, std::ostream* os) {
+  *os << "seed" << w.seed << "_values" << w.min_value << "to" << w.max_value << "_ops"
+      << w.ops;
+}
 
 class BTreePropertyTest : public ::testing::TestWithParam<WorkloadParam> {};
 

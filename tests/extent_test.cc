@@ -1,14 +1,17 @@
 // Unit + property tests for the counted extent tree (byte-accessible object data).
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/stats.h"
 #include "src/extent/extent_tree.h"
 #include "src/storage/block_device.h"
 #include "src/storage/buddy_allocator.h"
+#include "src/storage/checksums.h"
 #include "src/storage/pager.h"
 
 namespace hfad {
@@ -16,6 +19,20 @@ namespace extent {
 namespace {
 
 constexpr uint64_t kHeap = 256 * 1024 * 1024;
+
+std::string Pattern(size_t n) {
+  std::string s(n, '\0');
+  for (size_t i = 0; i < n; i++) {
+    s[i] = static_cast<char>('a' + i % 26);
+  }
+  return s;
+}
+
+std::string ReadWhole(const ExtentTree& tree) {
+  std::string out;
+  EXPECT_TRUE(tree.Read(0, tree.Size(), &out).ok());
+  return out;
+}
 
 class ExtentTreeTest : public ::testing::Test {
  protected:
@@ -237,12 +254,168 @@ TEST_F(ExtentTreeTest, ManySmallInsertsAtFrontForceDeepTree) {
   ASSERT_TRUE(tree_.CheckInvariants().ok());
 }
 
+// ---------------------------------------------------------------- failed inserts
+
+// Every fresh extent is allocated and written before the tree changes, so an insert
+// that fails partway leaves the object's bytes, size and invariants as they were.
+TEST(ExtentInsertFailureTest, AllocatorRunningOutMidInsertLeavesTheObjectUnchanged) {
+  constexpr uint64_t kSmallHeap = 256 * 1024;
+  MemoryBlockDevice dev(kPageSize + kSmallHeap);
+  Pager pager(&dev, 64);
+  BuddyAllocator alloc(kPageSize, kSmallHeap);
+  ExtentTree tree(&pager, &alloc, 0);
+  std::string model = Pattern(40 * 1024);  // A root page plus one 64 KiB block.
+  ASSERT_TRUE(tree.Write(0, model).ok());
+  const uint64_t live = alloc.allocation_count();
+  const uint64_t allocated = stats::Get(stats::Counter::kExtentsAllocated);
+
+  // 150 KiB plus the carried 20 KiB tail is three chunks; the 188 KiB left free holds
+  // only two 64 KiB blocks, so the third allocation fails after two succeeded.
+  Status s = tree.Insert(20000, std::string(150 * 1024, 'N'));
+  EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
+  EXPECT_EQ(stats::Get(stats::Counter::kExtentsAllocated) - allocated, 2u);
+  EXPECT_EQ(alloc.allocation_count(), live);
+  EXPECT_EQ(tree.Size(), model.size());
+  EXPECT_EQ(ReadWhole(tree), model);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+
+  ASSERT_TRUE(tree.Insert(20000, "fits").ok());
+  model.insert(20000, "fits");
+  EXPECT_EQ(ReadWhole(tree), model);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+}
+
+TEST(ExtentInsertFailureTest, FailedRawWriteLeavesTheObjectUnchanged) {
+  FaultyBlockDevice dev(std::make_shared<MemoryBlockDevice>(kPageSize + kHeap));
+  Pager pager(&dev, 64);  // Ample: the tree pages never leave the cache.
+  BuddyAllocator alloc(kPageSize, kHeap);
+  ExtentTree tree(&pager, &alloc, 0);
+  std::string model = Pattern(40 * 1024);
+  ASSERT_TRUE(tree.Write(0, model).ok());
+  const uint64_t live = alloc.allocation_count();
+
+  // 100 KiB plus the carried tail is two chunks: the first write lands, the second fails.
+  dev.SetWriteBudget(1);
+  Status s = tree.Insert(20000, std::string(100 * 1024, 'W'));
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
+  EXPECT_EQ(alloc.allocation_count(), live);
+  EXPECT_EQ(tree.Size(), model.size());
+  EXPECT_EQ(ReadWhole(tree), model);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+
+  dev.SetWriteBudget(-1);
+  ASSERT_TRUE(tree.Insert(20000, "after").ok());
+  model.insert(20000, "after");
+  EXPECT_EQ(ReadWhole(tree), model);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+}
+
+// ---------------------------------------------------------------- device IO per edit
+
+// FaultyBlockDevice that also logs the size of every single-range write.
+class WriteSizeLogDevice : public FaultyBlockDevice {
+ public:
+  using FaultyBlockDevice::FaultyBlockDevice;
+  Status Write(uint64_t offset, Slice data) override {
+    sizes.push_back(data.size());
+    return FaultyBlockDevice::Write(offset, data);
+  }
+  std::vector<size_t> sizes;
+};
+
+// Checksums on and every tree page resident, so each device call an edit makes is
+// payload IO. One object of a single 10000-byte extent.
+class ExtentIoTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kIoHeap = 4 * 1024 * 1024;
+  static constexpr uint64_t kBase = 10000;
+
+  ExtentIoTest()
+      : dev_(std::make_shared<MemoryBlockDevice>(kPageSize + kIoHeap)),
+        checksums_(kPageSize + kIoHeap, kPageSize),
+        pager_(&dev_, 256),
+        alloc_(kPageSize, kIoHeap),
+        tree_(&pager_, &alloc_, 0),
+        model_(Pattern(kBase)) {
+    pager_.SetChecksums(&checksums_);
+    EXPECT_TRUE(tree_.Write(0, model_).ok());
+    reads_ = dev_.reads_attempted();
+    writes_ = dev_.writes_attempted();
+    dev_.sizes.clear();
+    allocated_ = stats::Get(stats::Counter::kExtentsAllocated);
+  }
+
+  uint64_t Reads() const { return dev_.reads_attempted() - reads_; }
+  uint64_t Writes() const { return dev_.writes_attempted() - writes_; }
+  uint64_t Allocated() const {
+    return stats::Get(stats::Counter::kExtentsAllocated) - allocated_;
+  }
+
+  WriteSizeLogDevice dev_;
+  PageChecksums checksums_;
+  Pager pager_;
+  BuddyAllocator alloc_;
+  ExtentTree tree_;
+  std::string model_;
+  uint64_t reads_ = 0;
+  uint64_t writes_ = 0;
+  uint64_t allocated_ = 0;
+};
+
+TEST_F(ExtentIoTest, InsertInsideAnExtentWritesOneExtentCarryingTheTail) {
+  const std::string data(1000, 'I');
+  ASSERT_TRUE(tree_.Insert(5000, data).ok());
+  EXPECT_EQ(Allocated(), 1u);
+  EXPECT_EQ(Reads(), 2u);  // The tail read and the new extent's tail-page read-back.
+  EXPECT_EQ(dev_.sizes, std::vector<size_t>{data.size() + kBase - 5000});
+  model_.insert(5000, data);
+  EXPECT_EQ(ReadWhole(tree_), model_);
+  EXPECT_EQ(*tree_.CountExtents(), 2u);
+  ASSERT_TRUE(tree_.CheckInvariants().ok());
+}
+
+TEST_F(ExtentIoTest, RemoveRangeInsideAnExtentWritesOnlyTheBytesAfterIt) {
+  ASSERT_TRUE(tree_.RemoveRange(3000, 2000).ok());
+  EXPECT_EQ(Allocated(), 1u);
+  EXPECT_EQ(dev_.sizes, std::vector<size_t>{kBase - 5000});
+  model_.erase(3000, 2000);
+  EXPECT_EQ(ReadWhole(tree_), model_);
+  EXPECT_EQ(*tree_.CountExtents(), 2u);
+  ASSERT_TRUE(tree_.CheckInvariants().ok());
+}
+
+TEST_F(ExtentIoTest, ShrinkingTruncateDoesNoDataIo) {
+  // Grow to several extents first, then cut back to the middle of the first one, as
+  // Osd::Truncate does with RemoveRange(new_size, size - new_size).
+  const std::string more = Pattern(200 * 1024);
+  ASSERT_TRUE(tree_.Insert(tree_.Size(), more).ok());
+  model_ += more;
+  ASSERT_GT(*tree_.CountExtents(), 3u);
+  reads_ = dev_.reads_attempted();
+  writes_ = dev_.writes_attempted();
+  allocated_ = stats::Get(stats::Counter::kExtentsAllocated);
+  ASSERT_TRUE(tree_.RemoveRange(4000, tree_.Size() - 4000).ok());
+  EXPECT_EQ(Reads(), 0u);
+  EXPECT_EQ(Writes(), 0u);
+  EXPECT_EQ(Allocated(), 0u);
+  model_.resize(4000);
+  EXPECT_EQ(ReadWhole(tree_), model_);
+  EXPECT_EQ(*tree_.CountExtents(), 1u);
+  ASSERT_TRUE(tree_.CheckInvariants().ok());
+}
+
 // Property test: mirror a std::string model through random byte operations.
 struct ExtentWorkload {
   uint64_t seed;
   int ops;
   uint64_t max_piece;  // Largest single write/insert.
 };
+
+// Printed into the CTest name (".../seed101_ops1500_max64") instead of the raw struct
+// bytes, whose padding changes from build to build.
+void PrintTo(const ExtentWorkload& w, std::ostream* os) {
+  *os << "seed" << w.seed << "_ops" << w.ops << "_max" << w.max_piece;
+}
 
 class ExtentTreePropertyTest : public ::testing::TestWithParam<ExtentWorkload> {};
 

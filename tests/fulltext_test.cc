@@ -1,6 +1,7 @@
 // Tests for the tokenizer, inverted index, BM25 ranking, and lazy background indexing.
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -325,6 +326,13 @@ struct CorpusParam {
   int vocab;
   int words_per_doc;
 };
+
+// Printed into the CTest name (".../seed1_docs60_vocab30_words8") instead of the raw
+// struct bytes, whose padding changes from build to build.
+void PrintTo(const CorpusParam& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_docs" << c.docs << "_vocab" << c.vocab << "_words"
+      << c.words_per_doc;
+}
 
 class FullTextPropertyTest : public ::testing::TestWithParam<CorpusParam> {};
 

@@ -374,7 +374,9 @@ TEST(LazyIndexTest, MultiWorkerAppliesPerTagFifoOrder) {
     TagValue name{"UDEF", "mw" + std::to_string(t)};
     ASSERT_TRUE(fs->AddTag(*oid, name).ok());
     ASSERT_TRUE(fs->RemoveTag(*oid, name).ok());
-    if (t % 2 == 0) ASSERT_TRUE(fs->AddTag(*oid, name).ok());
+    if (t % 2 == 0) {
+      ASSERT_TRUE(fs->AddTag(*oid, name).ok());
+    }
   }
   EXPECT_FALSE(fs->PendingIndexIntents().empty());
   fs->tag_indexer_for_testing()->SetPausedForTesting(false);

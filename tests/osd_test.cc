@@ -235,6 +235,33 @@ TEST(OsdCheckpointTest, ThresholdCheckpointsAbsorbSustainedLoad) {
   EXPECT_EQ(out, payload);
 }
 
+// Checkpoints that run on an op's own thread are counted: the journal-space backstop
+// (the occupancy kick is off here, so every full journal falls into it) and an op too
+// large to ever journal. Explicit checkpoints are not inline ones.
+TEST(OsdCheckpointTest, InlineCheckpointsAreCounted) {
+  OsdOptions opts;
+  opts.journal_size = 256 * 1024;
+  opts.checkpoint_kick_occupancy = 0;
+  auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  auto oid = osd->CreateObject();
+  ASSERT_TRUE(oid.ok());
+  const uint64_t base = stats::Get(stats::Counter::kCheckpointsInline);
+  // Each reservation holds 64 KiB of epilogue slack until the next checkpoint, so a
+  // 256 KiB journal runs into the backstop within a few small writes.
+  const std::string payload(512, 'p');
+  for (int i = 0; i < 16; i++) {
+    ASSERT_TRUE(osd->Write(*oid, 0, payload).ok()) << "op " << i;
+  }
+  const uint64_t backstop = stats::Get(stats::Counter::kCheckpointsInline) - base;
+  EXPECT_GT(backstop, 0u);
+  EXPECT_LT(backstop, 16u);
+
+  ASSERT_TRUE(osd->Insert(*oid, 0, std::string(128 * 1024, 'L')).ok());  // Too large.
+  EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, backstop + 1);
+  ASSERT_TRUE(osd->Checkpoint().ok());
+  EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, backstop + 1);
+}
+
 // ---- Checkpoint-boundary crash sweep (torn WriteBatch fault injection) ----
 //
 // Every op below is Sync()ed (acknowledged durable) before the crash, then a checkpoint

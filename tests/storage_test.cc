@@ -15,6 +15,7 @@
 #include "src/common/stats.h"
 #include "src/storage/block_device.h"
 #include "src/storage/buddy_allocator.h"
+#include "src/storage/checksums.h"
 #include "src/storage/pager.h"
 #include "src/storage/superblock.h"
 
@@ -622,6 +623,54 @@ TEST(PagerTest, RawIoBypassesCache) {
   std::string direct;
   ASSERT_TRUE(dev.Read(64 * 1024, 11, &direct).ok());
   EXPECT_EQ(direct, "raw payload");
+}
+
+// A checksummed volume with three stamped raw pages at kRawBase, and the unaligned raw
+// range [kRawBase + 100, kRawBase + 2 pages + 50) that touches all three of them.
+class RawReadTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRawBase = 64 * 1024;
+  static constexpr uint64_t kReadOffset = kRawBase + 100;
+  static constexpr size_t kReadSize = 2 * kPageSize - 50;
+
+  RawReadTest()
+      : dev_(std::make_shared<MemoryBlockDevice>(kMiB)),
+        checksums_(kMiB, kPageSize),
+        pager_(&dev_, 16) {
+    pager_.SetChecksums(&checksums_);
+    payload_.resize(3 * kPageSize);
+    for (size_t i = 0; i < payload_.size(); i++) {
+      payload_[i] = static_cast<char>('a' + i % 23);
+    }
+    EXPECT_TRUE(pager_.WriteRaw(kRawBase, payload_).ok());
+  }
+
+  FaultyBlockDevice dev_;
+  PageChecksums checksums_;
+  Pager pager_;
+  std::string payload_;
+};
+
+TEST_F(RawReadTest, UnalignedReadOfThreePagesMakesOneDeviceRead) {
+  const uint64_t reads = dev_.reads_attempted();
+  const uint64_t verifies = stats::Get(stats::Counter::kChecksumVerifies);
+  std::string out;
+  ASSERT_TRUE(pager_.ReadRaw(kReadOffset, kReadSize, &out).ok());
+  EXPECT_EQ(dev_.reads_attempted() - reads, 1u);
+  EXPECT_EQ(stats::Get(stats::Counter::kChecksumVerifies) - verifies, 3u);
+  EXPECT_EQ(out, payload_.substr(kReadOffset - kRawBase, kReadSize));
+}
+
+TEST_F(RawReadTest, BitFlipInTheUnreadPartOfABoundaryPageFailsTheRead) {
+  std::string out;
+  // Head page, before the requested range.
+  ASSERT_TRUE(dev_.FlipBit(kRawBase + 10, 3).ok());
+  EXPECT_TRUE(pager_.ReadRaw(kReadOffset, kReadSize, &out).IsCorruption());
+  ASSERT_TRUE(dev_.FlipBit(kRawBase + 10, 3).ok());
+  ASSERT_TRUE(pager_.ReadRaw(kReadOffset, kReadSize, &out).ok());
+  // Tail page, after the requested range.
+  ASSERT_TRUE(dev_.FlipBit(kReadOffset + kReadSize + 1000, 5).ok());
+  EXPECT_TRUE(pager_.ReadRaw(kReadOffset, kReadSize, &out).IsCorruption());
 }
 
 TEST(PagerTest, DropCacheForcesReRead) {

@@ -679,6 +679,7 @@ class BTree::Impl {
       HFAD_ASSIGN_OR_RETURN(PageRef page, pager_->Get(off));
       h++;
       if (PageType(*page) == kLeafPage) {
+        pager_->NoteTreeHeight(h);
         return h;
       }
       off = Link0(*page);
@@ -735,6 +736,7 @@ class BTree::Impl {
       HFAD_ASSIGN_OR_RETURN(PageRef page, RootOrGet(off));
       stats::Add(stats::Counter::kBtreeNodeVisits);
       if (PageType(*page) == kLeafPage) {
+        pager_->NoteTreeHeight(static_cast<int>(path->size()) + 1);
         return page;
       }
       int ci = ChildIndexFor(*page, key);
@@ -840,9 +842,11 @@ class BTree::Impl {
   // Insert (sep -> right_child) into the parent recorded at the back of `path`,
   // splitting interiors upward as needed.
   Status InsertSeparator(std::vector<Frame> path, std::string sep, uint64_t right_child) {
+    const int grown_height = static_cast<int>(path.size()) + 2;
     for (;;) {
       if (path.empty()) {
         // Split reached the root: grow the tree.
+        pager_->NoteTreeHeight(grown_height);
         uint64_t old_root = root_;
         HFAD_ASSIGN_OR_RETURN(uint64_t new_root_off, NewPage(kInteriorPage));
         HFAD_ASSIGN_OR_RETURN(PageRef new_root, pager_->Get(new_root_off));

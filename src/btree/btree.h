@@ -94,7 +94,10 @@ class BTree {
   // across pages, sibling links, and separator routing. Expensive.
   Status CheckInvariants() const;
 
-  // Tree height (0 for empty, 1 for a single leaf). Test/bench support.
+  // Tree height (0 for empty, 1 for a single leaf), by one descent of the leftmost path.
+  // Also reported to the pager (Pager::NoteTreeHeight), as every descent and root split
+  // is: a long-lived tree calls this once when it is opened so the volume's height bound
+  // covers it before its first mutation.
   Result<int> Height() const;
 
  private:

@@ -65,6 +65,8 @@ std::string_view CounterName(Counter c) {
       return "scrub_pages_quarantined";
     case Counter::kCheckpointsInline:
       return "checkpoints_inline";
+    case Counter::kCheckpointEpilogueOverflows:
+      return "checkpoint_epilogue_overflows";
     case Counter::kNumCounters:
       break;
   }

@@ -47,6 +47,8 @@ enum class Counter : int {
   kScrubPagesQuarantined,  // Mismatched pages with no clean source; reads now fail loudly.
   kCheckpointsInline,      // Checkpoints run on an op's own thread (journal-space backstop,
                            // ops too large to journal) rather than the checkpointer's.
+  kCheckpointEpilogueOverflows,  // Checkpoints whose epilogue did not fit the journal: a
+                                 // journal-credit accounting bug, never appended.
   kNumCounters,  // Sentinel.
 };
 

@@ -32,6 +32,12 @@ constexpr uint8_t kNsIndexIntent = 6;
 // Reverse-map btree roots, one named root per shard ("core/reverse-tags/<shard>").
 constexpr char kReverseRootPrefix[] = "core/reverse-tags/";
 
+// Btree Put/Delete calls one tag op's apply makes on the metadata volume, which its
+// journal credit covers: the reverse-map entry and the reverse root's registration,
+// plus under inline indexing the posting entry and the store root's registration.
+constexpr size_t kLazyTagOpMutations = 2;
+constexpr size_t kInlineTagOpMutations = 4;
+
 std::string ReverseRootName(size_t shard) {
   return kReverseRootPrefix + std::to_string(shard);
 }
@@ -121,6 +127,8 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
     reverse_[shard].root = root.ok() ? *root : 0;
     reverse_[shard].tree = std::make_unique<btree::BTree>(osd_->pager(), osd_->allocator(),
                                                           reverse_[shard].root);
+    // Report the height to the volume before any naming credit is sized from it.
+    (void)reverse_[shard].tree->Height();
   }
   query_engine_ = std::make_unique<query::QueryEngine>(indexes_.get());
   if (options_.lazy_indexing_threads > 0) {
@@ -129,7 +137,7 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
                                                             options_.lazy_indexing_threads);
   }
   if (options_.lazy_tag_indexing) {
-    tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(),
+    tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(), osd_,
                                                     options_.tag_intent_queue_capacity,
                                                     /*batch_limit=*/256,
                                                     options_.tag_indexer_workers);
@@ -446,8 +454,8 @@ Status FileSystem::AdoptRecoveredIntents(std::vector<BatchOp> recovered) {
   return Status::Ok();
 }
 
-Status FileSystem::JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
-                                            uint64_t* token_out) {
+Result<osd::Osd::JournalCredit> FileSystem::JournalAndEnqueueIntents(
+    const std::vector<BatchOp>& ops, uint64_t* token_out) {
   *token_out = 0;
   std::vector<LazyTagIndexer::Op> iops;
   iops.reserve(ops.size());
@@ -459,6 +467,14 @@ Status FileSystem::JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
   // under the volume lock would deadlock against a waiting checkpoint).
   tag_indexer_->ReserveSlots(iops.size());
   const size_t n = iops.size();
+  // The credit comes after the slots (the worker may wait for a credit itself) and
+  // before the record, so no checkpoint this thread runs falls between the two.
+  Result<osd::Osd::JournalCredit> credit =
+      osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming, kLazyTagOpMutations * n);
+  if (!credit.ok()) {
+    tag_indexer_->ReleaseSlots(n);
+    return credit.status();
+  }
   bool multi_shard = false;
   if (cluster_->shard_count() > 1) {
     const size_t first = cluster_->ShardOf(ops[0].oid);
@@ -478,8 +494,9 @@ Status FileSystem::JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
         [&] { tag_indexer_->EnqueueReserved(std::move(iops)); }, token_out);
     if (!s.ok()) {
       tag_indexer_->ReleaseSlots(n);
+      return s;
     }
-    return s;
+    return credit;
   }
   // Cross-shard: the intent commits via the prepare/commit protocol, then enqueues.
   // The gap between commit and enqueue is covered by the cluster's retention lists
@@ -496,7 +513,7 @@ Status FileSystem::JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
   }
   tag_indexer_->EnqueueReserved(std::move(iops));
   *token_out = *token;
-  return Status::Ok();
+  return credit;
 }
 
 // ---------------------------------------------------------------- naming
@@ -652,6 +669,8 @@ Status FileSystem::Remove(ObjectId oid) {
   // Strip any full-text postings (journaled so replay stays in sync).
   {
     auto lock = tag_mu_.LockExclusive(oid);
+    HFAD_ASSIGN_OR_RETURN(auto credit,
+                          osd_->ReserveApplyCredit(osd::Osd::CreditUse::kContent));
     uint64_t token = 0;
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeOidRecord(kNsUnindexContent, oid), &token));
@@ -719,13 +738,16 @@ Status FileSystem::AddTagValidated(ObjectId oid, const TagValue& name) {
     // Lazy: journal the intent + enqueue the forward update, then update only the
     // reverse map inline — naming state (Tags/HasName/Remove) stays authoritative
     // while the posting btrees catch up in the background.
-    HFAD_RETURN_IF_ERROR(JournalAndEnqueueIntents({BatchOp{kNsAddTag, oid, name}}, &token));
+    HFAD_ASSIGN_OR_RETURN(auto credit,
+                          JournalAndEnqueueIntents({BatchOp{kNsAddTag, oid, name}}, &token));
     size_t shard = TagShardOf(oid);
     HFAD_RETURN_IF_ERROR(reverse_[shard].tree->Put(ReverseKey(oid, name), Slice()));
     HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
     cluster_->MarkForeignApplied(token);
     return Status::Ok();
   }
+  HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming,
+                                                              kInlineTagOpMutations));
   if (osd_->journaling_enabled()) {
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeTagRecord(kNsAddTag, oid, name), &token));
@@ -749,8 +771,8 @@ Status FileSystem::RemoveTag(ObjectId oid, const TagValue& name) {
   }
   uint64_t token = 0;
   if (tag_indexer_ != nullptr) {
-    HFAD_RETURN_IF_ERROR(
-        JournalAndEnqueueIntents({BatchOp{kNsRemoveTag, oid, name}}, &token));
+    HFAD_ASSIGN_OR_RETURN(auto credit, JournalAndEnqueueIntents(
+                                           {BatchOp{kNsRemoveTag, oid, name}}, &token));
     size_t shard = TagShardOf(oid);
     Status s = reverse_[shard].tree->Delete(ReverseKey(oid, name));
     if (!s.ok() && !s.IsNotFound()) {
@@ -760,6 +782,8 @@ Status FileSystem::RemoveTag(ObjectId oid, const TagValue& name) {
     cluster_->MarkForeignApplied(token);
     return Status::Ok();
   }
+  HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming,
+                                                              kInlineTagOpMutations));
   if (osd_->journaling_enabled()) {
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeTagRecord(kNsRemoveTag, oid, name), &token));
@@ -801,7 +825,7 @@ Status FileSystem::CommitBatch(const std::vector<BatchOp>& ops) {
     // commits via the cluster's prepare/commit protocol inside
     // JournalAndEnqueueIntents.
     uint64_t token = 0;
-    HFAD_RETURN_IF_ERROR(JournalAndEnqueueIntents(ops, &token));
+    HFAD_ASSIGN_OR_RETURN(auto credit, JournalAndEnqueueIntents(ops, &token));
     std::vector<size_t> shards;
     for (const BatchOp& op : ops) {
       size_t shard = TagShardOf(op.oid);
@@ -824,6 +848,8 @@ Status FileSystem::CommitBatch(const std::vector<BatchOp>& ops) {
     return Status::Ok();
   }
   uint64_t token = 0;
+  HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming,
+                                                              kInlineTagOpMutations * ops.size()));
   if (osd_->journaling_enabled()) {
     std::string rec;
     rec.push_back(static_cast<char>(kNsBatch));
@@ -930,6 +956,7 @@ Status FileSystem::IndexContent(ObjectId oid) {
     return Status::NotFound("no object " + std::to_string(oid));
   }
   auto lock = tag_mu_.LockExclusive(oid);
+  HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kContent));
   uint64_t token = 0;
   HFAD_RETURN_IF_ERROR(
       cluster_->AppendForeign(oid, EncodeOidRecord(kNsIndexContent, oid), &token));
@@ -1016,10 +1043,11 @@ std::string FileSystem::DumpMetrics() const {
   metrics::WriteCountersJson(&w);
   metrics::WriteHistogramsJson(&w);
 
-  // Gauges aggregate across shards (sums for counts, max for occupancy — the shard
-  // closest to a forced checkpoint is the one that matters) so the top-level keys keep
-  // their single-volume meaning; the per-shard breakdown follows.
+  // Gauges aggregate across shards (sums for counts, max for occupancy and accounted
+  // fill — the shard closest to a forced checkpoint is the one that matters) so the
+  // top-level keys keep their single-volume meaning; the per-shard breakdown follows.
   double occupancy = 0.0;
+  double reserved = 0.0;
   uint64_t pending_records = 0, resident_pages = 0, dirty_pages = 0;
   uint64_t io_submitted = 0, io_completed = 0, io_in_flight = 0, io_max_qd = 0;
   uint64_t scrub_passes = 0, quarantined = 0;
@@ -1028,6 +1056,7 @@ std::string FileSystem::DumpMetrics() const {
   for (size_t k = 0; k < cluster_->shard_count(); k++) {
     osd::Osd* shard = cluster_->shard(k);
     occupancy = std::max(occupancy, shard->journal_occupancy());
+    reserved = std::max(reserved, shard->journal_reserved());
     pending_records += shard->journal_pending_records();
     resident_pages += shard->pager()->cached_pages();
     dirty_pages += shard->pager()->dirty_pages();
@@ -1048,6 +1077,7 @@ std::string FileSystem::DumpMetrics() const {
   const HealthState worst_health = cluster_->worst_health();
   w.Key("gauges").BeginObject();
   w.Key("journal_occupancy_pct").Value(occupancy * 100.0);
+  w.Key("journal_reserved_pct").Value(reserved * 100.0);
   w.Key("journal_pending_records").Value(pending_records);
   w.Key("pager_resident_pages").Value(resident_pages);
   w.Key("pager_dirty_pages").Value(dirty_pages);
@@ -1075,6 +1105,7 @@ std::string FileSystem::DumpMetrics() const {
       w.BeginObject();
       w.Key("shard").Value(static_cast<uint64_t>(k));
       w.Key("journal_occupancy_pct").Value(shard->journal_occupancy() * 100.0);
+      w.Key("journal_reserved_pct").Value(shard->journal_reserved() * 100.0);
       w.Key("journal_pending_records").Value(shard->journal_pending_records());
       w.Key("pager_resident_pages")
           .Value(static_cast<uint64_t>(shard->pager()->cached_pages()));

@@ -285,14 +285,15 @@ class FileSystem {
   // forward updates inline (non-lazy), then install the live checkpoint provider.
   Status AdoptRecoveredIntents(std::vector<BatchOp> recovered);
 
-  // Lazy-mode body of AddTagValidated/RemoveTag/CommitBatch: reserve queue slots, then
-  // journal ONE intent record — on the owning shard with the enqueue riding the same
-  // journal-lock hold when all ops share an owner, or via the cluster's cross-shard
-  // prepare/commit protocol (the retention lists carry the records over the enqueue
-  // gap) when they do not. Caller holds every involved tag shard, applies the
-  // reverse-map half afterwards, and passes `token_out` to MarkForeignApplied once it
-  // has.
-  Status JournalAndEnqueueIntents(const std::vector<BatchOp>& ops, uint64_t* token_out);
+  // Lazy-mode body of AddTagValidated/RemoveTag/CommitBatch: reserve queue slots, take
+  // the naming credit for the reverse-map half on the metadata volume, then journal ONE
+  // intent record — on the owning shard with the enqueue riding the same journal-lock
+  // hold when all ops share an owner, or via the cluster's cross-shard prepare/commit
+  // protocol (the retention lists carry the records over the enqueue gap) when they do
+  // not. Caller holds every involved tag shard, applies the reverse-map half while it
+  // holds the returned credit, and passes `token_out` to MarkForeignApplied once it has.
+  Result<osd::Osd::JournalCredit> JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
+                                                           uint64_t* token_out);
 
   // AddTag minus the tag/store/existence validation, for callers (Create) that have
   // already established those invariants.

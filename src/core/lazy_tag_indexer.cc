@@ -9,9 +9,10 @@
 namespace hfad {
 namespace core {
 
-LazyTagIndexer::LazyTagIndexer(index::IndexCollection* indexes, size_t queue_capacity,
-                               size_t batch_limit, size_t worker_count)
+LazyTagIndexer::LazyTagIndexer(index::IndexCollection* indexes, osd::Osd* volume,
+                               size_t queue_capacity, size_t batch_limit, size_t worker_count)
     : indexes_(indexes),
+      volume_(volume),
       capacity_(queue_capacity == 0 ? 1 : queue_capacity),
       batch_limit_(batch_limit == 0 ? 1 : batch_limit),
       worker_count_(worker_count == 0 ? 1 : worker_count),
@@ -207,17 +208,26 @@ Status LazyTagIndexer::ApplyOps(const std::vector<Op>& ops) {
         first = Status::Corruption("lazy indexer: no store for tag " + tag_group.first);
       continue;
     }
-    std::vector<std::pair<std::string, index::ObjectId>> adds;
-    std::vector<std::pair<std::string, index::ObjectId>> removes;
-    for (const auto& entry : tag_group.second) {
-      if (entry.second.add) {
-        adds.push_back(entry.first);
-      } else {
-        removes.push_back(entry.first);
+    // Each (value, oid) appears once in the collapsed group, so chunks may apply in
+    // any split without reordering an add against its remove.
+    const size_t chunk = std::max<size_t>(1, volume_->MaxCreditMutations() - 1);
+    auto entry = tag_group.second.begin();
+    while (entry != tag_group.second.end()) {
+      std::vector<std::pair<std::string, index::ObjectId>> adds;
+      std::vector<std::pair<std::string, index::ObjectId>> removes;
+      for (; entry != tag_group.second.end() && adds.size() + removes.size() < chunk;
+           ++entry) {
+        (entry->second.add ? adds : removes).push_back(entry->first);
       }
+      // One Put or Delete per entry, plus the store's root sync. A credit that cannot
+      // be had (the volume is failing its checkpoints) must not strand acknowledged
+      // intents: the chunk applies regardless, and the checkpoint's own fit check
+      // still guards the journal.
+      auto credit = volume_->ReserveApplyCredit(osd::Osd::CreditUse::kApply,
+                                                adds.size() + removes.size() + 1);
+      Status s = store->ApplyBatch(adds, removes);
+      if (!s.ok() && first.ok()) first = s;
     }
-    Status s = store->ApplyBatch(adds, removes);
-    if (!s.ok() && first.ok()) first = s;
   }
   return first;
 }

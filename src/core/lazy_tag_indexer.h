@@ -21,9 +21,14 @@
 // ("osd/pending-foreign"), and recovery Seed()s the rebuilt queue.
 //
 // Lock order (docs/CONCURRENCY.md): mu_ here is a leaf lock on the enqueue side —
-// callers hold a tag shard lock (never the volume lock) when they block in
-// ReserveSlots. The worker acquires store locks / the volume lock only while NOT
-// holding mu_.
+// callers hold a tag shard lock (never the volume lock or a journal credit) when they
+// block in ReserveSlots. The worker acquires store locks / the volume lock only while
+// NOT holding mu_.
+//
+// The worker applies each batch in chunks, under one journal credit per chunk on the
+// volume the stores live on: a chunk of n posting mutations plus its root sync dirties
+// at most what n + 1 btree Puts can, and the credit is never held while waiting on
+// anything but the store locks.
 #ifndef HFAD_SRC_CORE_LAZY_TAG_INDEXER_H_
 #define HFAD_SRC_CORE_LAZY_TAG_INDEXER_H_
 
@@ -52,11 +57,12 @@ class LazyTagIndexer {
     index::TagValue name;
   };
 
-  // `indexes` must outlive this object. `queue_capacity` bounds acknowledged-but-
+  // `indexes` and `volume` (the volume the stores live on, where application credits
+  // are taken) must outlive this object. `queue_capacity` bounds acknowledged-but-
   // unapplied intents across all workers (mutators block in ReserveSlots beyond it);
   // `batch_limit` caps ops taken per worker application round; `worker_count` sets
   // how many application threads partition the tag space (see file comment).
-  LazyTagIndexer(index::IndexCollection* indexes, size_t queue_capacity,
+  LazyTagIndexer(index::IndexCollection* indexes, osd::Osd* volume, size_t queue_capacity,
                  size_t batch_limit = 256, size_t worker_count = 1);
   ~LazyTagIndexer();
 
@@ -64,9 +70,10 @@ class LazyTagIndexer {
   LazyTagIndexer& operator=(const LazyTagIndexer&) = delete;
 
   // Block until n queue slots are free, then reserve them. MUST be called before the
-  // caller takes the volume lock: blocking on the worker while holding the volume lock
-  // shared deadlocks against a waiting checkpoint (writer-priority) that the worker's
-  // own store writes queue behind. Batches larger than the capacity are admitted once
+  // caller takes the volume lock or a journal credit: blocking on the worker while
+  // holding the volume lock shared deadlocks against a waiting checkpoint
+  // (writer-priority) that the worker's own store writes queue behind, and the worker
+  // may itself wait for a credit. Batches larger than the capacity are admitted once
   // the queue is fully empty.
   void ReserveSlots(size_t n);
 
@@ -106,7 +113,8 @@ class LazyTagIndexer {
  private:
   void WorkerMain(size_t worker);
 
-  // Apply one popped batch to the posting stores. Called with mu_ NOT held.
+  // Apply one popped batch to the posting stores, one credited chunk at a time. Called
+  // with mu_ NOT held.
   Status ApplyOps(const std::vector<Op>& ops);
 
   // Which worker owns a tag. All state stays under the single mu_; only the
@@ -119,6 +127,7 @@ class LazyTagIndexer {
   size_t UsedLocked() const;
 
   index::IndexCollection* const indexes_;
+  osd::Osd* const volume_;
   const size_t capacity_;
   const size_t batch_limit_;
   const size_t worker_count_;

@@ -257,6 +257,24 @@ class ExtentTree::Impl {
     return CountExtentsRec(root_);
   }
 
+  Result<int> Height() const {
+    HFAD_RETURN_IF_ERROR(root_status_);
+    int h = 0;
+    for (uint64_t off = root_; off != 0;) {
+      HFAD_ASSIGN_OR_RETURN(PageRef page, pager_->Get(off));
+      h++;
+      if (PageType(*page) == kExtentLeaf) {
+        break;
+      }
+      if (Count(*page) == 0) {
+        return Status::Corruption("empty extent interior page " + std::to_string(off));
+      }
+      off = GetEntry(*page, 0).a;
+    }
+    pager_->NoteTreeHeight(h);
+    return h;
+  }
+
   Status CheckInvariants() const {
     HFAD_RETURN_IF_ERROR(root_status_);
     if (root_ == 0) {
@@ -717,6 +735,7 @@ Status ExtentTree::RemoveRange(uint64_t offset, uint64_t length) {
 }
 Status ExtentTree::Clear() { return impl_->Clear(); }
 Result<uint64_t> ExtentTree::CountExtents() const { return impl_->CountExtents(); }
+Result<int> ExtentTree::Height() const { return impl_->Height(); }
 Status ExtentTree::CheckInvariants() const { return impl_->CheckInvariants(); }
 
 }  // namespace extent

@@ -77,6 +77,11 @@ class ExtentTree {
   // Number of extents in the map (test/bench support).
   Result<uint64_t> CountExtents() const;
 
+  // Tree height (0 for empty, 1 for a single leaf), by one descent of the leftmost path;
+  // also reported to the pager (Pager::NoteTreeHeight). The OSD asks before it splices
+  // into the tree, so the journal credit it holds covers the tree's path.
+  Result<int> Height() const;
+
   // Verify interior byte totals match children, entry sanity, and type bytes. Expensive.
   Status CheckInvariants() const;
 

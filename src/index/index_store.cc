@@ -111,8 +111,12 @@ KeyValueIndexStore::KeyValueIndexStore(osd::Osd* volume, std::string tag, uint64
 Result<std::unique_ptr<KeyValueIndexStore>> KeyValueIndexStore::Mount(osd::Osd* volume,
                                                                       std::string tag) {
   HFAD_ASSIGN_OR_RETURN(uint64_t root, volume->GetNamedRoot("index/" + tag));
-  return std::unique_ptr<KeyValueIndexStore>(
+  std::unique_ptr<KeyValueIndexStore> store(
       new KeyValueIndexStore(volume, std::move(tag), root));
+  // Report the tree's height to the volume before any journal credit is sized for it
+  // (an unreadable page surfaces on the first real access instead).
+  (void)store->tree_->Height();
+  return store;
 }
 
 Status KeyValueIndexStore::SyncRoot() {
@@ -557,7 +561,9 @@ FullTextIndexStore::FullTextIndexStore(osd::Osd* volume, uint64_t root)
 
 Result<std::unique_ptr<FullTextIndexStore>> FullTextIndexStore::Mount(osd::Osd* volume) {
   HFAD_ASSIGN_OR_RETURN(uint64_t root, volume->GetNamedRoot("index/FULLTEXT"));
-  return std::unique_ptr<FullTextIndexStore>(new FullTextIndexStore(volume, root));
+  std::unique_ptr<FullTextIndexStore> store(new FullTextIndexStore(volume, root));
+  (void)store->tree_->Height();  // As in KeyValueIndexStore::Mount.
+  return store;
 }
 
 Status FullTextIndexStore::SyncRoot() {

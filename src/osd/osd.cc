@@ -31,8 +31,42 @@ constexpr uint8_t kRtPageImage = 200;
 constexpr uint8_t kRtAllocSnapshot = 201;
 constexpr uint8_t kRtCheckpointCommit = 202;
 
-// Reservation slack per op for btree page dirtying beyond the payload itself.
-constexpr uint64_t kOpEpilogueSlack = 64 * 1024;
+// Journal bytes one dirty page takes in a checkpoint epilogue (a page-image record).
+constexpr uint64_t kPageImageBytes = journal::kRecordHeaderSize + 1 + 8 + kPageSize;
+// Allocator-snapshot bytes one live allocation may take (varint offset and order).
+constexpr uint64_t kAllocEntryBytes = 16;
+// Journal bytes a credit reserves per page it may dirty: the page's image, and the
+// snapshot entry the page adds when it is new.
+constexpr uint64_t kPageCredit = kPageImageBytes + kAllocEntryBytes;
+// Framing of the epilogue's allocator-snapshot and commit records: two headers, the
+// types, the snapshot's entry count and the commit's three fixed64 fields.
+constexpr uint64_t kEpilogueFraming = 2 * journal::kRecordHeaderSize + 64;
+// Epilogue a full-text record keeps reserved until the next checkpoint (kContent).
+constexpr uint64_t kContentCredit = 64 * 1024;
+// Backstop checkpoints one reservation may run before it gives up with NoSpace.
+constexpr int kMaxBackstopCheckpoints = 8;
+
+uint64_t DivCeil(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
+
+// Pages one btree Put or Delete can dirty in a tree of height h: the root-to-leaf path,
+// one new page per level it splits plus a new root, and the right sibling whose back
+// link a leaf split rewrites.
+uint64_t PutPages(int h) { return 2 * static_cast<uint64_t>(h) + 2; }
+
+// Pages splicing k fresh extents into one spot of an extent tree of height h can dirty:
+// the root-to-leaf path, and per leaf split one new page per level plus a new root. A
+// split leaves at most 128 of a leaf's 254 entries beside the splice point, so each
+// further split takes at least 126 more extents.
+uint64_t SplicePages(int h, uint64_t k) {
+  if (k == 0) {
+    return 0;
+  }
+  const uint64_t levels = static_cast<uint64_t>(h);
+  return levels + (levels + 1) * (1 + (k - 1) / 126);
+}
+
+// Extents a splice of n bytes writes (extents hold at most kMaxExtentSize bytes).
+uint64_t ExtentsFor(uint64_t n) { return DivCeil(n, extent::kMaxExtentSize); }
 
 // Named root of the btree holding journaled-but-unapplied foreign payloads across a
 // checkpoint's journal reset (see SetUnappliedForeignProvider).
@@ -400,7 +434,6 @@ Result<std::unique_ptr<Osd>> Osd::Open(std::shared_ptr<BlockDevice> device,
                                 ": " + s.ToString());
     }
   }
-  osd->in_recovery_ = false;
   if (osd->checksums_) {
     // Every stale entry has been restamped by now (redo images directly, raw
     // overwrites by their replayed — force-synced, hence present — records).
@@ -411,12 +444,20 @@ Result<std::unique_ptr<Osd>> Osd::Open(std::shared_ptr<BlockDevice> device,
   // if the surviving journal content leaves no room for this checkpoint's epilogue,
   // empty the journal first — the physical redo above is already durable, so only ops
   // replayed from the logical suffix would be exposed to a crash inside the retry.
+  // (Still in recovery: the journal replayed here was never under the live accounting,
+  // so a miss is NoSpace, not an overflow.)
   Status ck = osd->CheckpointLocked();
   if (ck.IsNoSpace()) {
     HFAD_RETURN_IF_ERROR(osd->journal_->Reset());
     ck = osd->CheckpointLocked();
   }
+  osd->in_recovery_ = false;
   HFAD_RETURN_IF_ERROR(ck);
+  // Report both tables' heights before the first op sizes a credit from the bound (not
+  // earlier: a page read before the redo above would cache what the redo overwrites).
+  // An unreadable page surfaces on the first real access instead.
+  (void)osd->object_table_->Height();
+  (void)osd->named_roots_->Height();
   osd->StartCheckpointThread();
   if (osd->scrubber_) {
     osd->scrubber_->Start();
@@ -484,23 +525,6 @@ void Osd::StopCheckpointThread() {
                     std::memory_order_relaxed);
 }
 
-void Osd::MaybeKickCheckpoint() {
-  if (!checkpoint_thread_.joinable() ||
-      journal_->Occupancy() < options_.checkpoint_kick_occupancy) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    if (ckpt_requested_ || ckpt_shutdown_) {
-      return;  // Already kicked (or shutting down); the thread will re-check occupancy.
-    }
-    ckpt_requested_ = true;
-    ckpt_state_.store(static_cast<int>(CheckpointerState::kKicked),
-                      std::memory_order_relaxed);
-  }
-  ckpt_cv_.notify_one();
-}
-
 void Osd::CheckpointThreadMain() {
   for (;;) {
     {
@@ -517,7 +541,7 @@ void Osd::CheckpointThreadMain() {
                         std::memory_order_relaxed);
     }
     // An IO error here is not fatal to ops: the journal simply keeps filling and the
-    // synchronous NoSpace backstop in EnsureJournalSpace reports it on the op path.
+    // synchronous backstop in Reserve reports it on the op path.
     trace::OpScope op("bg_checkpoint");
     (void)Checkpoint();
   }
@@ -572,17 +596,217 @@ Status Osd::ScrubNow(ScrubReport* report) {
 
 // ---------------------------------------------------------------- journaling core
 
-Status Osd::JournalRecord(Slice payload, uint64_t reserved, bool force_sync) {
+Osd::JournalCredit& Osd::JournalCredit::operator=(JournalCredit&& other) noexcept {
+  if (this != &other) {
+    Release();
+    osd_ = std::exchange(other.osd_, nullptr);
+    logical_ = std::exchange(other.logical_, 0);
+    epilogue_ = std::exchange(other.epilogue_, 0);
+    use_ = other.use_;
+  }
+  return *this;
+}
+
+void Osd::JournalCredit::Release() {
+  if (osd_ != nullptr) {
+    osd_->ReleaseCredit(this);
+    osd_ = nullptr;
+  }
+}
+
+void Osd::ReleaseCredit(JournalCredit* credit) {
+  {
+    std::lock_guard<std::mutex> lock(journal_mu_);
+    logical_reserved_ -= credit->logical_;
+    if (credit->use_ == CreditUse::kApply) {
+      apply_credits_ -= credit->epilogue_;
+    } else {
+      naming_credits_ -= credit->epilogue_;
+      if (credit->use_ == CreditUse::kContent) {
+        until_checkpoint_ += credit->epilogue_;
+      }
+    }
+  }
+  credit->logical_ = 0;
+  credit->epilogue_ = 0;
+  credit_cv_.notify_all();
+}
+
+Osd::Fill Osd::FillLocked() const {
+  const uint64_t capacity = sb_.journal_size - journal::kRecordHeaderSize;
+  const uint64_t used = capacity - std::min(capacity, journal_->SpaceRemaining());
+  uint64_t deferred_pages = 0;
+  if (deferred_foreign_bytes_ > 0) {
+    // A snapshot tree built by appends has leaves at least half full, each interior
+    // page routes at least 64 of them, and re-registering its root is one Put.
+    const uint64_t leaves = DivCeil(deferred_foreign_bytes_, (kPageSize - 64) / 2);
+    deferred_pages = leaves + DivCeil(leaves, 64) + PutPages(pager_->tree_height_bound());
+  }
+  Fill fill;
+  fill.floor = allocator_->allocation_count() * kAllocEntryBytes + kEpilogueFraming +
+               pending_foreign_pages_ * kPageImageBytes;
+  // The deferred records' bound is reclaimable: the checkpoint that snapshots them
+  // measures the pages afresh, and their retention may have been trimmed since.
+  fill.reclaimable = used + (pager_->dirty_pages() + deferred_pages) * kPageImageBytes +
+                     until_checkpoint_;
+  fill.total = fill.reclaimable + fill.floor + logical_reserved_ + apply_credits_ +
+               naming_credits_;
+  return fill;
+}
+
+Result<Osd::JournalCredit> Osd::Reserve(uint64_t logical, uint64_t epilogue,
+                                        CreditUse use) {
+  JournalCredit credit;
+  if (!options_.journaling || in_recovery_) {
+    return credit;
+  }
+  const uint64_t capacity = sb_.journal_size - journal::kRecordHeaderSize;
+  const bool naming = use != CreditUse::kApply;
+  if (naming) {
+    // A lone naming credit may exceed the quarter cap, but never half the journal: it
+    // must still fit beside its own record. The per-Put bound is far above what a big
+    // batch really dirties, and the checkpoint's own fit check stays the backstop.
+    epilogue = std::min(epilogue, capacity / 2);
+  }
+  const uint64_t need = logical + epilogue;
+  // Refused only when it cannot fit an empty journal: a record beside the naming
+  // credits its op may hold (at most half the journal), anything else on its own. Below,
+  // also when it cannot fit beside the floor a checkpoint leaves behind.
+  const uint64_t beside = logical > 0 ? capacity / 2 : 0;
+  auto never_fits = [&] {
+    return Status::InvalidArgument("a reservation of " + std::to_string(need) +
+                                   " bytes can never fit the " +
+                                   std::to_string(sb_.journal_size) + "-byte journal");
+  };
+  if (need + beside + kEpilogueFraming > capacity) {
+    return never_fits();
+  }
+  const uint64_t kick_bytes =
+      static_cast<uint64_t>(options_.checkpoint_kick_occupancy * sb_.journal_size);
+  bool kick = false;
+  std::unique_lock<std::mutex> lock(journal_mu_);
+  // The naming cap: a quarter of what a checkpoint leaves beside its floor, so a
+  // record fits beside the naming credits once a checkpoint has run and the apply
+  // credits are back, and none of the waits below can deadlock. Re-checked wherever
+  // journal_mu_ was let go.
+  auto over_cap = [&](const Fill& fill) {
+    const uint64_t room = capacity - std::min(capacity, fill.floor);
+    return naming && naming_credits_ > 0 && naming_credits_ + epilogue > room / 4;
+  };
+  auto take = [&](const Fill& fill) {
+    if (over_cap(fill) || fill.total + need > capacity) {
+      return false;
+    }
+    logical_reserved_ += logical;
+    (naming ? naming_credits_ : apply_credits_) += epilogue;
+    credit.osd_ = this;
+    credit.logical_ = logical;
+    credit.epilogue_ = epilogue;
+    credit.use_ = use;
+    kick = fill.total + need >= kick_bytes;
+    return true;
+  };
+  for (int checkpoints = 0;;) {
+    const Fill fill = FillLocked();
+    if (need + fill.floor > capacity) {
+      return never_fits();
+    }
+    if (over_cap(fill)) {
+      credit_cv_.wait(lock);  // Wait holding nothing.
+      continue;
+    }
+    if (take(fill)) {
+      break;
+    }
+    // Credits whose holders never wait on another reservation can be waited for. A
+    // record or naming credit never waits on naming credits: their holders may be
+    // waiting on it.
+    const uint64_t waitable =
+        logical_reserved_ + apply_credits_ + (naming || logical > 0 ? 0 : naming_credits_);
+    if (fill.reclaimable > 0 &&
+        (waitable == 0 || fill.total - fill.reclaimable + need <= capacity)) {
+      // The backstop: appended bytes, dirty pages or the deferred records' bound stand
+      // in the way. Checkpoint and re-reserve while still holding the volume lock, so
+      // rival threads cannot refill the journal first and starve this op.
+      if (checkpoints++ == kMaxBackstopCheckpoints) {
+        return Status::NoSpace("journal cannot accommodate " + std::to_string(need) +
+                               " bytes even after checkpoint");
+      }
+      lock.unlock();
+      std::unique_lock<std::shared_mutex> vlock(volume_mu_);
+      lock.lock();
+      const Fill queued = FillLocked();
+      if (over_cap(queued)) {
+        continue;
+      }
+      if (take(queued)) {
+        break;  // A checkpoint that ran while this one queued for the lock made room.
+      }
+      lock.unlock();
+      Status s = CheckpointInline();
+      lock.lock();
+      HFAD_RETURN_IF_ERROR(s);
+      if (take(FillLocked())) {
+        break;
+      }
+      continue;
+    }
+    if (waitable == 0) {
+      // Only the floor and naming credits stand in the way.
+      return Status::NoSpace("journal cannot accommodate " + std::to_string(need) +
+                             " bytes beside the credits held");
+    }
+    credit_cv_.wait(lock);  // Only credits held by others stand in the way.
+  }
+  lock.unlock();
+  if (kick) {
+    RequestCheckpoint();
+  }
+  return credit;
+}
+
+Result<Osd::JournalCredit> Osd::ReserveApplyCredit(CreditUse use, size_t mutations) {
+  const uint64_t epilogue =
+      use == CreditUse::kContent
+          ? kContentCredit
+          : mutations * PutPages(pager_->tree_height_bound()) * kPageCredit;
+  return Reserve(0, epilogue, use);
+}
+
+size_t Osd::MaxCreditMutations() const {
+  const uint64_t quarter = (sb_.journal_size - journal::kRecordHeaderSize) / 4;
+  return std::max<size_t>(1, quarter / (PutPages(pager_->tree_height_bound()) * kPageCredit));
+}
+
+uint64_t Osd::CreditEpilogue(const OpCost& cost) const {
+  const int h = pager_->tree_height_bound();
+  // One object-table Put or Delete; the splice; and for a cut, the path it shrinks at
+  // the cut's start and the two boundary paths of the extents it drops.
+  const uint64_t pages = PutPages(h) + SplicePages(h, cost.fresh_extents) +
+                         (cost.cuts ? 3 * static_cast<uint64_t>(h) : 0);
+  return pages * kPageCredit + cost.fresh_extents * kAllocEntryBytes;
+}
+
+Status Osd::JournalRecord(JournalCredit* credit, Slice payload, bool force_sync,
+                          bool deferred) {
   uint64_t seq = 0;
   {
     std::lock_guard<std::mutex> lock(journal_mu_);
-    logical_reserved_ -= std::min(logical_reserved_, reserved);
+    logical_reserved_ -= credit->logical_;
+    credit->logical_ = 0;
+    if (deferred) {
+      // The record may come back in the next snapshot as its retained copy plus one
+      // re-framed intent per op it carries, each a tree cell with an 8-byte key: for
+      // ops of at least 8 bytes, at most four times the record plus one cell.
+      deferred_foreign_bytes_ += 4 * payload.size() + 16;
+    }
     auto seq_or = journal_->Append(payload);
     if (!seq_or.ok()) {
       return seq_or.status();
     }
     seq = *seq_or;
   }
+  credit_cv_.notify_all();
   if (force_sync || !options_.group_commit) {
     // Outside journal_mu_: the journal's commit chain does the fsync, and concurrent
     // appenders must be able to ride (or simply ignore) it.
@@ -591,66 +815,48 @@ Status Osd::JournalRecord(Slice payload, uint64_t reserved, bool force_sync) {
   return Status::Ok();
 }
 
+Status Osd::JournalThenApply(ObjectId oid, OpCost cost, const PrepareFn& prepare,
+                             const ApplyFn& apply) {
+  HFAD_RETURN_IF_ERROR(CheckWritable());
+  if (!options_.journaling || in_recovery_) {
+    std::shared_lock<std::shared_mutex> vlock(volume_mu_);
+    auto olock = object_mu_.LockExclusive(oid);
+    return apply(NowNs());
+  }
+  for (;;) {
+    const uint64_t epilogue = CreditEpilogue(cost);
+    Result<JournalCredit> credit =
+        Reserve(cost.record_bytes + journal::kRecordHeaderSize, epilogue, CreditUse::kApply);
+    if (credit.status().IsInvalidArgument()) {
+      // Too large to journal beside its epilogue: apply under the exclusive lock and
+      // checkpoint at once, so no later record can depend on unjournaled state.
+      HFAD_ASSIGN_OR_RETURN(JournalCredit apply_credit, Reserve(0, epilogue, CreditUse::kApply));
+      std::unique_lock<std::shared_mutex> vlock(volume_mu_);
+      HFAD_RETURN_IF_ERROR(apply(NowNs()));
+      return CheckpointInline();
+    }
+    HFAD_RETURN_IF_ERROR(credit.status());
+    std::shared_lock<std::shared_mutex> vlock(volume_mu_);
+    auto olock = object_mu_.LockExclusive(oid);
+    const uint64_t now = NowNs();
+    std::string record;
+    bool force_sync = false;
+    HFAD_RETURN_IF_ERROR(prepare(now, &cost, &record, &force_sync));
+    if (CreditEpilogue(cost) > epilogue) {
+      continue;  // A taller tree or a larger splice than credited: re-reserve.
+    }
+    HFAD_RETURN_IF_ERROR(JournalRecord(&*credit, record, force_sync));
+    return apply(now);
+  }
+}
+
 // Object size with the object + volume locks already held.
 Result<uint64_t> Osd::LockedSize(ObjectId oid) const {
   HFAD_ASSIGN_OR_RETURN(std::string raw, object_table_->Get(OidKey(oid)));
   HFAD_ASSIGN_OR_RETURN(ObjectRecord rec, DecodeRecord(raw));
+  extent::ExtentTree tree(pager_.get(), allocator_.get(), rec.extent_root);
+  HFAD_RETURN_IF_ERROR(tree.Height().status());
   return rec.meta.size;
-}
-
-Result<bool> Osd::EnsureJournalSpace(uint64_t record_bytes, uint64_t* reserved) {
-  *reserved = 0;
-  if (!options_.journaling || in_recovery_) {
-    return true;
-  }
-  const uint64_t logical_need = record_bytes + journal::kRecordHeaderSize;
-  const uint64_t epilogue_need = record_bytes + kOpEpilogueSlack;
-  // An op this large can never coexist with its own epilogue: exclusive path.
-  if (2 * (logical_need + epilogue_need) > sb_.journal_size) {
-    return false;
-  }
-  auto try_reserve = [&]() {
-    std::lock_guard<std::mutex> lock(journal_mu_);
-    uint64_t committed_epilogue =
-        pager_->dirty_pages() * (kPageSize + 32) + allocator_->allocation_count() * 16 +
-        4096;
-    uint64_t available = journal_->SpaceRemaining();
-    uint64_t needed =
-        logical_need + epilogue_need + logical_reserved_ + epilogue_reserved_ +
-        committed_epilogue;
-    if (available < needed) {
-      return false;
-    }
-    logical_reserved_ += logical_need;
-    epilogue_reserved_ += epilogue_need;
-    *reserved = logical_need;
-    return true;
-  };
-  // Fast path: the reservation fits. Kick the background checkpointer when occupancy
-  // crosses the threshold so the journal is usually emptied long before any op has to
-  // fall into the synchronous backstop below — a tag storm then never stalls an op
-  // behind a full checkpoint on its own path.
-  if (try_reserve()) {
-    MaybeKickCheckpoint();
-    return true;
-  }
-  // Backstop. The structural check above guarantees an op this size fits an empty
-  // journal, so a failed reservation is transient pressure from concurrent reservers
-  // (or a background checkpoint that has not finished yet). Checkpoint and re-reserve
-  // *while still holding the volume lock*: re-checking only on the next loop iteration
-  // would let rival threads refill the reservation budget first and starve this op
-  // (observed as spurious NoSpace under an 8-thread tag storm once the tag path got
-  // fast enough). The retry bound covers reservations that slip in between our
-  // checkpoint and re-check.
-  for (int attempt = 0; attempt < 8; attempt++) {
-    std::unique_lock<std::shared_mutex> vlock(volume_mu_);
-    HFAD_RETURN_IF_ERROR(CheckpointInline());
-    if (try_reserve()) {
-      return true;
-    }
-  }
-  return Status::NoSpace("journal cannot accommodate op of " +
-                         std::to_string(record_bytes) + " bytes even after checkpoint");
 }
 
 Status Osd::PersistUnappliedForeign() {
@@ -699,8 +905,12 @@ Status Osd::CheckpointLocked() {
   // Persist the unapplied foreign set FIRST: the rewritten btree pages are dirty by the
   // time the epilogue below collects page images, so the snapshot commits (or not)
   // atomically with this checkpoint — the journal reset at the end can then never
-  // orphan an acknowledged-but-unapplied intent.
+  // orphan an acknowledged-but-unapplied intent. The pages it dirties are what the
+  // next checkpoint's snapshot is accounted at until then.
+  const size_t dirty_before = pager_->dirty_pages();
   HFAD_RETURN_IF_ERROR(PersistUnappliedForeign());
+  const size_t dirty_after = pager_->dirty_pages();
+  const uint64_t snapshot_pages = dirty_after > dirty_before ? dirty_after - dirty_before : 0;
   if (options_.journaling) {
     HFAD_RETURN_IF_ERROR(journal_->Commit());
   }
@@ -716,6 +926,22 @@ Status Osd::CheckpointLocked() {
     // record; one group commit makes the checkpoint redo-able.
     std::vector<std::pair<uint64_t, std::string>> dirty;
     pager_->CollectDirty(&dirty);
+    // Check the whole epilogue fits before appending any of it: a partial epilogue
+    // would only strand the journal. The reservation accounting promises room.
+    const uint64_t epilogue = dirty.size() * kPageImageBytes +
+                              (journal::kRecordHeaderSize + 1 + alloc_snap.size()) +
+                              (journal::kRecordHeaderSize + 1 + 3 * 8);
+    const uint64_t room = journal_->SpaceRemaining();
+    if (epilogue > room) {
+      const std::string what = "checkpoint epilogue of " + std::to_string(epilogue) +
+                               " bytes exceeds the " + std::to_string(room) +
+                               " bytes left in the journal";
+      if (in_recovery_) {
+        return Status::NoSpace(what);
+      }
+      stats::Add(stats::Counter::kCheckpointEpilogueOverflows);
+      return Status::Internal(what);
+    }
     for (const auto& [off, image] : dirty) {
       std::string rec;
       rec.push_back(static_cast<char>(kRtPageImage));
@@ -789,9 +1015,13 @@ Status Osd::CheckpointLocked() {
     HFAD_RETURN_IF_ERROR(journal_->Reset());
   }
   {
+    // Credits ops still hold are theirs: only what was kept for this checkpoint resets.
     std::lock_guard<std::mutex> lock(journal_mu_);
-    epilogue_reserved_ = 0;
+    until_checkpoint_ = 0;
+    deferred_foreign_bytes_ = 0;
+    pending_foreign_pages_ = snapshot_pages;
   }
+  credit_cv_.notify_all();
   // The checkpoint succeeded: everything applied to this volume before the quiesce is
   // durable. Tell the registered listener (OsdCluster retention trimming) last, still
   // under the exclusive volume lock, so nothing can apply-and-mark between the page
@@ -833,31 +1063,14 @@ Status Osd::Sync() {
   return journal_->Commit();
 }
 
-Status Osd::AppendForeign(Slice payload) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  if (!options_.journaling) {
-    return Status::Ok();  // No journal: higher layers get checkpoint durability only.
-  }
-  if (in_recovery_) {
-    return Status::Ok();  // Replay must not re-journal.
-  }
-  std::string rec;
-  rec.push_back(static_cast<char>(kRtForeign));
-  rec.append(payload.data(), payload.size());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(rec.size(), &reserved));
-  if (!fits) {
-    return Status::InvalidArgument("foreign record too large for the journal");
-  }
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  return JournalRecord(rec, reserved);
-}
+Status Osd::AppendForeign(Slice payload) { return AppendForeign(payload, nullptr); }
 
 Status Osd::AppendForeign(Slice payload, const std::function<void()>& with_lock) {
   HFAD_RETURN_IF_ERROR(CheckWritable());
   if (!options_.journaling) {
-    // No record to write, but the callback still needs the volume lock so its effect
-    // is atomic against a checkpoint's unapplied-foreign snapshot.
+    // No record to write (higher layers get checkpoint durability only), but the
+    // callback still needs the volume lock so its effect is atomic against a
+    // checkpoint's unapplied-foreign snapshot.
     std::shared_lock<std::shared_mutex> vlock(volume_mu_);
     if (with_lock) {
       with_lock();
@@ -870,13 +1083,17 @@ Status Osd::AppendForeign(Slice payload, const std::function<void()>& with_lock)
   std::string rec;
   rec.push_back(static_cast<char>(kRtForeign));
   rec.append(payload.data(), payload.size());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(rec.size(), &reserved));
-  if (!fits) {
+  // The record alone: its callbacks dirty no pages, and the apply that follows it runs
+  // under the caller's own credit.
+  Result<JournalCredit> credit =
+      Reserve(rec.size() + journal::kRecordHeaderSize, 0, CreditUse::kApply);
+  if (credit.status().IsInvalidArgument()) {
     return Status::InvalidArgument("foreign record too large for the journal");
   }
+  HFAD_RETURN_IF_ERROR(credit.status());
   std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  HFAD_RETURN_IF_ERROR(JournalRecord(rec, reserved));
+  HFAD_RETURN_IF_ERROR(
+      JournalRecord(&*credit, rec, /*force_sync=*/false, /*deferred=*/with_lock != nullptr));
   if (with_lock) {
     with_lock();
   }
@@ -983,47 +1200,25 @@ Status Osd::ReplayRecord(Slice payload, const ForeignReplayFn& replay_foreign) {
 
 // ---------------------------------------------------------------- lifecycle ops
 
-Result<ObjectId> Osd::CreateObject() {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  std::string rec_payload;
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(32, &reserved));
-  (void)fits;  // A create record always fits.
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  ObjectId oid = next_oid_.fetch_add(1);
-  auto olock = object_mu_.LockExclusive(oid);
-  uint64_t now = NowNs();
-  if (options_.journaling && !in_recovery_) {
-    rec_payload.push_back(static_cast<char>(kRtCreate));
-    PutVarint64(&rec_payload, oid);
-    PutFixed64(&rec_payload, now);
-    HFAD_RETURN_IF_ERROR(JournalRecord(rec_payload, reserved));
-  }
-  HFAD_RETURN_IF_ERROR(DoCreate(oid, now).status());
-  return oid;
-}
+Result<ObjectId> Osd::CreateObject() { return CreateObjectAt(next_oid_.fetch_add(1)); }
 
 Result<ObjectId> Osd::CreateObjectAt(ObjectId oid) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  std::string rec_payload;
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(32, &reserved));
-  (void)fits;  // A create record always fits.
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  // Advance the counter past the chosen id (same CAS loop as replay) so a later
-  // CreateObject() on this volume can never collide with it.
-  uint64_t expect = next_oid_.load();
-  while (expect <= oid && !next_oid_.compare_exchange_weak(expect, oid + 1)) {
-  }
-  auto olock = object_mu_.LockExclusive(oid);
-  uint64_t now = NowNs();
-  if (options_.journaling && !in_recovery_) {
-    rec_payload.push_back(static_cast<char>(kRtCreate));
-    PutVarint64(&rec_payload, oid);
-    PutFixed64(&rec_payload, now);
-    HFAD_RETURN_IF_ERROR(JournalRecord(rec_payload, reserved));
-  }
-  HFAD_RETURN_IF_ERROR(DoCreate(oid, now).status());
+  HFAD_RETURN_IF_ERROR(JournalThenApply(
+      oid, OpCost{},
+      [&](uint64_t now, OpCost*, std::string* rec, bool*) {
+        rec->push_back(static_cast<char>(kRtCreate));
+        PutVarint64(rec, oid);
+        PutFixed64(rec, now);
+        return Status::Ok();
+      },
+      [&](uint64_t now) {
+        // Advance the counter past the chosen id (same CAS loop as replay) so a later
+        // CreateObject() on this volume can never collide with it.
+        uint64_t expect = next_oid_.load();
+        while (expect <= oid && !next_oid_.compare_exchange_weak(expect, oid + 1)) {
+        }
+        return DoCreate(oid, now).status();
+      }));
   return oid;
 }
 
@@ -1043,22 +1238,17 @@ Result<ObjectId> Osd::DoCreate(ObjectId oid, uint64_t now_ns) {
 }
 
 Status Osd::DeleteObject(ObjectId oid) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(32, &reserved));
-  (void)fits;
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  auto olock = object_mu_.LockExclusive(oid);
-  if (options_.journaling && !in_recovery_) {
-    if (!object_table_->Contains(OidKey(oid))) {
-      return Status::NotFound("no object " + std::to_string(oid));
-    }
-    std::string rec;
-    rec.push_back(static_cast<char>(kRtDelete));
-    PutVarint64(&rec, oid);
-    HFAD_RETURN_IF_ERROR(JournalRecord(rec, reserved));
-  }
-  return DoDelete(oid);
+  return JournalThenApply(
+      oid, OpCost{},
+      [&](uint64_t, OpCost*, std::string* rec, bool*) {
+        if (!object_table_->Contains(OidKey(oid))) {
+          return Status::NotFound("no object " + std::to_string(oid));
+        }
+        rec->push_back(static_cast<char>(kRtDelete));
+        PutVarint64(rec, oid);
+        return Status::Ok();
+      },
+      [&](uint64_t) { return DoDelete(oid); });
 }
 
 Status Osd::DoDelete(ObjectId oid) {
@@ -1088,6 +1278,14 @@ double Osd::journal_occupancy() const {
   return options_.journaling ? journal_->Occupancy() : 0.0;
 }
 
+double Osd::journal_reserved() const {
+  if (!options_.journaling) {
+    return 0.0;
+  }
+  std::lock_guard<std::mutex> lock(journal_mu_);
+  return static_cast<double>(FillLocked().total) / static_cast<double>(sb_.journal_size);
+}
+
 uint64_t Osd::journal_pending_records() const {
   return options_.journaling ? journal_->pending_records() : 0;
 }
@@ -1102,6 +1300,7 @@ std::string Osd::DumpMetrics() const {
 
   w.Key("gauges").BeginObject();
   w.Key("journal_occupancy_pct").Value(journal_occupancy() * 100.0);
+  w.Key("journal_reserved_pct").Value(journal_reserved() * 100.0);
   w.Key("journal_pending_records").Value(journal_pending_records());
   w.Key("pager_resident_pages").Value(static_cast<uint64_t>(pager_->cached_pages()));
   w.Key("pager_dirty_pages").Value(static_cast<uint64_t>(pager_->dirty_pages()));
@@ -1178,27 +1377,21 @@ Result<ObjectMeta> Osd::Stat(ObjectId oid) const {
 }
 
 Status Osd::SetAttributes(ObjectId oid, uint32_t mode, uint32_t uid, uint32_t gid) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(32, &reserved));
-  (void)fits;
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  auto olock = object_mu_.LockExclusive(oid);
-  uint64_t now = NowNs();
-  if (options_.journaling && !in_recovery_) {
-    if (!object_table_->Contains(OidKey(oid))) {
-      return Status::NotFound("no object " + std::to_string(oid));
-    }
-    std::string rec;
-    rec.push_back(static_cast<char>(kRtSetAttr));
-    PutVarint64(&rec, oid);
-    PutVarint32(&rec, mode);
-    PutVarint32(&rec, uid);
-    PutVarint32(&rec, gid);
-    PutFixed64(&rec, now);
-    HFAD_RETURN_IF_ERROR(JournalRecord(rec, reserved));
-  }
-  return DoSetAttributes(oid, mode, uid, gid, now);
+  return JournalThenApply(
+      oid, OpCost{},
+      [&](uint64_t now, OpCost*, std::string* rec, bool*) {
+        if (!object_table_->Contains(OidKey(oid))) {
+          return Status::NotFound("no object " + std::to_string(oid));
+        }
+        rec->push_back(static_cast<char>(kRtSetAttr));
+        PutVarint64(rec, oid);
+        PutVarint32(rec, mode);
+        PutVarint32(rec, uid);
+        PutVarint32(rec, gid);
+        PutFixed64(rec, now);
+        return Status::Ok();
+      },
+      [&](uint64_t now) { return DoSetAttributes(oid, mode, uid, gid, now); });
 }
 
 Status Osd::DoSetAttributes(ObjectId oid, uint32_t mode, uint32_t uid, uint32_t gid,
@@ -1258,100 +1451,83 @@ std::string EncodeDataRecord(uint8_t type, ObjectId oid, uint64_t offset, uint64
 }  // namespace
 
 Status Osd::Write(ObjectId oid, uint64_t offset, Slice data) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(data.size() + 64, &reserved));
-  if (!fits) {
-    // Op too large to journal: apply under an exclusive lock and checkpoint immediately,
-    // so no later journal record can depend on unjournaled state.
-    std::unique_lock<std::shared_mutex> vlock(volume_mu_);
-    HFAD_RETURN_IF_ERROR(DoWrite(oid, offset, data, NowNs()));
-    return CheckpointInline();
-  }
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  auto olock = object_mu_.LockExclusive(oid);
-  uint64_t now = NowNs();
-  if (options_.journaling && !in_recovery_) {
-    HFAD_ASSIGN_OR_RETURN(uint64_t size, LockedSize(oid));
-    if (offset > size) {
-      return Status::OutOfRange("write at " + std::to_string(offset) + " past end " +
-                                std::to_string(size));
-    }
-    // Overwrites clobber live payload bytes in place (raw IO, not no-steal cached), so
-    // the redo record must be durable first.
-    bool overwrite = offset < size;
-    HFAD_RETURN_IF_ERROR(JournalRecord(EncodeDataRecord(kRtWrite, oid, offset, now, data),
-                                       reserved, overwrite));
-  }
-  return DoWrite(oid, offset, data, now);
+  OpCost cost;
+  cost.record_bytes = data.size() + 64;
+  cost.fresh_extents = ExtentsFor(data.size());  // At most all of it lands past the end.
+  return JournalThenApply(
+      oid, cost,
+      [&](uint64_t now, OpCost*, std::string* rec, bool* force_sync) {
+        HFAD_ASSIGN_OR_RETURN(uint64_t size, LockedSize(oid));
+        if (offset > size) {
+          return Status::OutOfRange("write at " + std::to_string(offset) + " past end " +
+                                    std::to_string(size));
+        }
+        // Overwrites clobber live payload bytes in place (raw IO, not no-steal cached),
+        // so the redo record must be durable first.
+        *force_sync = offset < size;
+        *rec = EncodeDataRecord(kRtWrite, oid, offset, now, data);
+        return Status::Ok();
+      },
+      [&](uint64_t now) { return DoWrite(oid, offset, data, now); });
 }
 
 Status Osd::Insert(ObjectId oid, uint64_t offset, Slice data) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(data.size() + 64, &reserved));
-  if (!fits) {
-    std::unique_lock<std::shared_mutex> vlock(volume_mu_);
-    HFAD_RETURN_IF_ERROR(DoInsert(oid, offset, data, NowNs()));
-    return CheckpointInline();
-  }
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  auto olock = object_mu_.LockExclusive(oid);
-  uint64_t now = NowNs();
-  if (options_.journaling && !in_recovery_) {
-    HFAD_ASSIGN_OR_RETURN(uint64_t size, LockedSize(oid));
-    if (offset > size) {
-      return Status::OutOfRange("insert at " + std::to_string(offset) + " past end " +
-                                std::to_string(size));
-    }
-    HFAD_RETURN_IF_ERROR(
-        JournalRecord(EncodeDataRecord(kRtInsert, oid, offset, now, data), reserved));
-  }
-  return DoInsert(oid, offset, data, now);
+  OpCost cost;
+  cost.record_bytes = data.size() + 64;
+  cost.fresh_extents = ExtentsFor(data.size()) + 1;  // Plus the carried tail.
+  return JournalThenApply(
+      oid, cost,
+      [&](uint64_t now, OpCost*, std::string* rec, bool*) {
+        HFAD_ASSIGN_OR_RETURN(uint64_t size, LockedSize(oid));
+        if (offset > size) {
+          return Status::OutOfRange("insert at " + std::to_string(offset) + " past end " +
+                                    std::to_string(size));
+        }
+        *rec = EncodeDataRecord(kRtInsert, oid, offset, now, data);
+        return Status::Ok();
+      },
+      [&](uint64_t now) { return DoInsert(oid, offset, data, now); });
 }
 
 Status Osd::RemoveRange(ObjectId oid, uint64_t offset, uint64_t length) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(64, &reserved));
-  (void)fits;
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  auto olock = object_mu_.LockExclusive(oid);
-  uint64_t now = NowNs();
-  if (options_.journaling && !in_recovery_) {
-    HFAD_ASSIGN_OR_RETURN(uint64_t size, LockedSize(oid));
-    if (offset + length > size) {
-      return Status::OutOfRange("remove range past end of object");
-    }
-    std::string rec;
-    rec.push_back(static_cast<char>(kRtRemoveRange));
-    PutVarint64(&rec, oid);
-    PutVarint64(&rec, offset);
-    PutVarint64(&rec, length);
-    PutFixed64(&rec, now);
-    HFAD_RETURN_IF_ERROR(JournalRecord(rec, reserved));
-  }
-  return DoRemoveRange(oid, offset, length, now);
+  OpCost cost;
+  cost.fresh_extents = 1;  // The tail carried past the cut's end.
+  cost.cuts = true;
+  return JournalThenApply(
+      oid, cost,
+      [&](uint64_t now, OpCost*, std::string* rec, bool*) {
+        HFAD_ASSIGN_OR_RETURN(uint64_t size, LockedSize(oid));
+        if (offset + length > size) {
+          return Status::OutOfRange("remove range past end of object");
+        }
+        rec->push_back(static_cast<char>(kRtRemoveRange));
+        PutVarint64(rec, oid);
+        PutVarint64(rec, offset);
+        PutVarint64(rec, length);
+        PutFixed64(rec, now);
+        return Status::Ok();
+      },
+      [&](uint64_t now) { return DoRemoveRange(oid, offset, length, now); });
 }
 
 Status Osd::Truncate(ObjectId oid, uint64_t new_size) {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  uint64_t reserved = 0;
-  HFAD_ASSIGN_OR_RETURN(bool fits, EnsureJournalSpace(64, &reserved));
-  (void)fits;
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  auto olock = object_mu_.LockExclusive(oid);
-  uint64_t now = NowNs();
-  if (options_.journaling && !in_recovery_) {
-    HFAD_RETURN_IF_ERROR(LockedSize(oid).status());  // Object must exist.
-    std::string rec;
-    rec.push_back(static_cast<char>(kRtTruncate));
-    PutVarint64(&rec, oid);
-    PutVarint64(&rec, new_size);
-    PutFixed64(&rec, now);
-    HFAD_RETURN_IF_ERROR(JournalRecord(rec, reserved));
-  }
-  return DoTruncate(oid, new_size, now);
+  OpCost cost;  // Sized as a shrink until the object's size is known.
+  cost.fresh_extents = 1;
+  cost.cuts = true;
+  return JournalThenApply(
+      oid, cost,
+      [&](uint64_t now, OpCost* actual, std::string* rec, bool*) {
+        HFAD_ASSIGN_OR_RETURN(uint64_t size, LockedSize(oid));
+        const bool grows = new_size > size;
+        actual->fresh_extents = grows ? ExtentsFor(new_size - size) : 1;  // Zero fill.
+        actual->cuts = !grows;
+        rec->push_back(static_cast<char>(kRtTruncate));
+        PutVarint64(rec, oid);
+        PutVarint64(rec, new_size);
+        PutFixed64(rec, now);
+        return Status::Ok();
+      },
+      [&](uint64_t now) { return DoTruncate(oid, new_size, now); });
 }
 
 Result<uint64_t> Osd::Size(ObjectId oid) const {

@@ -43,6 +43,8 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/btree/btree.h"
 #include "src/common/retry.h"
@@ -90,9 +92,12 @@ struct OsdOptions {
   uint64_t journal_size = 0;
   // Maintain atime on reads (off by default, like mounting noatime).
   bool update_atime = false;
-  // Journal occupancy at which the reservation path kicks the background checkpointer,
-  // so a checkpoint is usually already done (or in flight) before any op ever sees
-  // NoSpace and has to checkpoint synchronously. <= 0 or >= 1 disables the kick.
+  // Accounted journal fill at which the reservation path kicks the background
+  // checkpointer. The fill is what a checkpoint would need the journal for: bytes
+  // appended, reservations for records not yet appended, credits ops still hold for
+  // pages they may dirty, and the current epilogue (dirty page images plus the allocator
+  // snapshot). Kicked here, a checkpoint is usually done before any reservation stops
+  // fitting and has to checkpoint on its own thread. <= 0 or >= 1 disables the kick.
   double checkpoint_kick_occupancy = 0.7;
   // Maintain per-page CRC32C checksums (fresh volumes only; existing volumes keep
   // whatever their superblock says). Verified on every pager miss and by scrub.
@@ -112,6 +117,49 @@ struct OsdOptions {
 
 class Osd {
  public:
+  // What a journal credit is held for. The kind decides what a reservation may wait on:
+  // a holder that may itself wait for another reservation must never be waited on.
+  enum class CreditUse {
+    // An Osd op or one lazy-indexer apply chunk. The holder never waits for another
+    // reservation while it holds the credit, so other reservations may wait for it.
+    kApply,
+    // A FileSystem naming op: held while the op waits for its own record's reservation.
+    // Admitted only while these credits total under a quarter of what a checkpoint
+    // leaves free (a lone larger one only when none is held), so records never wait on
+    // them.
+    kNaming,
+    // Full-text indexing of one record: a fixed 64 KiB, admitted like kNaming, whose
+    // epilogue part stays reserved until the next checkpoint after it is dropped (the
+    // pages one document dirties grow with its terms; no small per-call bound exists).
+    kContent,
+  };
+
+  // A reservation of journal space held by one op (jbd2's handle credits). Its logical
+  // part covers the op's redo record and is released when the record is appended. Its
+  // epilogue part covers the page images the holder may still add to the next
+  // checkpoint, and is released when the credit is destroyed: by then the pages it
+  // covered are dirty and the checkpoint accounting counts them as such. Move-only; a
+  // default-constructed credit (or any credit on a volume without journaling) holds
+  // nothing.
+  class JournalCredit {
+   public:
+    JournalCredit() = default;
+    JournalCredit(JournalCredit&& other) noexcept { *this = std::move(other); }
+    JournalCredit& operator=(JournalCredit&& other) noexcept;
+    JournalCredit(const JournalCredit&) = delete;
+    JournalCredit& operator=(const JournalCredit&) = delete;
+    ~JournalCredit() { Release(); }
+
+   private:
+    friend class Osd;
+    void Release();
+
+    Osd* osd_ = nullptr;
+    uint64_t logical_ = 0;
+    uint64_t epilogue_ = 0;
+    CreditUse use_ = CreditUse::kApply;
+  };
+
   // Journal replay hook for records appended by higher layers through AppendForeign().
   // Called in journal order, interleaved correctly with the OSD's own records. The Osd*
   // is the volume being opened (not yet returned from Open), so the hook can mount the
@@ -226,7 +274,8 @@ class Osd {
 
   // Journal a higher-layer logical record; replayed via the Open() hook after a crash.
   // A no-op when journaling is off (the higher layer then has checkpoint durability,
-  // like every other mutation).
+  // like every other mutation). The record's reservation covers only the record: the
+  // pages its apply dirties are the caller's credit (ReserveApplyCredit).
   Status AppendForeign(Slice payload);
 
   // Journal a higher-layer record and, on success, run `with_lock` while still holding
@@ -235,8 +284,26 @@ class Osd {
   // miss the intent in both the journal and the unapplied-foreign snapshot. With
   // journaling off no record is written but the callback still runs under the volume
   // lock (same atomicity against the checkpoint's snapshot). `with_lock` must never
-  // block on threads that take the volume lock (docs/CONCURRENCY.md).
+  // block on threads that take the volume lock (docs/CONCURRENCY.md). A record appended
+  // with a callback may outlive the next checkpoint in the unapplied-foreign snapshot,
+  // so the journal accounting reserves room for it there until that checkpoint.
   Status AppendForeign(Slice payload, const std::function<void()>& with_lock);
+
+  // ---- Journal credits for higher layers ----
+
+  // Reserve a credit for the pages a higher layer's apply will dirty on THIS volume:
+  // `mutations` btree Put/Delete calls, each 2·height + 2 pages (the root-to-leaf path,
+  // one new page per level it splits plus a new root, and the right sibling whose back
+  // link a leaf split rewrites), height being the tallest tree the volume has seen.
+  // kContent ignores `mutations`. Take it before journaling the record the apply
+  // follows, so no checkpoint this thread runs can fall between the record and its
+  // apply, and drop it when the apply returns. May checkpoint or wait for other
+  // credits (never holding a volume lock); never NoSpace for lack of room alone.
+  Result<JournalCredit> ReserveApplyCredit(CreditUse use, size_t mutations = 0);
+
+  // The most mutations one credit may cover: a quarter of the journal's worth. The lazy
+  // tag indexer applies its batches in chunks of this size, one credit each.
+  size_t MaxCreditMutations() const;
 
   // ---- Deferred application of foreign records (lazy indexing) ----
   //
@@ -258,8 +325,9 @@ class Osd {
   // must not call back into this Osd (the volume lock is held) and must not block.
   void SetCheckpointCallback(std::function<void()> fn);
 
-  // Wake the background checkpointer regardless of journal occupancy (no-op when the
-  // thread is not running). OsdCluster uses it to bound retention-list growth.
+  // Wake the background checkpointer (no-op when the thread is not running). The
+  // reservation path calls it once the accounted fill crosses the kick; OsdCluster
+  // calls it to bound retention-list growth.
   void RequestCheckpoint();
 
   // True while Open() is replaying the journal. Higher layers use this to suppress
@@ -282,8 +350,11 @@ class Osd {
     return static_cast<CheckpointerState>(ckpt_state_.load(std::memory_order_relaxed));
   }
 
-  // Journal gauges (0 / empty when journaling is off).
+  // Journal gauges (0 / empty when journaling is off). journal_reserved() is the
+  // accounted fill the kick and the backstop read (see checkpoint_kick_occupancy), as a
+  // fraction of the journal; journal_occupancy() counts appended bytes only.
   double journal_occupancy() const;
+  double journal_reserved() const;
   uint64_t journal_pending_records() const;
 
   // The IoEngine the volume's journal commits through (never null). FileSystem::
@@ -334,19 +405,69 @@ class Osd {
   void InitStructures();
 
   // Background checkpointer (see OsdOptions::checkpoint_kick_occupancy). Started once
-  // construction is complete; MaybeKickCheckpoint() wakes it from the reservation path.
+  // construction is complete; the reservation path wakes it via RequestCheckpoint().
   void StartCheckpointThread();
   void StopCheckpointThread();
-  void MaybeKickCheckpoint();
   void CheckpointThreadMain();
 
-  // Journal one OSD redo record and release the caller's space reservation. Called with
+  // What a mutating op asks of the journal: a bound on its redo record and the tree
+  // changes its apply makes besides its one object-table Put or Delete.
+  struct OpCost {
+    uint64_t record_bytes = 64;
+    uint64_t fresh_extents = 0;  // Extents spliced into the object's extent tree.
+    bool cuts = false;           // Also cuts and drops extents (RemoveRange, shrink).
+  };
+  // Validates the op against current state under its locks, encodes its redo record,
+  // and tightens `cost` where the state tells more (a growing Truncate).
+  using PrepareFn =
+      std::function<Status(uint64_t now, OpCost* cost, std::string* record, bool* force_sync)>;
+  using ApplyFn = std::function<Status(uint64_t now)>;
+
+  // The journal-then-apply sequence all eight mutating ops share (the queue_transaction
+  // shape of Ceph's ObjectStore): reserve a credit for the record and the pages the
+  // apply may dirty, take the volume lock shared and `oid`'s lock exclusive, `prepare`,
+  // journal the record, `apply`, and release the credit when `apply` returns. When
+  // `prepare` finds a taller tree or a larger splice than the credit covers, the locks
+  // and credit are dropped and the op re-reserves. An op too large to journal applies
+  // under the exclusive volume lock and checkpoints on its own thread. Without
+  // journaling (or during replay) only the locks and `apply` remain.
+  Status JournalThenApply(ObjectId oid, OpCost cost, const PrepareFn& prepare,
+                          const ApplyFn& apply);
+
+  // Journal bytes a credit for `cost` reserves for page images.
+  uint64_t CreditEpilogue(const OpCost& cost) const;
+
+  // Take a credit of `logical` record bytes plus `epilogue` page-image bytes. When it
+  // does not fit: checkpoint (the backstop) if appended bytes or dirty pages stand in
+  // the way, else wait, holding no volume lock, for credits others hold to be released.
+  // InvalidArgument only when the request cannot fit an empty journal (a record beside
+  // half of it) or beside the floor (see Fill); NoSpace when eight backstops did not
+  // make room, or the floor leaves none beside the naming credits held.
+  Result<JournalCredit> Reserve(uint64_t logical, uint64_t epilogue, CreditUse use);
+  void ReleaseCredit(JournalCredit* credit);
+
+  // Journal one redo record against `credit`, releasing its logical part. Called with
   // the relevant object lock held, *before* the op is applied (write-ahead). force_sync
   // commits the journal immediately — required before any apply that overwrites live
   // extent payload in place, because payload IO bypasses the no-steal page cache.
-  Status JournalRecord(Slice payload, uint64_t reserved, bool force_sync = false);
+  // `deferred` marks a foreign record whose apply may outlive the next checkpoint.
+  Status JournalRecord(JournalCredit* credit, Slice payload, bool force_sync,
+                       bool deferred = false);
 
-  // Object size with the object + volume locks already held.
+  // Journal accounting in bytes, read under journal_mu_.
+  struct Fill {
+    uint64_t total = 0;        // Everything the journal must hold room for.
+    uint64_t reclaimable = 0;  // What a checkpoint gives back: appended bytes, dirty
+                               // page images, content credits dropped since, and
+                               // the bound on deferred records' snapshot pages.
+    uint64_t floor = 0;        // What it does not: the allocator snapshot, record
+                               // framing, and the last unapplied-foreign snapshot.
+  };
+  Fill FillLocked() const;
+
+  // Object size with the object + volume locks already held. Also asks the object's
+  // extent tree its height, which reports it to the pager, so a credit sized before the
+  // locks can be checked against the tree the op will splice into.
   Result<uint64_t> LockedSize(ObjectId oid) const;
 
   // Health gates: every mutating entry point rejects with Status::ReadOnly
@@ -362,11 +483,11 @@ class Osd {
   // read could trip over after recovery loads the persisted table.
   void ReconcileChecksumsWithAllocator();
 
-  // Reserve journal space for a record of `record_bytes` plus its share of the checkpoint
-  // epilogue, checkpointing first when needed. Returns false when the op is too large to
-  // ever journal — the caller must take the exclusive apply-then-checkpoint path.
-  Result<bool> EnsureJournalSpace(uint64_t record_bytes, uint64_t* reserved);
-
+  // Callers hold volume_mu_ exclusively (or are single-threaded construction paths).
+  // Checks that the epilogue fits the journal before appending any of it: a miss is an
+  // accounting bug, counted into stats::Counter::kCheckpointEpilogueOverflows and
+  // returned as Internal (NoSpace during recovery, whose journal the accounting never
+  // governed).
   Status CheckpointLocked();
 
   // CheckpointLocked on the thread of the op that needs it (the journal-space backstop,
@@ -407,19 +528,30 @@ class Osd {
 
   // Ops hold shared; Checkpoint holds exclusive.
   mutable std::shared_mutex volume_mu_;
-  // Protects journal appends and the reservation counters below.
-  std::mutex journal_mu_;
+  // Protects journal appends and the reservation counters below. Taken after
+  // volume_mu_, never before it.
+  mutable std::mutex journal_mu_;
+  // Signalled whenever reserved space is given back (a credit released, a record
+  // appended, a checkpoint done): reservations waiting on held credits re-check.
+  std::condition_variable credit_cv_;
   // Per-object sharded reader/writer locks: mutations take the object's shard
   // exclusive, pure readers (Read/Stat/Size/CheckObject) take it shared, so
   // independent objects never contend and readers of one object run in parallel.
   static constexpr size_t kObjectShards = 64;
   mutable ShardedMutex<kObjectShards> object_mu_;
 
-  // Journal-space reservations (see EnsureJournalSpace). logical_reserved_ is released
-  // when the reserved record is appended; epilogue_reserved_ (space for the dirty page
-  // images a pending op may add to the next checkpoint) is released only by a checkpoint.
-  uint64_t logical_reserved_ = 0;
-  uint64_t epilogue_reserved_ = 0;
+  // Journal reservations (see JournalCredit), guarded by journal_mu_. No checkpoint
+  // zeroes what ops in flight hold; only until_checkpoint_ and the deferred-foreign
+  // estimate reset there.
+  uint64_t logical_reserved_ = 0;  // Records reserved but not yet appended.
+  uint64_t apply_credits_ = 0;     // Epilogue parts of kApply credits held.
+  uint64_t naming_credits_ = 0;    // Epilogue parts of kNaming/kContent credits held.
+  uint64_t until_checkpoint_ = 0;  // Dropped kContent credits, kept to the next checkpoint.
+  // The next checkpoint's unapplied-foreign snapshot: the pages the last one took, and
+  // a bound on the tree bytes of deferred records appended since (AppendForeign with a
+  // callback).
+  uint64_t pending_foreign_pages_ = 0;
+  uint64_t deferred_foreign_bytes_ = 0;
 
   std::atomic<uint64_t> next_oid_{1};
   bool in_recovery_ = false;
@@ -436,7 +568,7 @@ class Osd {
   std::condition_variable ckpt_cv_;
   bool ckpt_requested_ = false;
   bool ckpt_shutdown_ = false;
-  // CheckpointerState, maintained by MaybeKickCheckpoint/CheckpointThreadMain.
+  // CheckpointerState, maintained by RequestCheckpoint/CheckpointThreadMain.
   std::atomic<int> ckpt_state_{0};
 
   // Close() bookkeeping.

@@ -270,14 +270,17 @@ Status OsdCluster::AppendForeign(ObjectId oid, Slice payload,
   // checkpoint, the same durability contract as a single volume.
   const bool retain = journaling_ && k != 0;
   const uint64_t token = retain ? next_token_.fetch_add(1) : 0;
-  Status s = osds_[k]->AppendForeign(rec, [&] {
-    if (retain) {
-      Retain(k, rec, token);
-    }
-    if (with_lock) {
-      with_lock();
-    }
-  });
+  // No callback when there is nothing to run under the lock: a record appended with one
+  // counts as possibly outliving the next checkpoint in the shard's pending set.
+  Status s = !retain && !with_lock ? osds_[k]->AppendForeign(rec)
+                                   : osds_[k]->AppendForeign(rec, [&] {
+                                       if (retain) {
+                                         Retain(k, rec, token);
+                                       }
+                                       if (with_lock) {
+                                         with_lock();
+                                       }
+                                     });
   HFAD_RETURN_IF_ERROR(s);
   if (token_out != nullptr) {
     *token_out = token;
@@ -417,7 +420,7 @@ void OsdCluster::Retain(size_t k, std::string payload, uint64_t token) {
 void OsdCluster::RetainReplayed(size_t k, Slice payload) {
   std::lock_guard<std::mutex> lock(retained_mu_);
   const uint64_t token = next_token_.fetch_add(1);
-  retained_[k].push_back(Retained{payload.ToString(), token});
+  retained_[k].push_back(Retained{payload.ToString(), token, true});
   // Replayed records are applied to metadata state as part of recovery itself, so the
   // next metadata-shard checkpoint may drop them.
   applied_tokens_.insert(token);
@@ -450,6 +453,15 @@ void OsdCluster::InstallShardProvider(size_t k, Osd* volume) {
       std::lock_guard<std::mutex> lock(retained_mu_);
       out.reserve(retained_[k].size());
       for (const Retained& r : retained_[k]) {
+        // The metadata shard's own records of a batch a live op has applied: the
+        // checkpoint taking this snapshot captures the batch's effects, so persisting
+        // them would make recovery apply the batch again, after later ops (a name added
+        // to an object since removed would come back). Replayed records stay: shards
+        // replayed after this one's recovery checkpoint resolve their prepares against
+        // its commit until it checkpoints again.
+        if (k == 0 && !r.replayed && applied_tokens_.count(r.token) != 0) {
+          continue;
+        }
         out.push_back(r.payload);
       }
     }

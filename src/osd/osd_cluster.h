@@ -223,6 +223,7 @@ class OsdCluster {
   struct Retained {
     std::string payload;  // Framed exactly as journaled; round-trips through replay.
     uint64_t token;
+    bool replayed = false;  // Retained by RetainReplayed.
   };
 
   struct DeferredPrepare {

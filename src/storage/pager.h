@@ -158,6 +158,17 @@ class Pager {
   // Drop a page from the cache (after its extent is freed). Discards dirty data.
   void Invalidate(uint64_t offset);
 
+  // Tallest tree whose pages this cache holds, as the trees report it: btrees on every
+  // descent and root split, extent trees when the OSD asks their height. Monotonic, so
+  // it bounds every tree that has reported. The OSD sizes its journal credits from it.
+  void NoteTreeHeight(int height) {
+    int seen = tree_height_bound_.load(std::memory_order_relaxed);
+    while (height > seen &&
+           !tree_height_bound_.compare_exchange_weak(seen, height, std::memory_order_relaxed)) {
+    }
+  }
+  int tree_height_bound() const { return tree_height_bound_.load(std::memory_order_relaxed); }
+
   // Uncached device IO for extent payloads and large btree values. Callers guarantee
   // these ranges are never simultaneously cached as pages (freed pages are
   // Invalidate()d).
@@ -261,6 +272,7 @@ class Pager {
   const size_t stripe_capacity_;
   const std::unique_ptr<Stripe[]> stripes_;
   mutable std::atomic<int64_t> dirty_count_{0};
+  std::atomic<int> tree_height_bound_{1};  // See NoteTreeHeight().
   // See SharedMutationHold().
   mutable std::shared_mutex flush_mu_;
 };

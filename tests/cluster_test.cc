@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
 #include "src/common/random.h"
+#include "src/common/stats.h"
 #include "src/core/filesystem.h"
 #include "src/core/fsck.h"
 #include "src/osd/osd.h"
@@ -280,6 +282,55 @@ TEST(ShardedFileSystemTest, LazyIntentsOnEveryShardSurviveAHardCrash) {
   auto report = CheckFileSystem(reopened->get());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->clean()) << report->ToString();
+}
+
+// A cross-shard batch names two objects, both are removed, and a checkpoint makes all of
+// it durable. A crash before any later checkpoint must not bring the batch's names back:
+// the metadata shard's checkpoint captured the batch's effects, so its pending set must
+// not carry the batch's records into recovery, where they would apply after the removes.
+TEST(ShardedFileSystemTest, CheckpointedBatchNamesOfRemovedObjectsStayGone) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "inline");
+    auto bases = MakeDevices(2);
+    std::vector<std::shared_ptr<FaultyBlockDevice>> faulty;
+    std::vector<std::shared_ptr<BlockDevice>> devices;
+    for (auto& b : bases) {
+      faulty.push_back(std::make_shared<FaultyBlockDevice>(b));
+      devices.push_back(faulty.back());
+    }
+    FileSystemOptions opts = ShardedOptions(2);
+    opts.lazy_tag_indexing = lazy;
+    opts.osd.checkpoint_kick_occupancy = 0;  // Only the explicit checkpoint below.
+    {
+      auto fs = FileSystem::Create(devices, opts);
+      ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+      std::vector<ObjectId> owned(2, 0);  // One object on each shard.
+      while (owned[0] == 0 || owned[1] == 0) {
+        auto oid = (*fs)->Create();
+        ASSERT_TRUE(oid.ok());
+        owned[(*fs)->cluster()->ShardOf(*oid)] = *oid;
+      }
+      NamespaceBatch batch = (*fs)->NewBatch();
+      ASSERT_TRUE(batch.AddTag(owned[0], {"UDEF", "gone"}).ok());
+      ASSERT_TRUE(batch.AddTag(owned[1], {"UDEF", "gone"}).ok());
+      ASSERT_TRUE(batch.Commit().ok());
+      ASSERT_TRUE((*fs)->WaitForTagIndexing().ok());
+      ASSERT_TRUE((*fs)->Remove(owned[0]).ok());
+      ASSERT_TRUE((*fs)->Remove(owned[1]).ok());
+      ASSERT_TRUE((*fs)->WaitForTagIndexing().ok());
+      ASSERT_TRUE((*fs)->Checkpoint().ok());
+      for (auto& f : faulty) {
+        f->SetWriteBudget(0);  // Hard crash on every device at once.
+      }
+    }
+    auto reopened = FileSystem::Open(bases, opts);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_TRUE((*reopened)->WaitForTagIndexing().ok());
+    EXPECT_TRUE(StrictFind(reopened->get(), "UDEF:gone").empty());
+    auto report = CheckFileSystem(reopened->get());
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->clean()) << report->ToString();
+  }
 }
 
 // ------------------------------------------------------- cross-shard 2PC tear sweep
@@ -584,6 +635,172 @@ TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
       }
       EXPECT_EQ(StrictFind(fs, "UDEF:" + value), expect) << value;
     }
+  }
+}
+
+// Journal-credit accounting under pressure: 512 KiB journals (a checkpoint every few
+// hundred ops) and eight writers mixing bodied and content-indexed creates, retags,
+// cross-shard batches, middle inserts and removes while the tag indexer applies, on one
+// and four shards, with lazy and inline tag indexing. Every op must succeed (no
+// reservation fails or deadlocks) and no checkpoint may find its epilogue larger than
+// the room the credits promised. Each run ends with a clean close, a reopen and fsck.
+TEST(ClusterStormTest, JournalCreditsHoldUnderSmallJournals) {
+  constexpr int kWriters = 8;
+  constexpr int kOpsPerWriter = 60;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    for (bool lazy : {false, true}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + (lazy ? ", lazy" : ", inline"));
+      const uint64_t overflows = stats::Get(stats::Counter::kCheckpointEpilogueOverflows);
+      const uint64_t checkpoints = metrics::HistSnapshot::Take(metrics::Hist::kCheckpoint).count;
+      auto devices = MakeDevices(shards);
+      FileSystemOptions opts = ShardedOptions(shards);
+      opts.osd.journal_size = 512 * 1024;
+      opts.lazy_tag_indexing = lazy;
+      std::atomic<int> failures{0};
+      std::atomic<uint64_t> live{0};
+      {
+        auto fsr = FileSystem::Create(devices, opts);
+        ASSERT_TRUE(fsr.ok()) << fsr.status().ToString();
+        FileSystem* fs = fsr->get();
+        std::vector<ObjectId> pool;  // Shared batch targets; never removed.
+        for (int i = 0; i < 32; i++) {
+          auto oid = fs->Create({{"APP", "pool"}});
+          ASSERT_TRUE(oid.ok());
+          pool.push_back(*oid);
+        }
+        live = pool.size();
+        auto check = [&](const Status& s) {
+          if (!s.ok()) {
+            failures.fetch_add(1);
+            ADD_FAILURE() << s.ToString();
+          }
+        };
+        std::vector<std::thread> threads;
+        for (int w = 0; w < kWriters; w++) {
+          threads.emplace_back([&, w] {
+            Random rng(9100 + w);
+            struct Own {
+              ObjectId oid;
+              int version;
+            };
+            std::vector<Own> own;
+            const std::string tag = "w" + std::to_string(w);
+            for (int i = 0; i < kOpsPerWriter; i++) {
+              const int kind = own.empty() ? 0 : static_cast<int>(rng.Uniform(5));
+              if (kind == 0) {  // Create with names and a body.
+                auto oid = fs->Create({{"UDEF", tag + "-0"}, {"USER", tag}});
+                check(oid.status());
+                if (!oid.ok()) continue;
+                check(fs->Write(*oid, 0, std::string(1024 + rng.Uniform(2048), 'b')));
+                if (rng.OneIn(3)) check(fs->IndexContent(*oid));
+                own.push_back({*oid, 0});
+                live.fetch_add(1);
+              } else if (kind == 1) {  // Retag one of its own objects.
+                Own& o = own[rng.Uniform(own.size())];
+                NamespaceBatch batch = fs->NewBatch();
+                check(batch.RemoveTag(o.oid, {"UDEF", tag + "-" + std::to_string(o.version)}));
+                o.version++;
+                check(batch.AddTag(o.oid, {"UDEF", tag + "-" + std::to_string(o.version)}));
+                check(batch.Commit());
+              } else if (kind == 2) {  // A batch across pool objects (and shards).
+                NamespaceBatch batch = fs->NewBatch();
+                const std::string value = tag + "x" + std::to_string(i);
+                for (int m = 0; m < 3; m++) {
+                  check(batch.AddTag(pool[rng.Uniform(pool.size())], {"UDEF", value}));
+                }
+                check(batch.Commit());
+              } else if (kind == 3) {  // Insert into the middle of its own object.
+                const ObjectId oid = own[rng.Uniform(own.size())].oid;
+                auto size = fs->Size(oid);
+                check(size.status());
+                if (size.ok()) check(fs->Insert(oid, *size / 2, std::string(700, 'i')));
+              } else {  // Remove one of its own objects.
+                const size_t k = rng.Uniform(own.size());
+                check(fs->Remove(own[k].oid));
+                own.erase(own.begin() + static_cast<ptrdiff_t>(k));
+                live.fetch_sub(1);
+              }
+            }
+          });
+        }
+        for (auto& t : threads) {
+          t.join();
+        }
+        ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+        // The journals must actually fill, or the accounting goes untested.
+        EXPECT_GT(metrics::HistSnapshot::Take(metrics::Hist::kCheckpoint).count - checkpoints,
+                  20u);
+        auto report = CheckFileSystem(fs);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        EXPECT_TRUE(report->clean()) << report->ToString();
+        ASSERT_TRUE(fs->cluster()->Close().ok());
+      }
+      EXPECT_EQ(failures.load(), 0);
+      auto reopened = FileSystem::Open(devices, opts);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_EQ((*reopened)->cluster()->object_count(), live.load());
+      auto report = CheckFileSystem(reopened->get());
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_TRUE(report->clean()) << report->ToString();
+      EXPECT_EQ(stats::Get(stats::Counter::kCheckpointEpilogueOverflows), overflows);
+    }
+  }
+}
+
+// A tag-only phase on 512 KiB journals. Records whose apply is deferred (retained on
+// a data shard until shard 0 checkpoints, or lazy intents awaiting the indexer) add
+// nothing to their own shard's dirty pages, so only the room their next snapshot may
+// take grows; that estimate must trigger checkpoints, never refuse a record as too
+// large for the journal. Every op must succeed with no epilogue overflow.
+TEST(ClusterStormTest, TagOnlyPhasesNeverRefuseRecords) {
+  struct Config {
+    size_t shards;
+    bool lazy;
+  };
+  for (const Config& c : {Config{4, false}, Config{4, true}, Config{1, true}, Config{1, false}}) {
+    SCOPED_TRACE("shards " + std::to_string(c.shards) + (c.lazy ? ", lazy" : ", inline"));
+    const uint64_t overflows = stats::Get(stats::Counter::kCheckpointEpilogueOverflows);
+    auto devices = MakeDevices(c.shards);
+    FileSystemOptions opts = ShardedOptions(c.shards);
+    opts.osd.journal_size = 512 * 1024;
+    opts.lazy_tag_indexing = c.lazy;
+    auto fsr = FileSystem::Create(devices, opts);
+    ASSERT_TRUE(fsr.ok()) << fsr.status().ToString();
+    FileSystem* fs = fsr->get();
+    auto name = [](size_t k, int v) {
+      return TagValue{"UDEF", "t" + std::to_string(k) + "-" + std::to_string(v)};
+    };
+    std::vector<ObjectId> oids;
+    for (size_t k = 0; k < 16; k++) {  // A hot set, spread over every shard.
+      auto oid = fs->Create({{"APP", "hot"}, name(k, 0)});
+      ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+      oids.push_back(*oid);
+    }
+    std::vector<int> version(oids.size(), 0);
+    for (int i = 0; i < 3000; i++) {
+      const size_t k = static_cast<size_t>(i) % oids.size();
+      if (i % 3 == 0) {  // A batch across the hot set.
+        NamespaceBatch batch = fs->NewBatch();
+        ASSERT_TRUE(batch.AddTag(oids[k], {"USER", "b" + std::to_string(i)}).ok());
+        ASSERT_TRUE(batch.AddTag(oids[(k + 5) % oids.size()], {"USER", "b" + std::to_string(i)})
+                        .ok());
+        Status s = batch.Commit();
+        ASSERT_TRUE(s.ok()) << "op " << i << ": " << s.ToString();
+      } else {  // A retag.
+        Status s = fs->AddTag(oids[k], name(k, version[k] + 1));
+        ASSERT_TRUE(s.ok()) << "op " << i << ": " << s.ToString();
+        s = fs->RemoveTag(oids[k], name(k, version[k]));
+        ASSERT_TRUE(s.ok()) << "op " << i << ": " << s.ToString();
+        version[k]++;
+      }
+    }
+    ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+    EXPECT_EQ(StrictFind(fs, "UDEF:t3-" + std::to_string(version[3])),
+              std::vector<ObjectId>{oids[3]});
+    EXPECT_EQ(stats::Get(stats::Counter::kCheckpointEpilogueOverflows), overflows);
+    auto report = CheckFileSystem(fs);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->clean()) << report->ToString();
   }
 }
 

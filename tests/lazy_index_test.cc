@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/stats.h"
 #include "src/core/filesystem.h"
 #include "src/core/fsck.h"
 #include "src/storage/block_device.h"
@@ -355,6 +356,53 @@ TEST(LazyIndexDifferentialTest, StrictFindMatchesInlineReference) {
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean()) << "seed " << seed << ": " << report->ToString();
   }
+}
+
+// ---------------------------------------------------------------- journal pressure
+
+// Checkpoints come from real journal pressure only. On one shard with an 8 MiB journal
+// and the kick off, 2000 lazy retags and 2000 1 KiB middle inserts fit in the journal
+// with room to spare, so none of them runs a checkpoint on its own thread.
+TEST(LazyIndexTest, RetagsAndInsertsLeaveTheBackstopIdle) {
+  FileSystemOptions opts = LazyOptions();
+  opts.osd.journal_size = 8 * 1024 * 1024;
+  opts.osd.checkpoint_kick_occupancy = 0;
+  auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  ASSERT_NE(fs, nullptr);
+  std::vector<ObjectId> oids;
+  std::vector<int> version;
+  for (int i = 0; i < 100; i++) {
+    auto oid = fs->Create({{"UDEF", "r" + std::to_string(i) + "-0"}});
+    ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE(fs->Write(*oid, 0, std::string(4096, 'b')).ok());
+    oids.push_back(*oid);
+    version.push_back(0);
+  }
+  ASSERT_TRUE(fs->Checkpoint().ok());
+  const uint64_t base = stats::Get(stats::Counter::kCheckpointsInline);
+  const std::string chunk(1024, 'i');
+  for (int i = 0; i < 2000; i++) {
+    const size_t k = static_cast<size_t>(i) % oids.size();
+    NamespaceBatch retag = fs->NewBatch();
+    ASSERT_TRUE(
+        retag.RemoveTag(oids[k], {"UDEF", "r" + std::to_string(k) + "-" +
+                                              std::to_string(version[k])})
+            .ok());
+    version[k]++;
+    ASSERT_TRUE(
+        retag.AddTag(oids[k], {"UDEF", "r" + std::to_string(k) + "-" +
+                                           std::to_string(version[k])})
+            .ok());
+    ASSERT_TRUE(retag.Commit().ok()) << "retag " << i;
+    const ObjectId target = oids[(static_cast<size_t>(i) * 7) % oids.size()];
+    auto size = fs->Size(target);
+    ASSERT_TRUE(size.ok());
+    ASSERT_TRUE(fs->Insert(target, *size / 2, chunk).ok()) << "insert " << i;
+  }
+  EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, 0u);
+  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  EXPECT_EQ(StrictFind(fs.get(), "UDEF:r7-" + std::to_string(version[7])),
+            std::vector<ObjectId>{oids[7]});
 }
 
 // ---------------------------------------------------------------- multi-worker

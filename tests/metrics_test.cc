@@ -361,7 +361,7 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
        {"\"schema_version\"", "\"scope\"", "\"filesystem\"", "\"counters\"",
         "\"histograms\"", "\"create\"", "\"add_tag\"", "\"find\"", "\"search_text\"",
         "\"journal_commit\"", "\"page_read\"", "\"gauges\"", "\"journal_occupancy_pct\"",
-        "\"pager_resident_pages\"", "\"pager_dirty_pages\"", "\"indexer_queue_depth\"",
+        "\"journal_reserved_pct\"", "\"pager_resident_pages\"", "\"pager_dirty_pages\"", "\"indexer_queue_depth\"",
         "\"checkpointer_state\"", "\"locks\"", "\"tag_shards\"", "\"pager_stripes\"",
         "\"top_contended\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << "missing " << key << " in " << doc;
@@ -369,6 +369,7 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
   const std::string osd_doc = fs->volume()->DumpMetrics();
   EXPECT_NE(osd_doc.find("\"scope\":\"osd\""), std::string::npos) << osd_doc;
   EXPECT_NE(osd_doc.find("\"object_mutex\""), std::string::npos) << osd_doc;
+  EXPECT_NE(osd_doc.find("\"journal_reserved_pct\""), std::string::npos) << osd_doc;
 }
 
 // ---------------------------------------------------------------- visibility options

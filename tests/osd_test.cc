@@ -235,31 +235,123 @@ TEST(OsdCheckpointTest, ThresholdCheckpointsAbsorbSustainedLoad) {
   EXPECT_EQ(out, payload);
 }
 
-// Checkpoints that run on an op's own thread are counted: the journal-space backstop
-// (the occupancy kick is off here, so every full journal falls into it) and an op too
-// large to ever journal. Explicit checkpoints are not inline ones.
+// Checkpoints that run on an op's own thread are counted, and only real journal
+// pressure triggers them (the occupancy kick is off here, so a full journal falls into
+// the backstop): small writes never do; overwrites whose records fill the journal do at
+// the op the accounting predicts; an op too large to journal adds exactly one. Explicit
+// checkpoints are not inline ones.
 TEST(OsdCheckpointTest, InlineCheckpointsAreCounted) {
+  constexpr uint64_t kJournal = 256 * 1024;
   OsdOptions opts;
-  opts.journal_size = 256 * 1024;
+  opts.journal_size = kJournal;
   opts.checkpoint_kick_occupancy = 0;
   auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev), opts);
   auto oid = osd->CreateObject();
   ASSERT_TRUE(oid.ok());
-  const uint64_t base = stats::Get(stats::Counter::kCheckpointsInline);
-  // Each reservation holds 64 KiB of epilogue slack until the next checkpoint, so a
-  // 256 KiB journal runs into the backstop within a few small writes.
-  const std::string payload(512, 'p');
+  auto inline_checkpoints = [base = stats::Get(stats::Counter::kCheckpointsInline)] {
+    return stats::Get(stats::Counter::kCheckpointsInline) - base;
+  };
   for (int i = 0; i < 16; i++) {
-    ASSERT_TRUE(osd->Write(*oid, 0, payload).ok()) << "op " << i;
+    ASSERT_TRUE(osd->Write(*oid, 0, std::string(512, 'p')).ok()) << "op " << i;
   }
-  const uint64_t backstop = stats::Get(stats::Counter::kCheckpointsInline) - base;
-  EXPECT_GT(backstop, 0u);
-  EXPECT_LT(backstop, 16u);
+  EXPECT_EQ(inline_checkpoints(), 0u);
 
-  ASSERT_TRUE(osd->Insert(*oid, 0, std::string(128 * 1024, 'L')).ok());  // Too large.
-  EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, backstop + 1);
+  // Same-size overwrites of one extent each append one record and dirty nothing new, so
+  // the accounted fill before the i-th is fill + i * record. Each reserves its record
+  // bound (payload + 64, plus a header) and an epilogue credit: one object-table Put
+  // (2h + 2 pages) and a one-extent splice (2h + 1 pages), each page an image plus an
+  // allocator entry, plus the extent's allocator entry.
+  const std::string payload(4000, 'o');
+  ASSERT_TRUE(osd->Write(*oid, 0, payload).ok());  // Grows the object to one extent.
+  auto fill = [&] { return static_cast<uint64_t>(osd->journal_reserved() * kJournal); };
+  auto appended = [&] { return static_cast<uint64_t>(osd->journal_occupancy() * kJournal); };
+  const uint64_t fill_before = fill();
+  const uint64_t appended_before = appended();
+  ASSERT_TRUE(osd->Write(*oid, 0, payload).ok());
+  const uint64_t record = appended() - appended_before;
+  ASSERT_EQ(fill(), fill_before + record);
+  const uint64_t h = static_cast<uint64_t>(osd->pager()->tree_height_bound());
+  const uint64_t page_credit = (16 + 1 + 8 + 4096) + 16;
+  const uint64_t need =
+      (payload.size() + 64 + 16) + ((2 * h + 2) + (2 * h + 1)) * page_credit + 16;
+  const uint64_t capacity = kJournal - 16;
+  uint64_t first_backstop = 0;
+  while (fill_before + (first_backstop + 1) * record + need <= capacity) {
+    first_backstop++;
+  }
+  ASSERT_GT(first_backstop, 10u);
+  for (uint64_t i = 0; i < first_backstop; i++) {
+    ASSERT_TRUE(osd->Write(*oid, 0, payload).ok()) << "op " << i;
+    ASSERT_EQ(inline_checkpoints(), 0u) << "op " << i;
+  }
+  ASSERT_TRUE(osd->Write(*oid, 0, payload).ok());
+  EXPECT_EQ(inline_checkpoints(), 1u);
+
+  // Too large to journal beside its epilogue: applied, then checkpointed at once.
+  ASSERT_TRUE(osd->Insert(*oid, 0, std::string(200 * 1024, 'L')).ok());
+  EXPECT_EQ(inline_checkpoints(), 2u);
   ASSERT_TRUE(osd->Checkpoint().ok());
-  EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, backstop + 1);
+  EXPECT_EQ(inline_checkpoints(), 2u);
+}
+
+// Ops that fail their checks after reserving journal space give it all back: with the
+// kick on and a tiny journal, thousands of failed deletes and past-end writes leave a
+// valid write nothing to wait for and no checkpoint to run.
+TEST(OsdCheckpointTest, FailedOpsGiveBackTheirReservations) {
+  OsdOptions opts;
+  opts.journal_size = 256 * 1024;
+  auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  auto oid = osd->CreateObject();
+  ASSERT_TRUE(oid.ok());
+  const uint64_t base = stats::Get(stats::Counter::kCheckpointsInline);
+  for (int i = 0; i < 5000; i++) {
+    ASSERT_TRUE(osd->DeleteObject(*oid + 1000).IsNotFound()) << "op " << i;
+  }
+  for (int i = 0; i < 5000; i++) {
+    ASSERT_EQ(osd->Write(*oid, 1, "past the end").code(), StatusCode::kOutOfRange) << "op " << i;
+  }
+  Status s = osd->Write(*oid, 0, "valid");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, 0u);
+}
+
+// The allocator snapshot every checkpoint must journal grows with the volume. Once it
+// takes a large share of a small journal, small ops still journal normally, in the room
+// it leaves: none is treated as too large to journal (which would apply it under the
+// exclusive lock and checkpoint on its own thread).
+TEST(OsdCheckpointTest, LargeAllocatorSnapshotLeavesSmallOpsJournaled) {
+  constexpr uint64_t kJournal = 256 * 1024;
+  OsdOptions opts;
+  opts.journal_size = kJournal;
+  opts.checkpoint_kick_occupancy = 0;
+  auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  std::vector<ObjectId> oids;
+  for (int i = 0; i < 3200; i++) {  // An extent-tree page and a data block each.
+    auto oid = osd->CreateObject();
+    ASSERT_TRUE(oid.ok());
+    Status w = osd->Write(*oid, 0, "x");
+    ASSERT_TRUE(w.ok()) << "op " << i << ": " << w.ToString();
+    oids.push_back(*oid);
+  }
+  ASSERT_TRUE(osd->Checkpoint().ok());
+  // Right after a checkpoint the accounted fill is the floor alone. Together with half
+  // the journal and one overwrite's credit (see InlineCheckpointsAreCounted) it exceeds
+  // the journal, so a rule that reserved half the journal beside the floor would refuse
+  // every op below.
+  const uint64_t floor = static_cast<uint64_t>(osd->journal_reserved() * kJournal);
+  const uint64_t h = static_cast<uint64_t>(osd->pager()->tree_height_bound());
+  const uint64_t need = (1 + 64 + 16) + ((2 * h + 2) + (2 * h + 1)) * (4113 + 16) + 16;
+  const uint64_t capacity = kJournal - 16;
+  ASSERT_GT(floor + capacity / 2 + need, capacity);
+  const uint64_t base = stats::Get(stats::Counter::kCheckpointsInline);
+  for (int i = 0; i < 100; i++) {
+    Status s = osd->Write(oids[static_cast<size_t>(i)], 0, "y");
+    ASSERT_TRUE(s.ok()) << "op " << i << ": " << s.ToString();
+  }
+  EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, 0u);
+  std::string out;
+  ASSERT_TRUE(osd->Read(oids[99], 0, 1, &out).ok());
+  EXPECT_EQ(out, "y");
 }
 
 // ---- Checkpoint-boundary crash sweep (torn WriteBatch fault injection) ----
@@ -313,6 +405,51 @@ TEST_P(CheckpointTearTest, SyncedOpsSurviveACheckpointTornAtAnyWrite) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TearAtEveryWrite, CheckpointTearTest, ::testing::Range(0, 14));
+
+// A checkpoint torn over a table the previous checkpoint already persisted: recovery
+// must redo the committed epilogue before any page of the old tables is read, or the
+// page cache keeps the pre-redo copy and acknowledged objects vanish. (CheckpointTearTest
+// starts from an empty table, whose old root is 0 and never read.)
+TEST(OsdCheckpointTest, TornCheckpointOverACheckpointedTableRecovers) {
+  constexpr uint64_t kSmallDev = 8 * 1024 * 1024;
+  OsdOptions opts;
+  for (int64_t budget = 0; budget < 24; budget++) {
+    std::vector<std::pair<ObjectId, std::string>> acked;
+    test::RunTornWriteCrash(
+        kSmallDev, budget,
+        [&](const std::shared_ptr<FaultyBlockDevice>& faulty, test::CrashPoint* point) {
+          auto r = Osd::Create(faulty, opts);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          auto osd = std::move(r).value();
+          for (int i = 0; i < 16; i++) {
+            if (i == 8) {
+              ASSERT_TRUE(osd->Checkpoint().ok());
+            }
+            auto oid = osd->CreateObject();
+            ASSERT_TRUE(oid.ok());
+            std::string payload = "payload #" + std::to_string(i) +
+                                  std::string(300, static_cast<char>('a' + i));
+            ASSERT_TRUE(osd->Write(*oid, 0, payload).ok());
+            acked.emplace_back(*oid, payload);
+          }
+          ASSERT_TRUE(osd->Sync().ok());
+          point->Tear();
+          (void)osd->Checkpoint();
+          point->Crash();
+        },
+        [&](const std::shared_ptr<MemoryBlockDevice>& base) {
+          auto reopened = Osd::Open(base, opts);
+          ASSERT_TRUE(reopened.ok()) << "budget " << budget << ": "
+                                     << reopened.status().ToString();
+          for (const auto& [oid, payload] : acked) {
+            std::string out;
+            ASSERT_TRUE((*reopened)->Read(oid, 0, payload.size(), &out).ok())
+                << "budget " << budget << " oid " << oid;
+            EXPECT_EQ(out, payload) << "budget " << budget << " oid " << oid;
+          }
+        });
+  }
+}
 
 TEST(OsdTest, PersistsAcrossCleanReopen) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);

@@ -3,6 +3,7 @@
 // including a full crash in the middle of cross-layer activity.
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -160,6 +161,12 @@ struct SystemWorkload {
   int ops;
   bool journaling;
 };
+
+// Printed into the CTest name (".../seed1_ops400_journal"). Without a printer gtest dumps
+// the raw struct bytes, padding included, so the name changes from build to build.
+void PrintTo(const SystemWorkload& w, std::ostream* os) {
+  *os << "seed" << w.seed << "_ops" << w.ops << (w.journaling ? "_journal" : "_nojournal");
+}
 
 class SystemPropertyTest : public ::testing::TestWithParam<SystemWorkload> {};
 

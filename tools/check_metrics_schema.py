@@ -28,6 +28,8 @@ HIST_FIELDS = ["count", "sum_ns", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_
 
 REQUIRED_GAUGES = [
     "journal_occupancy_pct",
+    # The accounted fill the checkpoint kick and the backstop read (both scopes).
+    "journal_reserved_pct",
     "pager_resident_pages",
     "pager_dirty_pages",
     "checkpointer_state",

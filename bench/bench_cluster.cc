@@ -11,6 +11,12 @@
 //     fsync-per-op writers over four journals vs one.
 //   * TagStormSync/N@8 — the same window through the FileSystem batch path (tag-shard
 //     locks, reverse map on the metadata shard, journal on the owner).
+//   * ClusterSyncStorm/N@T — the cluster-wide Sync() instead of the owner's: each of T
+//     threads writes an object on shard t % N, so one Sync has up to min(T, N) journals
+//     to commit. The cluster starts every shard's commit before it waits for any, so
+//     this should cost one device sync per op, not one per dirty shard.
+//     ClusterSyncStorm/1 runs Osd::Sync itself, and OsdSyncStorm and TagStormSync
+//     bypass the fan-out.
 //
 // BENCH_cluster.json holds the checked-in trajectory; docs/BENCHMARKS.md has the
 // regeneration commands.
@@ -36,6 +42,7 @@ using hfad::Slice;
 using hfad::Status;
 using hfad::core::FileSystem;
 using hfad::core::FileSystemOptions;
+using hfad::osd::ObjectId;
 using hfad::osd::OsdCluster;
 using hfad::osd::OsdOptions;
 
@@ -73,6 +80,7 @@ constexpr uint64_t kShardBytes = 128ull * 1024 * 1024;
 std::vector<std::shared_ptr<SlowSyncDevice>> g_slow;
 std::unique_ptr<OsdCluster> g_cluster;
 std::unique_ptr<FileSystem> g_fs;
+std::vector<ObjectId> g_thread_oids;
 
 std::vector<std::shared_ptr<BlockDevice>> MakeSlowDevices(size_t shards) {
   g_slow.clear();
@@ -153,6 +161,51 @@ void BM_TagStormSync(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TagStormSync)->Arg(1)->Arg(4)->Arg(8)->ThreadRange(1, 8)->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+// Cluster-wide durability: each iteration writes the thread's own object (a journaled
+// attribute update: one record, no allocation, not synced on its own) and then calls
+// OsdCluster::Sync(), which must make every shard durable. Thread t's object lives on
+// shard t % shards. `failed` counts ops that did not return OK. Arg = shard count.
+void BM_ClusterSyncStorm(benchmark::State& state) {
+  const size_t shards = static_cast<size_t>(state.range(0));
+  if (state.thread_index() == 0) {
+    g_cluster = std::move(OsdCluster::Create(MakeSlowDevices(shards), OsdOptions{}))
+                    .value();
+    const size_t threads = static_cast<size_t>(state.threads());
+    g_thread_oids.assign(threads, 0);
+    for (size_t left = threads; left > 0;) {
+      const ObjectId oid = g_cluster->CreateObject().value();
+      for (size_t t = 0; t < threads; t++) {
+        if (g_thread_oids[t] == 0 && t % shards == g_cluster->ShardOf(oid)) {
+          g_thread_oids[t] = oid;
+          left--;
+          break;
+        }
+      }
+    }
+  }
+  const ObjectId oid = g_thread_oids[static_cast<size_t>(state.thread_index())];
+  uint32_t uid = 0;
+  uint64_t failed = 0;
+  for (auto _ : state) {
+    Status s = g_cluster->SetAttributes(oid, 0600, uid++, 0);
+    if (s.ok()) {
+      s = g_cluster->Sync();
+    }
+    benchmark::DoNotOptimize(s.ok());
+    failed += s.ok() ? 0 : 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["failed"] = static_cast<double>(failed);
+  if (state.thread_index() == 0) {
+    state.counters["syncs"] = static_cast<double>(TotalSyncs());
+    state.counters["shards"] = static_cast<double>(shards);
+    g_cluster.reset();
+    g_slow.clear();
+  }
+}
+BENCHMARK(BM_ClusterSyncStorm)->Arg(1)->Arg(4)->Arg(8)->ThreadRange(1, 8)->UseRealTime()
     ->MeasureProcessCPUTime();
 
 }  // namespace

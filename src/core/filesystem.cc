@@ -663,9 +663,14 @@ Result<ObjectId> FileSystem::Create(const std::vector<TagValue>& names) {
 
 Status FileSystem::Remove(ObjectId oid) {
   HFAD_ASSIGN_OR_RETURN(std::vector<TagValue> names, Tags(oid));
-  for (const TagValue& name : names) {
-    HFAD_RETURN_IF_ERROR(RemoveTag(oid, name));
+  // Every name leaves in one batch, as Create(names) adds them: one record, all or
+  // nothing. A name removed since Tags() fails the batch's validation with NotFound.
+  std::vector<BatchOp> ops;
+  ops.reserve(names.size());
+  for (TagValue& name : names) {
+    ops.push_back(BatchOp{kNsRemoveTag, oid, std::move(name)});
   }
+  HFAD_RETURN_IF_ERROR(CommitBatch(ops));
   // Strip any full-text postings (journaled so replay stays in sync).
   {
     auto lock = tag_mu_.LockExclusive(oid);

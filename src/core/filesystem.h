@@ -159,7 +159,9 @@ class FileSystem {
   // Create an object carrying the given initial names.
   Result<ObjectId> Create(const std::vector<TagValue>& names = {});
 
-  // Remove an object: every name, any full-text postings, then the object itself.
+  // Remove an object: every name, any full-text postings, then the object itself. The
+  // names are stripped in one batch (one journal record), all or nothing: a name removed
+  // concurrently since they were read fails the call with NotFound and strips none.
   Status Remove(ObjectId oid);
 
   // ---- Tag management ----

@@ -1063,6 +1063,17 @@ Status Osd::Sync() {
   return journal_->Commit();
 }
 
+void Osd::SyncAsync(std::function<void(Status)> done) {
+  Status s = CheckWritable();
+  if (!s.ok() || !options_.journaling) {
+    done(s.ok() ? Checkpoint() : std::move(s));
+    return;
+  }
+  // No volume lock: the chain link covers the records or a checkpoint's journal reset
+  // does (Reset waits out the link, and no waiter outlives one).
+  journal_->CommitAsync(~uint64_t{0}, std::move(done));
+}
+
 Status Osd::AppendForeign(Slice payload) { return AppendForeign(payload, nullptr); }
 
 Status Osd::AppendForeign(Slice payload, const std::function<void()>& with_lock) {

@@ -1,7 +1,9 @@
 #include "src/osd/osd_cluster.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "src/common/coding.h"
@@ -188,16 +190,49 @@ Status OsdCluster::ScanObjects(
 // ---------------------------------------------------------------- durability
 
 Status OsdCluster::Sync() {
-  // Attempt every shard even after a failure: a degraded shard must not starve
-  // the healthy ones of durability. First error wins the return value.
-  Status first;
-  for (auto& osd : osds_) {
-    Status s = osd->Sync();
-    if (first.ok() && !s.ok()) {
-      first = s;
+  if (n_ == 1) {
+    // One volume keeps the blocking CommitThrough: waiting out the in-flight link and
+    // draining the next from this thread is what batches a one-volume Sync storm, and
+    // there is no second device to overlap with.
+    return osds_[0]->Sync();
+  }
+  std::vector<size_t> all(n_);
+  std::iota(all.begin(), all.end(), size_t{0});
+  return SyncShards(all);
+}
+
+Status OsdCluster::SyncShards(const std::vector<size_t>& shards) {
+  // Completions land on each journal's engine thread, so the join takes only its own
+  // leaf mutex there and never blocks. Shared, so the last completion may still be
+  // unlocking it when this thread returns.
+  struct Join {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t left = 0;
+    std::vector<Status> results;
+  };
+  auto join = std::make_shared<Join>();
+  join->left = shards.size();
+  join->results.resize(shards.size());
+  // Attempt every shard even after a failure: a degraded shard must not starve the
+  // healthy ones of durability.
+  for (size_t i = 0; i < shards.size(); i++) {
+    osds_[shards[i]]->SyncAsync([join, i](Status s) {
+      std::lock_guard<std::mutex> lock(join->mu);
+      join->results[i] = std::move(s);
+      if (--join->left == 0) {
+        join->cv.notify_one();
+      }
+    });
+  }
+  std::unique_lock<std::mutex> lock(join->mu);
+  join->cv.wait(lock, [&] { return join->left == 0; });
+  for (Status& s : join->results) {
+    if (!s.ok()) {
+      return std::move(s);
     }
   }
-  return first;
+  return Status::Ok();
 }
 
 Status OsdCluster::Checkpoint() {
@@ -316,6 +351,7 @@ Result<uint64_t> OsdCluster::CommitForeignBatch(const std::vector<ObjectId>& oid
   PutFixed64(&prep, batch_id);
   PutVarint64(&prep, coord);
   prep.append(payload.data(), payload.size());
+  // Appended one shard at a time (never two volume locks at once), synced together.
   for (size_t k : parts) {
     Status s = osds_[k]->AppendForeign(prep, [&] { Retain(k, prep, token); });
     if (!s.ok()) {
@@ -325,12 +361,10 @@ Result<uint64_t> OsdCluster::CommitForeignBatch(const std::vector<ObjectId>& oid
       return s;
     }
   }
-  for (size_t k : parts) {
-    Status s = osds_[k]->Sync();
-    if (!s.ok()) {
-      MarkForeignApplied(token);
-      return s;
-    }
+  Status synced = SyncShards(parts);
+  if (!synced.ok()) {
+    MarkForeignApplied(token);
+    return synced;
   }
 
   std::string com;

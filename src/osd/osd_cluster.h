@@ -17,7 +17,8 @@
 // disk:
 //
 //   prepare  [kCfPrepare][fixed64 batch_id][varint coordinator][full inner payload]
-//            appended to EVERY participant shard's journal, then group-committed;
+//            appended to EVERY participant shard's journal, one shard at a time, then
+//            synced on all participants at once (one device-sync round trip);
 //   commit   [kCfCommit][fixed64 batch_id]
 //            appended to the coordinator (the minimum participant shard index) and made
 //            durable BEFORE the caller applies the ops or releases its locks.
@@ -149,6 +150,10 @@ class OsdCluster {
 
   // ---- Durability (fan-out) ----
 
+  // Every record appended on any shard before the call is durable on return. Every shard
+  // is attempted; the first error in shard order wins. A multi-shard cluster starts all
+  // shards' journal commits before it waits for any (SyncShards); one shard keeps the
+  // blocking Osd::Sync.
   Status Sync();
 
   // Checkpoints the metadata shard first (so its callback trims the retention lists),
@@ -174,9 +179,10 @@ class OsdCluster {
 
   // Two-phase commit of one payload spanning multiple owner shards (`oids` are the
   // batch's members; at least two distinct owners). On return the batch is durably
-  // committed on every participant: prepares group-committed everywhere, then the
-  // coordinator's commit record synced — all before the caller applies the ops. The
-  // returned token covers every prepare and the commit record.
+  // committed on every participant: prepares appended shard by shard and synced
+  // together, then the coordinator's commit record appended and synced — all before the
+  // caller applies the ops. The returned token covers every prepare and the commit
+  // record.
   Result<uint64_t> CommitForeignBatch(const std::vector<ObjectId>& oids, Slice payload);
 
   // The record(s) behind `token` have been fully applied to metadata-shard state; the
@@ -231,6 +237,12 @@ class OsdCluster {
     std::string framed;  // Full framed prepare record.
     std::string inner;   // Payload after the prepare header.
   };
+
+  // Sync `shards` together: every volume's journal commit starts (Osd::SyncAsync)
+  // before any is waited for, so the round costs one device-sync round trip instead of
+  // one per shard. No volume lock is held; the join is a leaf mutex the completions
+  // take. Every shard is attempted; the first error in `shards` order wins.
+  Status SyncShards(const std::vector<size_t>& shards);
 
   // Per-shard Osd::Open replay adapter body: unframe, resolve 2PC, forward to hook_.
   Status ReplayShardRecord(size_t k, Osd* volume, Slice payload);

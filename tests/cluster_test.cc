@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -73,6 +75,107 @@ std::vector<std::pair<std::string, std::string>> SortedTags(FileSystem* fs,
   std::sort(out.begin(), out.end());
   return out;
 }
+
+// Parks every device sync it is installed on until Release(), and records how many were
+// parked at the same moment: a sync that is started only after another one finished never
+// meets it here.
+class SyncGate {
+ public:
+  SyncGate() = default;
+  SyncGate(const SyncGate&) = delete;
+  SyncGate& operator=(const SyncGate&) = delete;
+
+  void Install(const std::vector<std::shared_ptr<FaultyBlockDevice>>& devices) {
+    for (const auto& d : devices) {
+      d->SetSyncHook([this] { Park(); });
+    }
+  }
+
+  // Waits up to `timeout` for `n` syncs parked together.
+  bool WaitParked(size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return parked_ >= n; });
+  }
+
+  // Lets every parked sync through, and every later one without parking.
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  size_t max_parked() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_parked_;
+  }
+
+ private:
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (released_) {
+      return;
+    }
+    parked_++;
+    max_parked_ = std::max(max_parked_, parked_);
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    parked_--;
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t parked_ = 0;
+  size_t max_parked_ = 0;
+  bool released_ = false;
+};
+
+// Four shards on FaultyBlockDevice, with no background checkpoint to sync in a gated
+// window.
+struct GatedCluster {
+  static constexpr size_t kShards = 4;
+
+  GatedCluster() = default;
+  GatedCluster(const GatedCluster&) = delete;
+  GatedCluster& operator=(const GatedCluster&) = delete;
+
+  // The hooks go first: the gate they call may already be gone, and Close syncs.
+  ~GatedCluster() {
+    for (auto& f : faulty) {
+      f->SetSyncHook(nullptr);
+    }
+    cluster.reset();
+  }
+
+  void Open() {
+    std::vector<std::shared_ptr<BlockDevice>> devices;
+    for (auto& b : MakeDevices(kShards)) {
+      faulty.push_back(std::make_shared<FaultyBlockDevice>(b));
+      devices.push_back(faulty.back());
+    }
+    OsdOptions opts;
+    opts.checkpoint_kick_occupancy = 0;
+    auto created = OsdCluster::Create(devices, opts);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    cluster = std::move(created).value();
+    on_shard.assign(kShards, 0);
+    for (size_t left = kShards; left > 0;) {
+      auto oid = cluster->CreateObject();
+      ASSERT_TRUE(oid.ok());
+      ObjectId& slot = on_shard[cluster->ShardOf(*oid)];
+      if (slot == 0) {
+        ASSERT_TRUE(cluster->Write(*oid, 0, "gated").ok());
+        slot = *oid;
+        left--;
+      }
+    }
+  }
+
+  std::vector<std::shared_ptr<FaultyBlockDevice>> faulty;
+  std::unique_ptr<OsdCluster> cluster;
+  std::vector<ObjectId> on_shard;  // One written object per shard.
+};
+
+constexpr auto kParkWait = std::chrono::seconds(5);
 
 // ---------------------------------------------------------------- cluster routing
 
@@ -331,6 +434,120 @@ TEST(ShardedFileSystemTest, CheckpointedBatchNamesOfRemovedObjectsStayGone) {
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->clean()) << report->ToString();
   }
+}
+
+// Removing an object strips all its names in one record: its owner's journal grows by
+// the name strip, the full-text unindex and the delete, whatever the name count. After a
+// crash the object and every name of it are gone; a name it shared stays on the other
+// object.
+TEST(ShardedFileSystemTest, RemoveStripsEveryNameInOneRecord) {
+  const std::vector<TagValue> names = {
+      {"USER", "alice"}, {"APP", "mail"}, {"UDEF", "a"}, {"UDEF", "b"}, {"UDEF", "c"}};
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    for (bool lazy : {false, true}) {
+      SCOPED_TRACE(std::to_string(shards) + (lazy ? " shards, lazy" : " shards, inline"));
+      auto bases = MakeDevices(shards);
+      std::vector<std::shared_ptr<FaultyBlockDevice>> faulty;
+      std::vector<std::shared_ptr<BlockDevice>> devices;
+      for (auto& b : bases) {
+        faulty.push_back(std::make_shared<FaultyBlockDevice>(b));
+        devices.push_back(faulty.back());
+      }
+      FileSystemOptions opts = ShardedOptions(shards);
+      opts.lazy_tag_indexing = lazy;
+      // No checkpoint epilogue inside the counted window.
+      opts.osd.checkpoint_kick_occupancy = 0;
+      ObjectId gone = 0, kept = 0;
+      {
+        auto fs = FileSystem::Create(devices, opts);
+        ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+        auto a = (*fs)->Create(names);
+        auto b = (*fs)->Create({{"UDEF", "a"}});
+        ASSERT_TRUE(a.ok() && b.ok());
+        gone = *a;
+        kept = *b;
+        ASSERT_TRUE((*fs)->WaitForTagIndexing().ok());
+        osd::Osd* owner = (*fs)->cluster()->owner(gone);
+        const uint64_t before = owner->journal_records_appended();
+        ASSERT_TRUE((*fs)->Remove(gone).ok());
+        EXPECT_EQ(owner->journal_records_appended() - before, 3u)
+            << "want the name strip, the full-text unindex and the delete";
+        ASSERT_TRUE((*fs)->Sync().ok());
+        for (auto& f : faulty) {
+          f->SetWriteBudget(0);  // Hard crash on every device at once.
+        }
+      }
+      auto reopened = FileSystem::Open(bases, opts);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      FileSystem* fs = reopened->get();
+      ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+      EXPECT_FALSE(fs->cluster()->Exists(gone));
+      EXPECT_TRUE(fs->cluster()->Exists(kept));
+      for (const TagValue& name : names) {
+        const std::vector<ObjectId> want =
+            name.value == "a" ? std::vector<ObjectId>{kept} : std::vector<ObjectId>{};
+        EXPECT_EQ(StrictFind(fs, name.tag + ":" + name.value), want)
+            << name.tag << ":" << name.value;
+      }
+      auto report = CheckFileSystem(fs);
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report->clean()) << report->ToString();
+    }
+  }
+}
+
+// ------------------------------------------------------- cross-shard commit overlap
+
+// A cluster-wide Sync starts every dirty shard's journal commit before it waits for
+// any: all four device syncs are in flight together.
+TEST(ClusterSyncTest, SyncOverlapsEveryShardCommit) {
+  GatedCluster g;
+  g.Open();
+  if (HasFatalFailure()) {
+    return;
+  }
+  SyncGate gate;
+  gate.Install(g.faulty);  // After Create, whose checkpoints sync every shard.
+  Status synced;
+  std::thread syncer([&] { synced = g.cluster->Sync(); });
+  const bool overlapped = gate.WaitParked(GatedCluster::kShards, kParkWait);
+  gate.Release();
+  syncer.join();
+  EXPECT_TRUE(overlapped) << "at most " << gate.max_parked() << " of "
+                          << GatedCluster::kShards
+                          << " shard syncs were in flight together";
+  EXPECT_TRUE(synced.ok()) << synced.ToString();
+  for (size_t k = 0; k < GatedCluster::kShards; k++) {
+    EXPECT_EQ(g.cluster->shard(k)->journal_pending_records(), 0u) << "shard " << k;
+  }
+}
+
+// The prepare round of a cross-shard batch syncs its participants together, and the
+// coordinator's commit record is appended only once all of them are durable.
+TEST(ClusterSyncTest, PrepareRoundOverlapsParticipantSyncs) {
+  GatedCluster g;
+  g.Open();
+  if (HasFatalFailure()) {
+    return;
+  }
+  const std::vector<ObjectId> members = {g.on_shard[1], g.on_shard[2], g.on_shard[3]};
+  Osd* coordinator = g.cluster->shard(1);
+  const uint64_t before = coordinator->journal_records_appended();
+  SyncGate gate;
+  gate.Install(g.faulty);
+  Status committed;
+  std::thread committer([&] {
+    committed = g.cluster->CommitForeignBatch(members, Slice("overlap")).status();
+  });
+  const bool overlapped = gate.WaitParked(3, kParkWait);
+  const uint64_t while_parked = coordinator->journal_records_appended();
+  gate.Release();
+  committer.join();
+  EXPECT_TRUE(overlapped) << "at most " << gate.max_parked()
+                          << " of 3 prepare syncs were in flight together";
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_EQ(while_parked, before + 1) << "only the prepare before its sync";
+  EXPECT_EQ(coordinator->journal_records_appended(), before + 2);
 }
 
 // ------------------------------------------------------- cross-shard 2PC tear sweep

@@ -5,6 +5,7 @@
 // page of the volume is either invisible (a region with its own integrity check, or
 // bytes nothing reads) or caught — by read-path verify, by scrub, or by an open-time
 // CRC — and never served to a caller as wrong data.
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -411,6 +412,29 @@ TEST(FaultsTest, FailedShardLeavesOtherShardsAvailable) {
   EXPECT_FALSE(cluster->Checkpoint().ok());
   std::string out;
   ASSERT_TRUE(cluster->Read(oids[0], 0, 500, &out).ok());
+
+  // A record pending on every healthy shard (the victim refuses its own; an insert, as an
+  // overwrite would sync its own record), then one Sync: it returns the victim's error
+  // and still leaves every healthy journal committed.
+  for (size_t k = 0; k < cluster->shard_count(); k++) {
+    auto on_k = std::find_if(oids.begin(), oids.end(),
+                             [&](ObjectId oid) { return cluster->ShardOf(oid) == k; });
+    ASSERT_NE(on_k, oids.end()) << "no object on shard " << k;
+    Status inserted = cluster->Insert(*on_k, 0, "pending");
+    EXPECT_EQ(inserted.ok(), k != victim) << "shard " << k << ": " << inserted.ToString();
+    if (k != victim) {
+      EXPECT_GT(cluster->shard(k)->journal_pending_records(), 0u) << "shard " << k;
+    }
+  }
+  Status synced = cluster->Sync();
+  EXPECT_TRUE(synced.IsIoError()) << synced.ToString();
+  EXPECT_NE(synced.ToString().find("simulated dead shard"), std::string::npos)
+      << synced.ToString();
+  for (size_t k = 0; k < cluster->shard_count(); k++) {
+    if (k != victim) {
+      EXPECT_EQ(cluster->shard(k)->journal_pending_records(), 0u) << "shard " << k;
+    }
+  }
 
   cluster->shard(victim)->health().Reset();  // Close cleanly in teardown.
 }

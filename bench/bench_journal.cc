@@ -7,6 +7,8 @@
 // amortizes across. The numbers to watch:
 //
 //   * CommitStorm@8 vs @1      — how group commit scales when every op syncs.
+//   * file:1 arms              — CommitStorm and OsdSyncStorm on a FileBlockDevice in
+//                                the temp directory, where Sync is a real fdatasync.
 //   * AppendDuringSync         — whether appenders ride out an in-flight fsync (the
 //                                commit chain) or queue behind it.
 //   * OsdSyncStorm / TagStorm  — the same window measured end-to-end through the OSD and
@@ -24,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,6 +43,7 @@ namespace {
 
 using hfad::BlockDevice;
 using hfad::FaultyBlockDevice;
+using hfad::FileBlockDevice;
 using hfad::MemoryBlockDevice;
 using hfad::Slice;
 using hfad::Status;
@@ -80,10 +84,48 @@ constexpr auto kSyncCost = std::chrono::microseconds(100);
 constexpr uint64_t kJournalRegion = 64ull * 1024 * 1024;
 
 std::shared_ptr<SlowSyncDevice> g_slow;
+std::shared_ptr<BlockDevice> g_dev;  // The storm's device: g_slow or a file.
+uint64_t g_commits_before = 0;
 std::unique_ptr<Journal> g_journal;
 std::unique_ptr<Osd> g_osd;
 std::unique_ptr<FileSystem> g_fs;
 std::atomic<int> g_storm_active{0};
+
+std::string StormFilePath() {
+  return (std::filesystem::temp_directory_path() / "hfad_bench_journal_storm.img").string();
+}
+
+// Sets g_dev to the device arm `file` selects (the storm benchmarks' argument): RAM
+// charged kSyncCost per Sync (also kept in g_slow for its sync count), or a fresh
+// FileBlockDevice of `size` bytes in the temp directory.
+void OpenStormDevice(bool file, uint64_t size) {
+  if (file) {
+    std::filesystem::remove(StormFilePath());
+    g_dev = std::move(FileBlockDevice::Open(StormFilePath(), size)).value();
+    g_commits_before = stats::Get(stats::Counter::kJournalCommits);
+  } else {
+    g_slow = std::make_shared<SlowSyncDevice>(std::make_shared<MemoryBlockDevice>(size),
+                                              kSyncCost);
+    g_dev = g_slow;
+  }
+}
+
+// Reports the arm's device syncs (RAM) or journal commits (file) so far.
+void ReportStormCounters(benchmark::State& state) {
+  if (g_slow) {
+    state.counters["syncs"] = static_cast<double>(g_slow->syncs());
+  } else {
+    state.counters["commits"] =
+        static_cast<double>(stats::Get(stats::Counter::kJournalCommits) - g_commits_before);
+  }
+}
+
+// Drops the device and removes the file arm's file.
+void CloseStormDevice() {
+  if (!g_slow) std::filesystem::remove(StormFilePath());
+  g_slow.reset();
+  g_dev.reset();
+}
 
 // ---------------------------------------------------------------- raw journal storms
 
@@ -92,9 +134,8 @@ std::atomic<int> g_storm_active{0};
 // threads one chain link's sync covers.
 void BM_CommitStorm(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    g_slow = std::make_shared<SlowSyncDevice>(
-        std::make_shared<MemoryBlockDevice>(kJournalRegion), kSyncCost);
-    g_journal = std::make_unique<Journal>(g_slow.get(), 0, kJournalRegion);
+    OpenStormDevice(state.range(0) != 0, kJournalRegion);
+    g_journal = std::make_unique<Journal>(g_dev.get(), 0, kJournalRegion);
   }
   const std::string payload = "commit-storm-record-" + std::to_string(state.thread_index());
   for (auto _ : state) {
@@ -109,12 +150,18 @@ void BM_CommitStorm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
-    state.counters["syncs"] = static_cast<double>(g_slow->syncs());
+    ReportStormCounters(state);
     g_journal.reset();
-    g_slow.reset();
+    CloseStormDevice();
   }
 }
-BENCHMARK(BM_CommitStorm)->ThreadRange(1, 8)->UseRealTime()->MeasureProcessCPUTime();
+BENCHMARK(BM_CommitStorm)
+    ->ArgName("file")
+    ->Arg(0)
+    ->Arg(1)
+    ->ThreadRange(1, 8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 // The completion-driven commit path: 64 simulated clients spread across the benchmark
 // threads, each keeping a window of Append+CommitAsync commits outstanding instead of
@@ -210,10 +257,9 @@ BENCHMARK(BM_AppendDuringSync)->ThreadRange(1, 8)->UseRealTime()->MeasureProcess
 // Exercises journal_mu_ + the commit protocol together.
 void BM_OsdSyncStorm(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    g_slow = std::make_shared<SlowSyncDevice>(
-        std::make_shared<MemoryBlockDevice>(1ull << 30), kSyncCost);
+    OpenStormDevice(state.range(0) != 0, 1ull << 30);
     OsdOptions options;
-    g_osd = std::move(Osd::Create(g_slow, options)).value();
+    g_osd = std::move(Osd::Create(g_dev, options)).value();
   }
   for (auto _ : state) {
     auto oid = g_osd->CreateObject();
@@ -223,12 +269,18 @@ void BM_OsdSyncStorm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
-    state.counters["syncs"] = static_cast<double>(g_slow->syncs());
+    ReportStormCounters(state);
     g_osd.reset();
-    g_slow.reset();
+    CloseStormDevice();
   }
 }
-BENCHMARK(BM_OsdSyncStorm)->ThreadRange(1, 8)->UseRealTime()->MeasureProcessCPUTime();
+BENCHMARK(BM_OsdSyncStorm)
+    ->ArgName("file")
+    ->Arg(0)
+    ->Arg(1)
+    ->ThreadRange(1, 8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 // Tag storm with per-batch durability through the FileSystem: each iteration commits a
 // NamespaceBatch of 4 tags and Syncs. The 8-thread number is ROADMAP perf target 2.

@@ -1057,7 +1057,6 @@ std::string FileSystem::DumpMetrics() const {
   uint64_t io_submitted = 0, io_completed = 0, io_in_flight = 0, io_max_qd = 0;
   uint64_t scrub_passes = 0, quarantined = 0;
   bool checksums_enabled = false;
-  std::string backend;
   for (size_t k = 0; k < cluster_->shard_count(); k++) {
     osd::Osd* shard = cluster_->shard(k);
     occupancy = std::max(occupancy, shard->journal_occupancy());
@@ -1073,7 +1072,6 @@ std::string FileSystem::DumpMetrics() const {
       quarantined += shard->checksums()->QuarantinedPages().size();
     }
     const io::IoEngine* eng = shard->io_engine();
-    backend = eng->backend_name();
     io_submitted += eng->submitted();
     io_completed += eng->completed();
     io_in_flight += eng->in_flight();
@@ -1086,7 +1084,6 @@ std::string FileSystem::DumpMetrics() const {
   w.Key("journal_pending_records").Value(pending_records);
   w.Key("pager_resident_pages").Value(resident_pages);
   w.Key("pager_dirty_pages").Value(dirty_pages);
-  w.Key("io_backend").Value(backend);
   w.Key("io_submitted").Value(io_submitted);
   w.Key("io_completed").Value(io_completed);
   w.Key("io_in_flight").Value(io_in_flight);

@@ -9,17 +9,11 @@
 // commit chain (its only client) keeps thousands of commits in flight on a handful of
 // engine threads.
 //
-// Two backends behind one interface (CreateIoEngine picks at runtime):
-//
-//   * thread-pool — portable: N workers pop a submission queue and run the device's
-//     own virtual Write/Sync. Because the device methods themselves execute,
-//     FaultyBlockDevice write-budget and sync-hook accounting is identical through
-//     the engine by construction, so the crash harness torn-write sweeps exercise
-//     the engine unchanged.
-//   * io_uring — Linux, raw syscalls (no liburing dependency), compiled under
-//     HFAD_WITH_URING and selected only when the device exposes a native fd
-//     (FileBlockDevice) and io_uring_setup succeeds at runtime (seccomp-restricted
-//     environments fall back to the thread pool).
+// The engine is a pool of kWorkers threads that pop one submission queue and run the
+// device's own virtual Write/Sync. Because the device methods themselves execute,
+// FaultyBlockDevice write-budget and sync-hook accounting is identical through the
+// engine by construction, so the crash harness torn-write sweeps exercise the engine
+// unchanged.
 //
 // Completion contract (the engine's one hard invariant): every successfully
 // submitted request completes EXACTLY once — executed, failed, or aborted by
@@ -36,10 +30,13 @@
 #define HFAD_SRC_IO_IO_ENGINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
-#include <utility>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "src/common/slice.h"
 #include "src/common/status.h"
@@ -62,34 +59,26 @@ struct IoRequest {
   std::function<void(Status)> on_complete;
 };
 
-enum class IoBackend : uint8_t {
-  kAuto,        // io_uring when built + device + kernel allow it, else thread pool.
-  kThreadPool,  // Portable worker-pool backend.
-};
-
-struct IoEngineOptions {
-  // Submission workers (thread-pool backend) / queue depth hint (io_uring).
-  int threads = 2;
-  IoBackend backend = IoBackend::kAuto;
-};
-
-// Shared engine shell: the gauges. Backends call Deliver() for every finished op.
 class IoEngine {
  public:
-  virtual ~IoEngine() = default;
+  // Worker threads per engine. The journal's chain keeps one request in flight, so
+  // the second worker only starts a follow-up while the first is still inside the
+  // completion callback that submitted it.
+  static constexpr int kWorkers = 2;
+
+  explicit IoEngine(BlockDevice* device);
+  ~IoEngine();
 
   IoEngine(const IoEngine&) = delete;
   IoEngine& operator=(const IoEngine&) = delete;
 
   // Enqueue one request. Never blocks on device IO; fails only after Shutdown().
-  virtual Status Submit(IoRequest req) = 0;
+  Status Submit(IoRequest req);
 
   // Drain in-flight ops and stop. Requests accepted but not yet started complete
   // with IoError("aborted by engine shutdown") — still exactly once. Idempotent;
   // the destructor calls it.
-  virtual void Shutdown() = 0;
-
-  virtual const char* backend_name() const = 0;
+  void Shutdown();
 
   // ---- Gauges (DumpMetrics "io" block) ----
   uint64_t submitted() const { return submitted_.load(std::memory_order_relaxed); }
@@ -103,45 +92,29 @@ class IoEngine {
     return max_depth_.load(std::memory_order_relaxed);
   }
 
- protected:
-  IoEngine() = default;
+ private:
+  void WorkerMain();
 
-  // Account one accepted submission.
-  void RecordSubmit() {
-    uint64_t s = submitted_.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint64_t depth = s - completed_.load(std::memory_order_relaxed);
-    uint64_t prev = max_depth_.load(std::memory_order_relaxed);
-    while (depth > prev &&
-           !max_depth_.compare_exchange_weak(prev, depth, std::memory_order_relaxed)) {
-    }
-  }
+  // Account one accepted submission (mu_ held).
+  void RecordSubmit();
 
   // Deliver one finished op: count it, then run its callback (engine thread, no
   // locks held). The exactly-once contract is the caller's to uphold.
-  void Deliver(const std::function<void(Status)>& cb, Status status) {
-    // Counted before dispatch so in_flight() never under-reports while a callback
-    // is still running.
-    completed_.fetch_add(1, std::memory_order_release);
-    if (cb) cb(std::move(status));
-  }
+  void Deliver(const std::function<void(Status)>& cb, Status status);
 
- private:
+  BlockDevice* const device_;
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::deque<IoRequest> queue_;
+  bool shutdown_ = false;
+
+  std::vector<std::thread> workers_;
+
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> max_depth_{0};
 };
-
-// Build an engine for `device`. Backend choice: kThreadPool always works; kAuto uses
-// io_uring only when HFAD_WITH_URING is compiled in, the device has a native fd, and
-// io_uring_setup succeeds at runtime — otherwise the thread pool is returned. Never
-// fails: the thread-pool backend has no preconditions.
-std::unique_ptr<IoEngine> CreateIoEngine(BlockDevice* device,
-                                         const IoEngineOptions& options);
-
-// Internal backend factories (thread_pool_engine.cc / uring_engine.cc).
-// CreateUringEngine returns null when unsupported.
-std::unique_ptr<IoEngine> CreateThreadPoolEngine(BlockDevice* device, int threads);
-std::unique_ptr<IoEngine> CreateUringEngine(BlockDevice* device, int depth_hint);
 
 }  // namespace io
 }  // namespace hfad

@@ -45,7 +45,7 @@ Journal::Journal(BlockDevice* device, uint64_t region_offset, uint64_t region_si
       region_size_(region_size),
       next_seq_(first_sequence),
       committed_seq_(first_sequence - 1),
-      engine_(io::CreateIoEngine(device, {})) {}
+      engine_(std::make_unique<io::IoEngine>(device)) {}
 
 Journal::~Journal() {
   // Every accepted request completes before Shutdown returns, so no completion can

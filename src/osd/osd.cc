@@ -1319,7 +1319,6 @@ std::string Osd::DumpMetrics() const {
   w.Key("object_count").Value(object_count());
   w.Key("heap_allocated_bytes").Value(heap_allocated_bytes());
   const io::IoEngine* engine = io_engine();
-  w.Key("io_backend").Value(engine->backend_name());
   w.Key("io_submitted").Value(engine->submitted());
   w.Key("io_completed").Value(engine->completed());
   w.Key("io_in_flight").Value(engine->in_flight());

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <limits.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -114,7 +115,20 @@ Result<std::unique_ptr<FileBlockDevice>> FileBlockDevice::Open(const std::string
   if (fd < 0) {
     return Status::IoError("open " + path + ": " + strerror(errno));
   }
-  if (::ftruncate(fd, static_cast<off_t>(size_bytes)) != 0) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("fstat " + path + ": " + strerror(errno));
+  }
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  if (file_size > size_bytes) {
+    // Truncating would silently destroy the tail of a persisted volume.
+    ::close(fd);
+    return Status::InvalidArgument(path + " holds " + std::to_string(file_size) +
+                                   " bytes, more than the requested capacity " +
+                                   std::to_string(size_bytes));
+  }
+  if (file_size < size_bytes && ::ftruncate(fd, static_cast<off_t>(size_bytes)) != 0) {
     ::close(fd);
     return Status::IoError("ftruncate " + path + ": " + strerror(errno));
   }

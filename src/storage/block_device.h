@@ -58,11 +58,6 @@ class BlockDevice {
 
   // Device capacity in bytes.
   virtual uint64_t Size() const = 0;
-
-  // File descriptor for kernel-submitted IO (io_uring), or -1 when the device has
-  // no native fd (memory-backed, fault-injection wrappers). A wrapper device must
-  // NOT forward its base's fd: bypassing the wrapper would bypass its semantics.
-  virtual int native_fd() const { return -1; }
 };
 
 // RAM-backed device. Thread-safe for non-overlapping concurrent access.
@@ -85,7 +80,8 @@ class MemoryBlockDevice : public BlockDevice {
 // File-backed device. The file is created (and sized) if absent.
 class FileBlockDevice : public BlockDevice {
  public:
-  // Opens (creating if needed) path with the given capacity.
+  // Opens (creating if needed) path with the given capacity. A smaller file grows to
+  // the capacity; a larger one is refused with InvalidArgument, never truncated.
   static Result<std::unique_ptr<FileBlockDevice>> Open(const std::string& path,
                                                        uint64_t size_bytes);
   ~FileBlockDevice() override;
@@ -97,7 +93,6 @@ class FileBlockDevice : public BlockDevice {
   Status WriteBatch(std::vector<WriteExtent> extents) override;
   Status Sync() override;
   uint64_t Size() const override { return size_; }
-  int native_fd() const override { return fd_; }
 
  private:
   FileBlockDevice(int fd, uint64_t size) : fd_(fd), size_(size) {}

@@ -2,8 +2,7 @@
 // fault-injected runs, shutdown with in-flight ops, multi-submitter stress (run
 // under TSan in CI), re-entrant submission from a completion, and parity of
 // FaultyBlockDevice accounting between the synchronous device API and the engine
-// path. The io_uring backend is exercised when the runtime allows it, with a skip
-// (not a failure) otherwise.
+// path, and a round trip through a file-backed device.
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
@@ -28,16 +27,6 @@ constexpr uint64_t kMiB = 1024 * 1024;
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / ("hfad_io_engine_test_" + name))
       .string();
-}
-
-// Engine factory parameterization: every behavioral test runs against the
-// thread-pool backend; the io_uring-specific suite below covers the other
-// backend when the environment permits.
-std::unique_ptr<IoEngine> MakePoolEngine(BlockDevice* dev, int threads = 3) {
-  IoEngineOptions opts;
-  opts.threads = threads;
-  opts.backend = IoBackend::kThreadPool;
-  return CreateIoEngine(dev, opts);
 }
 
 // Submit one request and block until its completion, returning its status.
@@ -67,12 +56,12 @@ IoRequest Sync() {
 TEST(IoEngineTest, ErrorsFromAFailedRunPropagateToTheCompletion) {
   auto base = std::make_unique<MemoryBlockDevice>(kMiB);
   FaultyBlockDevice faulty(std::move(base));
-  auto engine = MakePoolEngine(&faulty, 1);
+  IoEngine engine(&faulty);
 
   faulty.SetWriteBudget(2);
   std::vector<Status> results;
   for (int i = 0; i < 4; ++i) {
-    results.push_back(RunToCompletion(engine.get(), Write(4096 * (1 + i), Slice("x"))));
+    results.push_back(RunToCompletion(&engine, Write(4096 * (1 + i), Slice("x"))));
   }
   EXPECT_TRUE(results[0].ok());
   EXPECT_TRUE(results[1].ok());
@@ -81,7 +70,7 @@ TEST(IoEngineTest, ErrorsFromAFailedRunPropagateToTheCompletion) {
 
   // Sync after the injected crash fails through the engine exactly as it does
   // through the direct device API.
-  EXPECT_FALSE(RunToCompletion(engine.get(), Sync()).ok());
+  EXPECT_FALSE(RunToCompletion(&engine, Sync()).ok());
 }
 
 TEST(IoEngineTest, FaultyDeviceAccountingIsIdenticalThroughTheEngine) {
@@ -104,8 +93,8 @@ TEST(IoEngineTest, FaultyDeviceAccountingIsIdenticalThroughTheEngine) {
   run_ops(&direct, nullptr);
 
   FaultyBlockDevice via_engine(std::make_unique<MemoryBlockDevice>(kMiB));
-  auto engine = MakePoolEngine(&via_engine, 2);
-  run_ops(&via_engine, engine.get());
+  IoEngine engine(&via_engine);
+  run_ops(&via_engine, &engine);
 
   EXPECT_EQ(direct.writes_attempted(), via_engine.writes_attempted());
   EXPECT_EQ(direct.syncs_attempted(), via_engine.syncs_attempted());
@@ -115,20 +104,20 @@ TEST(IoEngineTest, ShutdownAbortsQueuedOpsAndCompletesEverySubmission) {
   auto base = std::make_unique<MemoryBlockDevice>(kMiB);
   FaultyBlockDevice faulty(std::move(base));
 
-  // Park the single worker inside Sync() so later submissions stack up in the
-  // engine queue, then shut down with them in flight.
+  // Park every worker inside Sync() (one sync each) so later submissions stack up
+  // in the engine queue, then shut down with them in flight.
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
-  bool parked = false;
+  int parked = 0;
   faulty.SetSyncHook([&] {
     std::unique_lock<std::mutex> lock(gate_mu);
-    parked = true;
+    ++parked;
     gate_cv.notify_all();
     gate_cv.wait(lock, [&] { return gate_open; });
   });
 
-  auto engine = MakePoolEngine(&faulty, 1);
+  IoEngine engine(&faulty);
 
   std::atomic<int> completions{0};
   std::atomic<int> aborted{0};
@@ -137,30 +126,32 @@ TEST(IoEngineTest, ShutdownAbortsQueuedOpsAndCompletesEverySubmission) {
     if (!s.ok()) aborted.fetch_add(1);
   };
 
-  IoRequest sync = Sync();
-  sync.on_complete = counting_cb;
-  ASSERT_TRUE(engine->Submit(std::move(sync)).ok());
+  for (int i = 0; i < IoEngine::kWorkers; ++i) {
+    IoRequest sync = Sync();
+    sync.on_complete = counting_cb;
+    ASSERT_TRUE(engine.Submit(std::move(sync)).ok());
+  }
   {
     std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return parked; });
+    gate_cv.wait(lock, [&] { return parked == IoEngine::kWorkers; });
   }
   constexpr int kQueued = 5;
   for (int i = 0; i < kQueued; ++i) {
     IoRequest w = Write(4096 * (1 + i), Slice("queued"));
     w.on_complete = counting_cb;
-    ASSERT_TRUE(engine->Submit(std::move(w)).ok());
+    ASSERT_TRUE(engine.Submit(std::move(w)).ok());
   }
 
-  std::thread shutdown_thread([&] { engine->Shutdown(); });
+  std::thread shutdown_thread([&] { engine.Shutdown(); });
   // Shutdown flips the refusal flag and swaps out the queue in one critical
   // section, so keep submitting until one is refused: at that point every
   // accepted write above (and in this loop) is provably in the orphan set,
-  // since the lone worker is still parked inside the sync hook.
+  // since every worker is still parked inside the sync hook.
   int extra = 0;
   for (;;) {
     IoRequest w = Write(4096 * (1 + kQueued + extra), Slice("racing"));
     w.on_complete = counting_cb;
-    if (!engine->Submit(std::move(w)).ok()) break;
+    if (!engine.Submit(std::move(w)).ok()) break;
     ++extra;
     std::this_thread::yield();
   }
@@ -171,18 +162,18 @@ TEST(IoEngineTest, ShutdownAbortsQueuedOpsAndCompletesEverySubmission) {
   gate_cv.notify_all();
   shutdown_thread.join();
 
-  // Exactly-once across the board: the parked sync ran to completion, every
+  // Exactly-once across the board: each parked sync ran to completion, every
   // queued write was aborted — no completion lost, none duplicated.
-  EXPECT_EQ(completions.load(), 1 + kQueued + extra);
+  EXPECT_EQ(completions.load(), IoEngine::kWorkers + kQueued + extra);
   EXPECT_EQ(aborted.load(), kQueued + extra);
-  EXPECT_EQ(engine->completed(), engine->submitted());
+  EXPECT_EQ(engine.completed(), engine.submitted());
 
-  EXPECT_FALSE(engine->Submit(IoRequest{}).ok());
+  EXPECT_FALSE(engine.Submit(IoRequest{}).ok());
 }
 
 TEST(IoEngineTest, EightSubmitterStress) {
   MemoryBlockDevice dev(8 * kMiB);
-  auto engine = MakePoolEngine(&dev, 4);
+  IoEngine engine(&dev);
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 200;
@@ -207,7 +198,7 @@ TEST(IoEngineTest, EightSubmitterStress) {
             done_cv.notify_all();
           }
         };
-        ASSERT_TRUE(engine->Submit(std::move(req)).ok());
+        ASSERT_TRUE(engine.Submit(std::move(req)).ok());
       }
     });
   }
@@ -218,17 +209,17 @@ TEST(IoEngineTest, EightSubmitterStress) {
                  [&] { return done_count.load() == kThreads * kOpsPerThread; });
   }
   EXPECT_EQ(ok_count.load(), kThreads * kOpsPerThread);
-  EXPECT_EQ(engine->submitted(), static_cast<uint64_t>(kThreads * kOpsPerThread));
-  EXPECT_EQ(engine->completed(), engine->submitted());
-  EXPECT_EQ(engine->in_flight(), 0u);
-  EXPECT_GE(engine->max_queue_depth(), 1u);
+  EXPECT_EQ(engine.submitted(), static_cast<uint64_t>(kThreads * kOpsPerThread));
+  EXPECT_EQ(engine.completed(), engine.submitted());
+  EXPECT_EQ(engine.in_flight(), 0u);
+  EXPECT_GE(engine.max_queue_depth(), 1u);
 }
 
 TEST(IoEngineTest, CompletionCallbackMaySubmitFollowUpRequests) {
   // The journal's async chain submits the sync from the write's completion;
   // prove that re-entrant Submit from a completion thread is safe.
   MemoryBlockDevice dev(kMiB);
-  auto engine = MakePoolEngine(&dev, 2);
+  IoEngine engine(&dev);
 
   std::mutex mu;
   std::condition_variable cv;
@@ -251,64 +242,39 @@ TEST(IoEngineTest, CompletionCallbackMaySubmitFollowUpRequests) {
       chain_done = true;
       cv.notify_one();
     };
-    ASSERT_TRUE(engine->Submit(std::move(sync)).ok());
+    ASSERT_TRUE(engine.Submit(std::move(sync)).ok());
   };
-  ASSERT_TRUE(engine->Submit(std::move(write)).ok());
+  ASSERT_TRUE(engine.Submit(std::move(write)).ok());
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return chain_done; });
   EXPECT_TRUE(chain_status.ok()) << chain_status.ToString();
 }
 
-// ------------------------------------------------------------------ io_uring
-
-TEST(UringEngineTest, RoundTripsThroughTheKernelWhenAvailable) {
-  std::string path = TempPath("uring_roundtrip");
+TEST(IoEngineTest, RoundTripsThroughAFileDevice) {
+  std::string path = TempPath("file_roundtrip");
   std::filesystem::remove(path);
   auto dev = FileBlockDevice::Open(path, kMiB);
   ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+  IoEngine engine(dev->get());
 
-  IoEngineOptions opts;
-  opts.backend = IoBackend::kAuto;
-  auto engine = CreateIoEngine(dev->get(), opts);
-  if (std::string(engine->backend_name()) != "io_uring") {
-    GTEST_SKIP() << "io_uring unavailable (not built or kernel refused); "
-                    "thread-pool fallback covered by IoEngineTest";
-  }
+  ASSERT_TRUE(RunToCompletion(&engine, Write(4096, Slice("via the pool"))).ok());
+  ASSERT_TRUE(RunToCompletion(&engine, Write(8192, Slice("second op"))).ok());
+  ASSERT_TRUE(RunToCompletion(&engine, Sync()).ok());
 
-  ASSERT_TRUE(RunToCompletion(engine.get(), Write(4096, Slice("via the ring"))).ok());
-  ASSERT_TRUE(RunToCompletion(engine.get(), Write(8192, Slice("second op"))).ok());
-  ASSERT_TRUE(RunToCompletion(engine.get(), Sync()).ok());
-
-  // The kernel wrote through the same fd the device reads from.
+  // The workers wrote through the same fd the device reads from.
   std::string got;
   ASSERT_TRUE((*dev)->Read(4096, 12, &got).ok());
-  EXPECT_EQ(got, "via the ring");
+  EXPECT_EQ(got, "via the pool");
   ASSERT_TRUE((*dev)->Read(8192, 9, &got).ok());
   EXPECT_EQ(got, "second op");
 
-  // Writes beyond the fixed capacity must fail instead of growing the file the way
-  // a raw kernel write would.
-  EXPECT_FALSE(RunToCompletion(engine.get(), Write(kMiB, Slice("x"))).ok());
+  // Writes beyond the fixed capacity fail through their completion instead of
+  // growing the file.
+  EXPECT_FALSE(RunToCompletion(&engine, Write(kMiB, Slice("x"))).ok());
 
-  engine->Shutdown();
-  EXPECT_EQ(engine->completed(), engine->submitted());
+  engine.Shutdown();
+  EXPECT_EQ(engine.completed(), engine.submitted());
   std::filesystem::remove(path);
-}
-
-TEST(UringEngineTest, MemoryDevicesNeverSelectUring) {
-  // No native fd -> CreateIoEngine must pick the thread pool even on kAuto,
-  // because kernel IO would bypass MemoryBlockDevice/FaultyBlockDevice
-  // semantics entirely.
-  MemoryBlockDevice dev(kMiB);
-  IoEngineOptions opts;
-  opts.backend = IoBackend::kAuto;
-  auto engine = CreateIoEngine(&dev, opts);
-  EXPECT_STREQ(engine->backend_name(), "thread_pool");
-
-  FaultyBlockDevice faulty(std::make_unique<MemoryBlockDevice>(kMiB));
-  EXPECT_EQ(faulty.native_fd(), -1);
-  auto faulty_engine = CreateIoEngine(&faulty, opts);
-  EXPECT_STREQ(faulty_engine->backend_name(), "thread_pool");
 }
 
 }  // namespace

@@ -102,6 +102,36 @@ TEST(FileBlockDeviceTest, RespectsCapacity) {
   std::filesystem::remove(path);
 }
 
+// Reopening a persisted volume with a smaller capacity must refuse, not truncate the
+// file and silently drop its tail.
+TEST(FileBlockDeviceTest, ReopenAtSmallerSizeRefusesAndKeepsTheTail) {
+  std::string path = TempPath("no_shrink");
+  std::filesystem::remove(path);
+  const uint64_t tail = kMiB - 4096;
+  {
+    auto dev = FileBlockDevice::Open(path, kMiB);
+    ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+    ASSERT_TRUE((*dev)->Write(tail, Slice("tail bytes")).ok());
+    ASSERT_TRUE((*dev)->Sync().ok());
+  }
+  {
+    auto dev = FileBlockDevice::Open(path, 8192);
+    ASSERT_FALSE(dev.ok());
+    EXPECT_EQ(dev.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(dev.status().ToString().find(std::to_string(kMiB)), std::string::npos);
+    EXPECT_NE(dev.status().ToString().find("8192"), std::string::npos);
+  }
+  EXPECT_EQ(std::filesystem::file_size(path), kMiB);
+  {
+    auto dev = FileBlockDevice::Open(path, kMiB);
+    ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+    std::string out;
+    ASSERT_TRUE((*dev)->Read(tail, 10, &out).ok());
+    EXPECT_EQ(out, "tail bytes");
+  }
+  std::filesystem::remove(path);
+}
+
 // ---------------------------------------------------------------- FaultyBlockDevice
 
 TEST(FaultyBlockDeviceTest, UnlimitedByDefault) {

@@ -33,7 +33,6 @@ REQUIRED_GAUGES = [
     "pager_resident_pages",
     "pager_dirty_pages",
     "checkpointer_state",
-    "io_backend",
     "io_submitted",
     "io_completed",
     "io_in_flight",
@@ -65,7 +64,7 @@ KNOWN_GAUGES = {
     },
 }
 
-# Gauges that must be integers (io_backend is a string label).
+# Gauges that must be integers.
 INT_IO_GAUGES = [
     "io_submitted",
     "io_completed",
@@ -132,9 +131,6 @@ def main():
             f"unknown gauge(s) {unknown} for scope '{doc['scope']}' — "
             "add them to KNOWN_GAUGES and docs/OBSERVABILITY.md"
         )
-    # Every volume commits through its journal's IoEngine, so a backend is always named.
-    if gauges["io_backend"] not in ("io_uring", "thread_pool"):
-        fail(f"unexpected io_backend '{gauges['io_backend']}'")
     if not isinstance(gauges["volume_health_name"], str):
         fail("gauge 'volume_health_name' must be a string")
     if gauges["volume_health_name"] not in ("healthy", "degraded", "read_only", "failed"):

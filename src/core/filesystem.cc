@@ -15,14 +15,18 @@ namespace core {
 
 namespace {
 
-// Foreign (namespace) journal record ops.
+// Foreign (namespace) journal record ops. kNsAddTag/kNsRemoveTag frame the sub-records
+// of the two tag records below; as top-level single-tag records
+// ([op][varint oid][length-prefixed tag][length-prefixed value]) they are only replayed,
+// since volumes written before every tag mutation became a batch may hold them.
 constexpr uint8_t kNsAddTag = 1;
 constexpr uint8_t kNsRemoveTag = 2;
 constexpr uint8_t kNsIndexContent = 3;
 constexpr uint8_t kNsUnindexContent = 4;
-// One record framing a whole NamespaceBatch: varint op count, then per op one
-// kNsAddTag/kNsRemoveTag sub-record. The journal's record-level atomicity is what makes
-// the batch recover as a unit.
+// One tag commit under inline indexing (a NamespaceBatch, or a loose AddTag/RemoveTag
+// as a one-op batch): varint op count, then per op one kNsAddTag/kNsRemoveTag
+// sub-record. The journal's record-level atomicity is what makes the batch recover as
+// a unit.
 constexpr uint8_t kNsBatch = 5;
 // A lazy-mode tag intent: same framing as kNsBatch (varint count + sub-records), but
 // replay applies only the reverse-map half inline and hands the forward posting-store
@@ -81,12 +85,17 @@ ObjectId OidFromKey(Slice key) {
   return oid;
 }
 
-std::string EncodeTagRecord(uint8_t op, ObjectId oid, const TagValue& name) {
+// A kNsBatch or kNsIndexIntent record.
+std::string EncodeTagOps(uint8_t kind, const std::vector<LazyTagIndexer::Op>& ops) {
   std::string rec;
-  rec.push_back(static_cast<char>(op));
-  PutVarint64(&rec, oid);
-  PutLengthPrefixed(&rec, name.tag);
-  PutLengthPrefixed(&rec, name.value);
+  rec.push_back(static_cast<char>(kind));
+  PutVarint64(&rec, ops.size());
+  for (const LazyTagIndexer::Op& op : ops) {
+    rec.push_back(static_cast<char>(op.add ? kNsAddTag : kNsRemoveTag));
+    PutVarint64(&rec, op.oid);
+    PutLengthPrefixed(&rec, op.name.tag);
+    PutLengthPrefixed(&rec, op.name.value);
+  }
   return rec;
 }
 
@@ -95,10 +104,6 @@ std::string EncodeOidRecord(uint8_t op, ObjectId oid) {
   rec.push_back(static_cast<char>(op));
   PutVarint64(&rec, oid);
   return rec;
-}
-
-bool TaggableTag(const std::string& tag) {
-  return tag != index::kTagFulltext && tag != index::kTagId;
 }
 
 // Every tag the expression touches (including under NOT: a stale negated posting is
@@ -138,9 +143,7 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
   }
   if (options_.lazy_tag_indexing) {
     tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(), osd_,
-                                                    options_.tag_intent_queue_capacity,
-                                                    /*batch_limit=*/256,
-                                                    options_.tag_indexer_workers);
+                                                    options_.tag_intent_queue_capacity);
   }
 }
 
@@ -215,7 +218,7 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(
   // journaled-but-possibly-unapplied tag mutations) accumulate here: their reverse-map
   // half replays inline, their forward half is handed to AdoptRecoveredIntents after
   // construction.
-  auto recovered = std::make_shared<std::vector<BatchOp>>();
+  auto recovered = std::make_shared<std::vector<TagOp>>();
   std::unique_ptr<index::IndexCollection> replay_indexes;
   auto hook = [&replay_indexes, recovered](osd::Osd* meta, osd::Osd* data,
                                            osd::OsdCluster* cluster, size_t shard,
@@ -228,11 +231,11 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(
       // pending set. Each shard persists only the intents whose oid it owns.
       cluster->SetUnappliedForeignProvider([recovered, cluster](size_t s) {
         std::vector<std::string> payloads;
-        for (const BatchOp& op : *recovered) {
+        for (const TagOp& op : *recovered) {
           if (cluster->ShardOf(op.oid) != s) {
             continue;
           }
-          payloads.push_back(EncodeIntentRecord({op}));
+          payloads.push_back(EncodeTagOps(kNsIndexIntent, {op}));
         }
         return payloads;
       });
@@ -254,55 +257,26 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(
 
 // ---------------------------------------------------------------- replay
 
-// Replay one add/remove association (shared by single-tag records and batch
-// sub-records). Tolerates NotFound: the original op may have failed after journaling.
+// Tolerates NotFound: the original op may have failed after journaling.
 Status FileSystem::ReplayTagOp(osd::Osd* meta, index::IndexCollection* indexes,
-                               uint8_t op, ObjectId oid, const TagValue& name) {
-  index::IndexStore* store = indexes->store(name.tag);
+                               const TagOp& op, bool forward) {
+  index::IndexStore* store = indexes->store(op.name.tag);
   if (store == nullptr) {
-    return Status::Corruption("tag record for unknown store '" + name.tag + "'");
+    return Status::Corruption("tag record for unknown store '" + op.name.tag + "'");
   }
-  const std::string root_name = ReverseRootName(TagShardOf(oid));
+  const std::string root_name = ReverseRootName(TagShardOf(op.oid));
   btree::BTree reverse(meta->pager(), meta->allocator(),
                        meta->GetNamedRoot(root_name).value_or(0));
+  const std::string key = ReverseKey(op.oid, op.name);
   Status s;
-  if (op == kNsAddTag) {
-    s = store->Add(name.value, oid);
-    if (s.ok()) {
-      s = reverse.Put(ReverseKey(oid, name), Slice());
-    }
-  } else {
-    s = store->Remove(name.value, oid);
-    if (s.ok() || s.IsNotFound()) {
-      Status rs = reverse.Delete(ReverseKey(oid, name));
-      s = rs.IsNotFound() ? Status::Ok() : rs;
-    }
+  if (forward) {
+    s = op.add ? store->Add(op.name.value, op.oid) : store->Remove(op.name.value, op.oid);
   }
-  if (s.IsNotFound()) {
-    s = Status::Ok();
+  if (s.ok() || s.IsNotFound()) {
+    s = op.add ? reverse.Put(key, Slice()) : reverse.Delete(key);
   }
-  HFAD_RETURN_IF_ERROR(s);
-  return meta->SetNamedRoot(root_name, reverse.root());
-}
-
-// Replay the reverse-map half of one index intent. The forward posting update is NOT
-// applied here — the live lazy write path applied only the reverse map inline, so
-// replay reproduces exactly that state and leaves the forward half to the queue.
-Status FileSystem::ReplayIntentReverse(osd::Osd* meta, index::IndexCollection* indexes,
-                                       uint8_t op, ObjectId oid, const TagValue& name) {
-  if (indexes->store(name.tag) == nullptr) {
-    return Status::Corruption("index intent for unknown store '" + name.tag + "'");
-  }
-  const std::string root_name = ReverseRootName(TagShardOf(oid));
-  btree::BTree reverse(meta->pager(), meta->allocator(),
-                       meta->GetNamedRoot(root_name).value_or(0));
-  if (op == kNsAddTag) {
-    HFAD_RETURN_IF_ERROR(reverse.Put(ReverseKey(oid, name), Slice()));
-  } else {
-    Status s = reverse.Delete(ReverseKey(oid, name));
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
+  if (!s.ok() && !s.IsNotFound()) {
+    return s;
   }
   return meta->SetNamedRoot(root_name, reverse.root());
 }
@@ -311,7 +285,7 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
                                         const osd::OsdCluster* cluster, size_t shard,
                                         bool filter_to_shard,
                                         index::IndexCollection* indexes, Slice payload,
-                                        std::vector<BatchOp>* recovered) {
+                                        std::vector<TagOp>* recovered) {
   if (payload.empty()) {
     return Status::Corruption("empty namespace record");
   }
@@ -343,13 +317,13 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
       if (filter_to_shard && cluster->ShardOf(oid) != shard) {
         continue;
       }
-      TagValue name{tag.ToString(), value.ToString()};
-      if (op == kNsIndexIntent && recovered != nullptr) {
-        HFAD_RETURN_IF_ERROR(ReplayIntentReverse(meta, indexes, sub_op, oid, name));
-        recovered->push_back(BatchOp{sub_op, oid, name});
-      } else {
-        // kNsBatch, or an intent with nowhere to defer to: apply fully inline.
-        HFAD_RETURN_IF_ERROR(ReplayTagOp(meta, indexes, sub_op, oid, name));
+      TagOp tag_op{sub_op == kNsAddTag, oid, {tag.ToString(), value.ToString()}};
+      // A kNsBatch, or an intent with nowhere to defer its forward half to, applies
+      // fully; a deferred intent replays the reverse-map half the live path applied.
+      const bool defer = op == kNsIndexIntent && recovered != nullptr;
+      HFAD_RETURN_IF_ERROR(ReplayTagOp(meta, indexes, tag_op, /*forward=*/!defer));
+      if (defer) {
+        recovered->push_back(std::move(tag_op));
       }
     }
     return Status::Ok();
@@ -365,7 +339,9 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
       if (!GetLengthPrefixed(&in, &tag) || !GetLengthPrefixed(&in, &value)) {
         return Status::Corruption("bad tag record");
       }
-      return ReplayTagOp(meta, indexes, op, oid, {tag.ToString(), value.ToString()});
+      return ReplayTagOp(meta, indexes,
+                         TagOp{op == kNsAddTag, oid, {tag.ToString(), value.ToString()}},
+                         /*forward=*/true);
     }
     case kNsIndexContent: {
       // Object bytes live on the shard whose journal carried the record.
@@ -389,27 +365,9 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
   }
 }
 
-std::string FileSystem::EncodeIntentRecord(const std::vector<BatchOp>& ops) {
-  std::string rec;
-  rec.push_back(static_cast<char>(kNsIndexIntent));
-  PutVarint64(&rec, ops.size());
-  for (const BatchOp& op : ops) {
-    rec.push_back(static_cast<char>(op.op));
-    PutVarint64(&rec, op.oid);
-    PutLengthPrefixed(&rec, op.name.tag);
-    PutLengthPrefixed(&rec, op.name.value);
-  }
-  return rec;
-}
-
-Status FileSystem::AdoptRecoveredIntents(std::vector<BatchOp> recovered) {
+Status FileSystem::AdoptRecoveredIntents(std::vector<TagOp> recovered) {
   if (tag_indexer_ != nullptr) {
-    std::vector<LazyTagIndexer::Op> iops;
-    iops.reserve(recovered.size());
-    for (const BatchOp& op : recovered) {
-      iops.push_back(LazyTagIndexer::Op{op.op == kNsAddTag, op.oid, op.name});
-    }
-    tag_indexer_->Seed(std::move(iops));
+    tag_indexer_->Seed(std::move(recovered));
     // Live provider: every checkpoint persists whatever the worker has not applied yet
     // (queue + in-flight), so acknowledged intents survive the journal reset that ends
     // the checkpoint. Re-applying an in-flight op after a crash is idempotent. Each
@@ -419,12 +377,11 @@ Status FileSystem::AdoptRecoveredIntents(std::vector<BatchOp> recovered) {
     osd::OsdCluster* cluster = cluster_.get();
     cluster_->SetUnappliedForeignProvider([indexer, cluster](size_t shard) {
       std::vector<std::string> payloads;
-      for (const LazyTagIndexer::Op& op : indexer->SnapshotUnapplied()) {
+      for (const TagOp& op : indexer->SnapshotUnapplied()) {
         if (cluster->ShardOf(op.oid) != shard) {
           continue;
         }
-        payloads.push_back(EncodeIntentRecord(
-            {BatchOp{op.add ? kNsAddTag : kNsRemoveTag, op.oid, op.name}}));
+        payloads.push_back(EncodeTagOps(kNsIndexIntent, {op}));
       }
       return payloads;
     });
@@ -434,16 +391,15 @@ Status FileSystem::AdoptRecoveredIntents(std::vector<BatchOp> recovered) {
   // updates are applied right now. Adds for objects deleted later in the log are
   // skipped; removes always run (NotFound-tolerant) so a pre-crash applied add cannot
   // leave an orphaned posting.
-  for (const BatchOp& op : recovered) {
-    if (op.op == kNsAddTag && !cluster_->Exists(op.oid)) {
+  for (const TagOp& op : recovered) {
+    if (op.add && !cluster_->Exists(op.oid)) {
       continue;
     }
     index::IndexStore* store = indexes_->store(op.name.tag);
     if (store == nullptr) {
       return Status::Corruption("recovered intent for unknown store '" + op.name.tag + "'");
     }
-    Status s = op.op == kNsAddTag ? store->Add(op.name.value, op.oid)
-                                  : store->Remove(op.name.value, op.oid);
+    Status s = op.add ? store->Add(op.name.value, op.oid) : store->Remove(op.name.value, op.oid);
     if (!s.ok() && !s.IsNotFound()) {
       return s;
     }
@@ -452,68 +408,6 @@ Status FileSystem::AdoptRecoveredIntents(std::vector<BatchOp> recovered) {
   // now that everything in it has been applied.
   cluster_->SetUnappliedForeignProvider([](size_t) { return std::vector<std::string>(); });
   return Status::Ok();
-}
-
-Result<osd::Osd::JournalCredit> FileSystem::JournalAndEnqueueIntents(
-    const std::vector<BatchOp>& ops, uint64_t* token_out) {
-  *token_out = 0;
-  std::vector<LazyTagIndexer::Op> iops;
-  iops.reserve(ops.size());
-  for (const BatchOp& op : ops) {
-    iops.push_back(LazyTagIndexer::Op{op.op == kNsAddTag, op.oid, op.name});
-  }
-  // Reserve BEFORE the journal append: ReserveSlots may block on the worker, and the
-  // worker needs the volume lock this append is about to take shared (a full queue
-  // under the volume lock would deadlock against a waiting checkpoint).
-  tag_indexer_->ReserveSlots(iops.size());
-  const size_t n = iops.size();
-  // The credit comes after the slots (the worker may wait for a credit itself) and
-  // before the record, so no checkpoint this thread runs falls between the two.
-  Result<osd::Osd::JournalCredit> credit =
-      osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming, kLazyTagOpMutations * n);
-  if (!credit.ok()) {
-    tag_indexer_->ReleaseSlots(n);
-    return credit.status();
-  }
-  bool multi_shard = false;
-  if (cluster_->shard_count() > 1) {
-    const size_t first = cluster_->ShardOf(ops[0].oid);
-    for (const BatchOp& op : ops) {
-      if (cluster_->ShardOf(op.oid) != first) {
-        multi_shard = true;
-        break;
-      }
-    }
-  }
-  if (!multi_shard) {
-    // The enqueue rides the append's own volume-lock hold: a checkpoint either sees
-    // the record in the journal AND the ops in the queue, or neither — the invariant
-    // the pending-set persistence depends on.
-    Status s = cluster_->AppendForeign(
-        ops[0].oid, EncodeIntentRecord(ops),
-        [&] { tag_indexer_->EnqueueReserved(std::move(iops)); }, token_out);
-    if (!s.ok()) {
-      tag_indexer_->ReleaseSlots(n);
-      return s;
-    }
-    return credit;
-  }
-  // Cross-shard: the intent commits via the prepare/commit protocol, then enqueues.
-  // The gap between commit and enqueue is covered by the cluster's retention lists
-  // (the token is unmarked, so every participant's checkpoint persists the record).
-  std::vector<ObjectId> oids;
-  oids.reserve(ops.size());
-  for (const BatchOp& op : ops) {
-    oids.push_back(op.oid);
-  }
-  auto token = cluster_->CommitForeignBatch(oids, EncodeIntentRecord(ops));
-  if (!token.ok()) {
-    tag_indexer_->ReleaseSlots(n);
-    return token.status();
-  }
-  tag_indexer_->EnqueueReserved(std::move(iops));
-  *token_out = *token;
-  return credit;
 }
 
 // ---------------------------------------------------------------- naming
@@ -639,25 +533,10 @@ NamespaceBatch FileSystem::NewBatch() { return NamespaceBatch(this); }
 Result<ObjectId> FileSystem::Create(const std::vector<TagValue>& names) {
   metrics::ScopedLatency latency(metrics::Hist::kCreate);
   trace::OpScope op("create");
-  for (const TagValue& name : names) {
-    if (!TaggableTag(name.tag)) {
-      return Status::InvalidArgument("tag '" + name.tag + "' cannot be assigned manually");
-    }
-    if (indexes_->store(name.tag) == nullptr) {
-      return Status::NotFound("no index store for tag '" + name.tag + "'");
-    }
-  }
-  HFAD_ASSIGN_OR_RETURN(ObjectId oid, cluster_->CreateObject());
-  if (names.empty()) {
-    return oid;
-  }
   // All initial names ride one batch: one shard acquisition, one journal record.
-  std::vector<BatchOp> ops;
-  ops.reserve(names.size());
-  for (const TagValue& name : names) {
-    ops.push_back(BatchOp{kNsAddTag, oid, name});
-  }
-  HFAD_RETURN_IF_ERROR(CommitBatch(ops));
+  NamespaceBatch batch = NewBatch();
+  HFAD_ASSIGN_OR_RETURN(ObjectId oid, batch.Create(names));
+  HFAD_RETURN_IF_ERROR(batch.Commit());
   return oid;
 }
 
@@ -665,10 +544,10 @@ Status FileSystem::Remove(ObjectId oid) {
   HFAD_ASSIGN_OR_RETURN(std::vector<TagValue> names, Tags(oid));
   // Every name leaves in one batch, as Create(names) adds them: one record, all or
   // nothing. A name removed since Tags() fails the batch's validation with NotFound.
-  std::vector<BatchOp> ops;
+  std::vector<TagOp> ops;
   ops.reserve(names.size());
   for (TagValue& name : names) {
-    ops.push_back(BatchOp{kNsRemoveTag, oid, std::move(name)});
+    ops.push_back(TagOp{false, oid, std::move(name)});
   }
   HFAD_RETURN_IF_ERROR(CommitBatch(ops));
   // Strip any full-text postings (journaled so replay stays in sync).
@@ -700,29 +579,8 @@ Status FileSystem::SyncReverseRoot(size_t shard) {
   return Status::Ok();
 }
 
-Status FileSystem::AddTagApply(ObjectId oid, const TagValue& name) {
-  index::IndexStore* store = indexes_->store(name.tag);
-  HFAD_RETURN_IF_ERROR(store->Add(name.value, oid));
-  size_t shard = TagShardOf(oid);
-  HFAD_RETURN_IF_ERROR(reverse_[shard].tree->Put(ReverseKey(oid, name), Slice()));
-  return SyncReverseRoot(shard);
-}
-
-Status FileSystem::RemoveTagApply(ObjectId oid, const TagValue& name) {
-  index::IndexStore* store = indexes_->store(name.tag);
-  HFAD_RETURN_IF_ERROR(store->Remove(name.value, oid));
-  size_t shard = TagShardOf(oid);
-  Status s = reverse_[shard].tree->Delete(ReverseKey(oid, name));
-  if (!s.ok() && !s.IsNotFound()) {
-    return s;
-  }
-  return SyncReverseRoot(shard);
-}
-
-Status FileSystem::AddTag(ObjectId oid, const TagValue& name) {
-  metrics::ScopedLatency latency(metrics::Hist::kAddTag);
-  trace::OpScope op("add_tag");
-  if (!TaggableTag(name.tag)) {
+Status FileSystem::CheckName(const TagValue& name, bool add) const {
+  if (add && (name.tag == index::kTagFulltext || name.tag == index::kTagId)) {
     return Status::InvalidArgument("tag '" + name.tag +
                                    "' cannot be assigned manually (use IndexContent for "
                                    "FULLTEXT; IDs are intrinsic)");
@@ -730,165 +588,130 @@ Status FileSystem::AddTag(ObjectId oid, const TagValue& name) {
   if (indexes_->store(name.tag) == nullptr) {
     return Status::NotFound("no index store for tag '" + name.tag + "'");
   }
-  if (!cluster_->Exists(oid)) {
-    return Status::NotFound("no object " + std::to_string(oid));
-  }
-  return AddTagValidated(oid, name);
+  return Status::Ok();
 }
 
-Status FileSystem::AddTagValidated(ObjectId oid, const TagValue& name) {
-  auto lock = tag_mu_.LockExclusive(oid);
-  uint64_t token = 0;
-  if (tag_indexer_ != nullptr) {
-    // Lazy: journal the intent + enqueue the forward update, then update only the
-    // reverse map inline — naming state (Tags/HasName/Remove) stays authoritative
-    // while the posting btrees catch up in the background.
-    HFAD_ASSIGN_OR_RETURN(auto credit,
-                          JournalAndEnqueueIntents({BatchOp{kNsAddTag, oid, name}}, &token));
-    size_t shard = TagShardOf(oid);
-    HFAD_RETURN_IF_ERROR(reverse_[shard].tree->Put(ReverseKey(oid, name), Slice()));
-    HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
-  }
-  HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming,
-                                                              kInlineTagOpMutations));
-  if (osd_->journaling_enabled()) {
-    HFAD_RETURN_IF_ERROR(
-        cluster_->AppendForeign(oid, EncodeTagRecord(kNsAddTag, oid, name), &token));
-  }
-  HFAD_RETURN_IF_ERROR(AddTagApply(oid, name));
-  cluster_->MarkForeignApplied(token);
-  return Status::Ok();
+Status FileSystem::AddTag(ObjectId oid, const TagValue& name) {
+  metrics::ScopedLatency latency(metrics::Hist::kAddTag);
+  trace::OpScope op("add_tag");
+  HFAD_RETURN_IF_ERROR(CheckName(name, /*add=*/true));
+  return CommitTagOps({TagOp{true, oid, name}});
 }
 
 Status FileSystem::RemoveTag(ObjectId oid, const TagValue& name) {
   metrics::ScopedLatency latency(metrics::Hist::kRemoveTag);
   trace::OpScope op("remove_tag");
-  if (indexes_->store(name.tag) == nullptr) {
-    return Status::NotFound("no index store for tag '" + name.tag + "'");
-  }
-  auto lock = tag_mu_.LockExclusive(oid);
-  // Validate first so a journaled remove always corresponds to a real association.
-  if (!reverse_[TagShardOf(oid)].tree->Contains(ReverseKey(oid, name))) {
-    return Status::NotFound("object " + std::to_string(oid) + " has no name " + name.tag +
-                            ":" + name.value);
-  }
-  uint64_t token = 0;
-  if (tag_indexer_ != nullptr) {
-    HFAD_ASSIGN_OR_RETURN(auto credit, JournalAndEnqueueIntents(
-                                           {BatchOp{kNsRemoveTag, oid, name}}, &token));
-    size_t shard = TagShardOf(oid);
-    Status s = reverse_[shard].tree->Delete(ReverseKey(oid, name));
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
-    HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
-  }
-  HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming,
-                                                              kInlineTagOpMutations));
-  if (osd_->journaling_enabled()) {
-    HFAD_RETURN_IF_ERROR(
-        cluster_->AppendForeign(oid, EncodeTagRecord(kNsRemoveTag, oid, name), &token));
-  }
-  HFAD_RETURN_IF_ERROR(RemoveTagApply(oid, name));
-  cluster_->MarkForeignApplied(token);
-  return Status::Ok();
+  HFAD_RETURN_IF_ERROR(CheckName(name, /*add=*/false));
+  return CommitTagOps({TagOp{false, oid, name}});
 }
 
-Status FileSystem::CommitBatch(const std::vector<BatchOp>& ops) {
+Status FileSystem::CommitBatch(const std::vector<TagOp>& ops) {
   if (ops.empty()) {
     return Status::Ok();
   }
   metrics::ScopedLatency latency(metrics::Hist::kBatchCommit);
   trace::OpScope op("batch_commit");
-  std::vector<uint64_t> oids;
+  return CommitTagOps(ops);
+}
+
+Status FileSystem::CommitTagOps(const std::vector<TagOp>& ops) {
+  // Existence once per object that gains a name. A removal needs no lookup: the
+  // reverse-map check below finds a name only on a live object.
+  std::vector<ObjectId> oids;
+  std::vector<ObjectId> gaining;
   oids.reserve(ops.size());
-  for (const BatchOp& op : ops) {
-    if (!cluster_->Exists(op.oid)) {
-      return Status::NotFound("no object " + std::to_string(op.oid));
-    }
+  for (const TagOp& op : ops) {
     oids.push_back(op.oid);
+    if (op.add) {
+      gaining.push_back(op.oid);
+    }
+  }
+  std::sort(gaining.begin(), gaining.end());
+  gaining.erase(std::unique(gaining.begin(), gaining.end()), gaining.end());
+  for (ObjectId oid : gaining) {
+    if (!cluster_->Exists(oid)) {
+      return Status::NotFound("no object " + std::to_string(oid));
+    }
   }
   // Every involved shard once, ascending (the MultiLock deadlock-freedom rule), instead
   // of lock/unlock per tag.
   auto lock = tag_mu_.LockMultiExclusive(oids);
-  // Validate removals against pre-batch state so a journaled batch always corresponds
-  // to applicable ops (same rule as the single-op RemoveTag).
-  for (const BatchOp& op : ops) {
-    if (op.op == kNsRemoveTag &&
-        !reverse_[TagShardOf(op.oid)].tree->Contains(ReverseKey(op.oid, op.name))) {
+  // Validate removals against pre-batch state so a journaled record always corresponds
+  // to applicable ops.
+  for (const TagOp& op : ops) {
+    if (!op.add && !reverse_[TagShardOf(op.oid)].tree->Contains(ReverseKey(op.oid, op.name))) {
       return Status::NotFound("object " + std::to_string(op.oid) + " has no name " +
                               op.name.tag + ":" + op.name.value);
     }
   }
-  if (tag_indexer_ != nullptr) {
-    // Lazy: ONE intent record + one enqueue for the whole batch, reverse map inline,
-    // each touched shard's root synced once. A batch spanning multiple owner shards
-    // commits via the cluster's prepare/commit protocol inside
-    // JournalAndEnqueueIntents.
-    uint64_t token = 0;
-    HFAD_ASSIGN_OR_RETURN(auto credit, JournalAndEnqueueIntents(ops, &token));
-    std::vector<size_t> shards;
-    for (const BatchOp& op : ops) {
-      size_t shard = TagShardOf(op.oid);
-      shards.push_back(shard);
-      if (op.op == kNsAddTag) {
-        HFAD_RETURN_IF_ERROR(reverse_[shard].tree->Put(ReverseKey(op.oid, op.name), Slice()));
-      } else {
-        Status s = reverse_[shard].tree->Delete(ReverseKey(op.oid, op.name));
-        if (!s.ok() && !s.IsNotFound()) {
-          return s;
-        }
-      }
-    }
-    std::sort(shards.begin(), shards.end());
-    shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-    for (size_t shard : shards) {
-      HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
-    }
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
+  // Lazy: the posting-store half goes to the indexer. Its queue slots are reserved
+  // BEFORE the credit and the append: ReserveSlots may block on the worker, and the
+  // worker needs credits and the volume lock the append takes shared (a full queue
+  // under the volume lock would deadlock against a waiting checkpoint).
+  const bool lazy = tag_indexer_ != nullptr;
+  std::function<void()> enqueue;
+  if (lazy) {
+    tag_indexer_->ReserveSlots(ops.size());
+    enqueue = [this, queued = ops]() mutable {
+      tag_indexer_->EnqueueReserved(std::move(queued));
+    };
   }
+  // The credit covers the metadata volume's pages the apply below dirties, and comes
+  // before the record, so no checkpoint this thread runs falls between the two.
+  Result<osd::Osd::JournalCredit> credit = osd_->ReserveApplyCredit(
+      osd::Osd::CreditUse::kNaming,
+      (lazy ? kLazyTagOpMutations : kInlineTagOpMutations) * ops.size());
+  const std::string rec = EncodeTagOps(lazy ? kNsIndexIntent : kNsBatch, ops);
+  const bool multi_shard = std::any_of(oids.begin(), oids.end(), [&](ObjectId oid) {
+    return cluster_->ShardOf(oid) != cluster_->ShardOf(oids[0]);
+  });
   uint64_t token = 0;
-  HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kNaming,
-                                                              kInlineTagOpMutations * ops.size()));
-  if (osd_->journaling_enabled()) {
-    std::string rec;
-    rec.push_back(static_cast<char>(kNsBatch));
-    PutVarint64(&rec, ops.size());
-    for (const BatchOp& op : ops) {
-      rec.push_back(static_cast<char>(op.op));
-      PutVarint64(&rec, op.oid);
-      PutLengthPrefixed(&rec, op.name.tag);
-      PutLengthPrefixed(&rec, op.name.value);
-    }
-    bool multi_shard = false;
-    if (cluster_->shard_count() > 1) {
-      const size_t first = cluster_->ShardOf(oids[0]);
-      for (uint64_t oid : oids) {
-        if (cluster_->ShardOf(oid) != first) {
-          multi_shard = true;
-          break;
-        }
-      }
-    }
-    if (multi_shard) {
-      // Atomic across owners: prepares on every participant, commit on the
-      // coordinator, all durable before any op applies (src/osd/osd_cluster.h).
-      HFAD_ASSIGN_OR_RETURN(token, cluster_->CommitForeignBatch(oids, rec));
-    } else {
-      HFAD_RETURN_IF_ERROR(cluster_->AppendForeign(oids[0], rec, &token));
+  Status s = credit.status();
+  if (s.ok() && !multi_shard) {
+    // The enqueue rides the append's own volume-lock hold: a checkpoint either sees
+    // the record in the journal AND the ops in the queue, or neither — the invariant
+    // the pending-set persistence depends on.
+    s = cluster_->AppendForeign(oids[0], rec, enqueue, &token);
+  } else if (s.ok()) {
+    // Atomic across owners: prepares on every participant, commit on the coordinator,
+    // all durable before any op applies (src/osd/osd_cluster.h). The gap between
+    // commit and enqueue is covered by the retention lists: the token is unmarked, so
+    // every participant's checkpoint persists the record.
+    Result<uint64_t> committed = cluster_->CommitForeignBatch(oids, rec);
+    s = committed.status();
+    token = committed.value_or(0);
+    if (s.ok() && enqueue) {
+      enqueue();
     }
   }
-  for (const BatchOp& op : ops) {
-    if (op.op == kNsAddTag) {
-      HFAD_RETURN_IF_ERROR(AddTagApply(op.oid, op.name));
-    } else {
-      HFAD_RETURN_IF_ERROR(RemoveTagApply(op.oid, op.name));
+  if (!s.ok()) {
+    if (lazy) {
+      tag_indexer_->ReleaseSlots(ops.size());
     }
+    return s;
+  }
+  // In order: the posting stores here unless the indexer applies them, then the
+  // reverse map, each touched shard's root synced once.
+  std::vector<size_t> shards;
+  for (const TagOp& op : ops) {
+    if (!lazy) {
+      index::IndexStore* store = indexes_->store(op.name.tag);
+      HFAD_RETURN_IF_ERROR(op.add ? store->Add(op.name.value, op.oid)
+                                  : store->Remove(op.name.value, op.oid));
+    }
+    const size_t shard = TagShardOf(op.oid);
+    shards.push_back(shard);
+    btree::BTree* reverse = reverse_[shard].tree.get();
+    const std::string key = ReverseKey(op.oid, op.name);
+    s = op.add ? reverse->Put(key, Slice()) : reverse->Delete(key);
+    if (!s.ok() && !s.IsNotFound()) {
+      return s;
+    }
+  }
+  std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  for (size_t shard : shards) {
+    HFAD_RETURN_IF_ERROR(SyncReverseRoot(shard));
   }
   cluster_->MarkForeignApplied(token);
   return Status::Ok();
@@ -1193,38 +1016,24 @@ Result<std::vector<ObjectId>> SearchCursor::Results() const {
 // ---------------------------------------------------------------- NamespaceBatch
 
 Status NamespaceBatch::AddTag(ObjectId oid, const TagValue& name) {
-  if (!TaggableTag(name.tag)) {
-    return Status::InvalidArgument("tag '" + name.tag +
-                                   "' cannot be assigned manually (use IndexContent for "
-                                   "FULLTEXT; IDs are intrinsic)");
-  }
-  if (fs_->indexes()->store(name.tag) == nullptr) {
-    return Status::NotFound("no index store for tag '" + name.tag + "'");
-  }
-  ops_.push_back(FileSystem::BatchOp{kNsAddTag, oid, name});
+  HFAD_RETURN_IF_ERROR(fs_->CheckName(name, /*add=*/true));
+  ops_.push_back(FileSystem::TagOp{true, oid, name});
   return Status::Ok();
 }
 
 Status NamespaceBatch::RemoveTag(ObjectId oid, const TagValue& name) {
-  if (fs_->indexes()->store(name.tag) == nullptr) {
-    return Status::NotFound("no index store for tag '" + name.tag + "'");
-  }
-  ops_.push_back(FileSystem::BatchOp{kNsRemoveTag, oid, name});
+  HFAD_RETURN_IF_ERROR(fs_->CheckName(name, /*add=*/false));
+  ops_.push_back(FileSystem::TagOp{false, oid, name});
   return Status::Ok();
 }
 
 Result<ObjectId> NamespaceBatch::Create(const std::vector<TagValue>& names) {
   for (const TagValue& name : names) {
-    if (!TaggableTag(name.tag)) {
-      return Status::InvalidArgument("tag '" + name.tag + "' cannot be assigned manually");
-    }
-    if (fs_->indexes()->store(name.tag) == nullptr) {
-      return Status::NotFound("no index store for tag '" + name.tag + "'");
-    }
+    HFAD_RETURN_IF_ERROR(fs_->CheckName(name, /*add=*/true));
   }
   HFAD_ASSIGN_OR_RETURN(ObjectId oid, fs_->cluster_->CreateObject());
   for (const TagValue& name : names) {
-    ops_.push_back(FileSystem::BatchOp{kNsAddTag, oid, name});
+    ops_.push_back(FileSystem::TagOp{true, oid, name});
   }
   return oid;
 }

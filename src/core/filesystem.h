@@ -62,9 +62,6 @@ struct FileSystemOptions {
   bool lazy_tag_indexing = false;
   // Bound on acknowledged-but-unapplied tag intents; mutators block past it.
   size_t tag_intent_queue_capacity = 4096;
-  // Tag-indexer application threads. Tags are hash-partitioned across workers, so
-  // per-tag FIFO order (and strict visibility) holds at any count.
-  size_t tag_indexer_workers = 1;
   // Number of OSD shards (ROADMAP item 1). 1 (the default) is today's single-volume
   // behavior, byte-compatible with existing volumes; 0 means one shard per device
   // passed to the multi-device Create/Open. Any other value must match the device
@@ -244,18 +241,25 @@ class FileSystem {
              std::unique_ptr<index::IndexCollection> indexes,
              const FileSystemOptions& options);
 
-  // One staged namespace mutation (NamespaceBatch's unit; also the journal sub-record).
-  struct BatchOp {
-    uint8_t op;  // kNsAddTag or kNsRemoveTag (filesystem.cc record constants).
-    ObjectId oid;
-    TagValue name;
-  };
+  // One staged tag mutation: NamespaceBatch's unit, a journal sub-record, and the lazy
+  // indexer's queue entry.
+  using TagOp = LazyTagIndexer::Op;
 
-  // Apply a validated batch atomically: every involved tag shard acquired once (ordered
-  // MultiLock), RemoveTag preconditions checked against pre-batch state, ONE journal
-  // record for the whole batch, then in-order apply. Crash recovery replays the record
-  // as a unit.
-  Status CommitBatch(const std::vector<BatchOp>& ops);
+  // The one tag-mutation path, behind AddTag, RemoveTag and CommitBatch: check that
+  // every object gaining a name exists, acquire every involved tag shard once (ordered
+  // MultiLock), check removals against the pre-batch reverse map, journal ONE record
+  // for all ops, then apply them in order. Lazy and inline indexing differ only in the
+  // indexer's queue slots and enqueue, the credit size, the record kind, and whether
+  // the posting stores are applied here. Crash recovery replays the record as a unit.
+  Status CommitTagOps(const std::vector<TagOp>& ops);
+
+  // CommitTagOps under the batch_commit histogram and span (Create, Remove and
+  // NamespaceBatch::Commit). An empty batch is a no-op.
+  Status CommitBatch(const std::vector<TagOp>& ops);
+
+  // A name a tag mutation may carry: its tag has an index store and, to be added, is
+  // taggable (FULLTEXT and ID are not).
+  Status CheckName(const TagValue& name, bool add) const;
 
   // Apply one foreign journal record (shared by live journaling and crash replay).
   // `meta` is the metadata shard (namespace btrees), `data` the shard whose journal the
@@ -268,40 +272,18 @@ class FileSystem {
                                      const osd::OsdCluster* cluster, size_t shard,
                                      bool filter_to_shard,
                                      index::IndexCollection* indexes, Slice payload,
-                                     std::vector<BatchOp>* recovered = nullptr);
+                                     std::vector<TagOp>* recovered = nullptr);
 
-  // Replay one add/remove association (single-tag records and batch sub-records). All
+  // Replay one add/remove association (single-tag records and batch or intent
+  // sub-records): the reverse-map half, plus the posting-store half when `forward`. All
   // namespace state lives on `meta`.
-  static Status ReplayTagOp(osd::Osd* meta, index::IndexCollection* indexes, uint8_t op,
-                            ObjectId oid, const TagValue& name);
-
-  // Replay the reverse-map half of one index intent (the inline half of the lazy
-  // write path; the forward half is what `recovered` carries out of replay).
-  static Status ReplayIntentReverse(osd::Osd* meta, index::IndexCollection* indexes,
-                                    uint8_t op, ObjectId oid, const TagValue& name);
-
-  // Serialize ops as one kNsIndexIntent journal payload.
-  static std::string EncodeIntentRecord(const std::vector<BatchOp>& ops);
+  static Status ReplayTagOp(osd::Osd* meta, index::IndexCollection* indexes,
+                            const TagOp& op, bool forward);
 
   // Post-recovery hand-off: seed the background queue (lazy) or apply the deferred
   // forward updates inline (non-lazy), then install the live checkpoint provider.
-  Status AdoptRecoveredIntents(std::vector<BatchOp> recovered);
+  Status AdoptRecoveredIntents(std::vector<TagOp> recovered);
 
-  // Lazy-mode body of AddTagValidated/RemoveTag/CommitBatch: reserve queue slots, take
-  // the naming credit for the reverse-map half on the metadata volume, then journal ONE
-  // intent record — on the owning shard with the enqueue riding the same journal-lock
-  // hold when all ops share an owner, or via the cluster's cross-shard prepare/commit
-  // protocol (the retention lists carry the records over the enqueue gap) when they do
-  // not. Caller holds every involved tag shard, applies the reverse-map half while it
-  // holds the returned credit, and passes `token_out` to MarkForeignApplied once it has.
-  Result<osd::Osd::JournalCredit> JournalAndEnqueueIntents(const std::vector<BatchOp>& ops,
-                                                           uint64_t* token_out);
-
-  // AddTag minus the tag/store/existence validation, for callers (Create) that have
-  // already established those invariants.
-  Status AddTagValidated(ObjectId oid, const TagValue& name);
-  Status AddTagApply(ObjectId oid, const TagValue& name);
-  Status RemoveTagApply(ObjectId oid, const TagValue& name);
   Status IndexContentNow(ObjectId oid);
 
   // Tag state is striped (see docs/CONCURRENCY.md): shard i of tag_mu_ guards both the
@@ -423,7 +405,7 @@ class NamespaceBatch {
 
  private:
   FileSystem* const fs_;
-  std::vector<FileSystem::BatchOp> ops_;
+  std::vector<FileSystem::TagOp> ops_;
 };
 
 }  // namespace core

@@ -10,19 +10,11 @@ namespace hfad {
 namespace core {
 
 LazyTagIndexer::LazyTagIndexer(index::IndexCollection* indexes, osd::Osd* volume,
-                               size_t queue_capacity, size_t batch_limit, size_t worker_count)
+                               size_t queue_capacity)
     : indexes_(indexes),
       volume_(volume),
       capacity_(queue_capacity == 0 ? 1 : queue_capacity),
-      batch_limit_(batch_limit == 0 ? 1 : batch_limit),
-      worker_count_(worker_count == 0 ? 1 : worker_count),
-      queues_(worker_count_),
-      in_flights_(worker_count_) {
-  workers_.reserve(worker_count_);
-  for (size_t i = 0; i < worker_count_; ++i) {
-    workers_.emplace_back([this, i] { WorkerMain(i); });
-  }
-}
+      worker_([this] { WorkerMain(); }) {}
 
 LazyTagIndexer::~LazyTagIndexer() {
   {
@@ -32,22 +24,14 @@ LazyTagIndexer::~LazyTagIndexer() {
   work_cv_.notify_all();
   slots_cv_.notify_all();
   applied_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-size_t LazyTagIndexer::UsedLocked() const {
-  size_t used = reserved_;
-  for (size_t i = 0; i < worker_count_; ++i) {
-    used += queues_[i].size() + in_flights_[i].size();
-  }
-  return used;
+  worker_.join();
 }
 
 void LazyTagIndexer::ReserveSlots(size_t n) {
   std::unique_lock<std::mutex> lock(mu_);
   slots_cv_.wait(lock, [&] {
     if (shutdown_) return true;
-    size_t used = UsedLocked();
+    size_t used = reserved_ + queue_.size() + in_flight_.size();
     // Oversized batches (n > capacity_) are admitted against an empty queue rather
     // than blocking forever.
     return used + n <= capacity_ || used == 0;
@@ -70,8 +54,7 @@ void LazyTagIndexer::EnqueueReserved(std::vector<Op> ops) {
     for (auto& op : ops) {
       ++enqueued_total_;
       ++enqueued_by_tag_[op.name.tag];
-      size_t w = WorkerFor(op.name.tag);
-      queues_[w].push_back(std::move(op));
+      queue_.push_back(std::move(op));
     }
   }
   work_cv_.notify_all();
@@ -83,8 +66,7 @@ void LazyTagIndexer::Seed(std::vector<Op> ops) {
     for (auto& op : ops) {
       ++enqueued_total_;
       ++enqueued_by_tag_[op.name.tag];
-      size_t w = WorkerFor(op.name.tag);
-      queues_[w].push_back(std::move(op));
+      queue_.push_back(std::move(op));
     }
   }
   work_cv_.notify_all();
@@ -120,23 +102,15 @@ Status LazyTagIndexer::Drain() {
 
 std::vector<LazyTagIndexer::Op> LazyTagIndexer::SnapshotUnapplied() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Op> out;
-  // Per worker: in-flight first, then queued — within a worker that is enqueue
-  // order, and per-tag order only depends on one worker (tags are partitioned).
-  for (size_t i = 0; i < worker_count_; ++i) {
-    out.insert(out.end(), in_flights_[i].begin(), in_flights_[i].end());
-    out.insert(out.end(), queues_[i].begin(), queues_[i].end());
-  }
+  // In-flight first, then queued: enqueue order.
+  std::vector<Op> out(in_flight_);
+  out.insert(out.end(), queue_.begin(), queue_.end());
   return out;
 }
 
 size_t LazyTagIndexer::PendingCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (size_t i = 0; i < worker_count_; ++i) {
-    n += queues_[i].size() + in_flights_[i].size();
-  }
-  return n;
+  return queue_.size() + in_flight_.size();
 }
 
 Status LazyTagIndexer::first_error() const {
@@ -153,29 +127,27 @@ void LazyTagIndexer::SetPausedForTesting(bool paused) {
   applied_cv_.notify_all();
 }
 
-void LazyTagIndexer::WorkerMain(size_t worker) {
-  std::deque<Op>& queue = queues_[worker];
-  std::vector<Op>& in_flight = in_flights_[worker];
+void LazyTagIndexer::WorkerMain() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return shutdown_ || (!paused_ && !queue.empty()); });
+    work_cv_.wait(lock, [&] { return shutdown_ || (!paused_ && !queue_.empty()); });
     if (shutdown_) return;
 
-    size_t take = std::min(batch_limit_, queue.size());
-    in_flight.assign(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(take));
-    queue.erase(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(take));
+    size_t take = std::min(kBatchLimit, queue_.size());
+    in_flight_.assign(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(take));
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(take));
 
     lock.unlock();
-    Status s = ApplyOps(in_flight);
+    Status s = ApplyOps(in_flight_);
     lock.lock();
 
     // Horizons advance even when application failed: the error is sticky and strict
     // readers must surface it rather than block forever.
-    for (const auto& op : in_flight) {
+    for (const auto& op : in_flight_) {
       ++applied_total_;
       ++applied_by_tag_[op.name.tag];
     }
-    in_flight.clear();
+    in_flight_.clear();
     if (!s.ok() && first_error_.ok()) first_error_ = s;
 
     applied_cv_.notify_all();

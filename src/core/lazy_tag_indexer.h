@@ -3,17 +3,11 @@
 //
 // In lazy mode the FileSystem journals a tag intent, updates the reverse map inline
 // (naming state stays authoritative), enqueues the forward posting-store update here,
-// and returns. Worker threads (configurable count, default 1) drain per-worker queues
-// into the posting btrees in sorted bulk batches (IndexStore::ApplyBatch ->
-// Btree::BulkLoad). Visibility is explicit: strict readers wait on per-tag
-// applied-sequence horizons (the PR 5 committed_seq_ idiom, one watermark pair per
-// tag), relaxed readers take the postings as they are.
-//
-// With multiple workers, tags are partitioned across workers by hash: every op for a
-// given tag lands in the same worker's FIFO queue, so per-tag application order still
-// equals per-tag enqueue order and the horizon counters stay correct — the exact
-// invariant that makes strict visibility a counter comparison. Distinct tags may
-// apply out of mutual order, which was never guaranteed.
+// and returns. One worker thread drains the FIFO queue into the posting btrees in
+// sorted bulk batches (IndexStore::ApplyBatch -> Btree::BulkLoad). Visibility is
+// explicit: strict readers wait on per-tag applied-sequence horizons (the journal's
+// committed_seq_ idiom, one watermark pair per tag), relaxed readers take the postings
+// as they are.
 //
 // Crash safety is owned by the layers around this class: intents are journaled before
 // they are enqueued (Osd::AppendForeign with the enqueue callback under the same volume
@@ -21,7 +15,7 @@
 // ("osd/pending-foreign"), and recovery Seed()s the rebuilt queue.
 //
 // Lock order (docs/CONCURRENCY.md): mu_ here is a leaf lock on the enqueue side —
-// callers hold a tag shard lock (never the volume lock or a journal credit) when they
+// callers hold tag shard locks (never the volume lock or a journal credit) when they
 // block in ReserveSlots. The worker acquires store locks / the volume lock only while
 // NOT holding mu_.
 //
@@ -50,7 +44,8 @@ namespace core {
 
 class LazyTagIndexer {
  public:
-  // One deferred posting-store mutation.
+  // One tag mutation: here a deferred posting-store update; in FileSystem also the
+  // staged op and its journal sub-record.
   struct Op {
     bool add = true;  // true = add association, false = remove.
     index::ObjectId oid = 0;
@@ -59,11 +54,8 @@ class LazyTagIndexer {
 
   // `indexes` and `volume` (the volume the stores live on, where application credits
   // are taken) must outlive this object. `queue_capacity` bounds acknowledged-but-
-  // unapplied intents across all workers (mutators block in ReserveSlots beyond it);
-  // `batch_limit` caps ops taken per worker application round; `worker_count` sets
-  // how many application threads partition the tag space (see file comment).
-  LazyTagIndexer(index::IndexCollection* indexes, osd::Osd* volume, size_t queue_capacity,
-                 size_t batch_limit = 256, size_t worker_count = 1);
+  // unapplied intents (mutators block in ReserveSlots beyond it).
+  LazyTagIndexer(index::IndexCollection* indexes, osd::Osd* volume, size_t queue_capacity);
   ~LazyTagIndexer();
 
   LazyTagIndexer(const LazyTagIndexer&) = delete;
@@ -111,34 +103,26 @@ class LazyTagIndexer {
   void SetPausedForTesting(bool paused);
 
  private:
-  void WorkerMain(size_t worker);
+  // Ops the worker takes per application round.
+  static constexpr size_t kBatchLimit = 256;
+
+  void WorkerMain();
 
   // Apply one popped batch to the posting stores, one credited chunk at a time. Called
   // with mu_ NOT held.
   Status ApplyOps(const std::vector<Op>& ops);
 
-  // Which worker owns a tag. All state stays under the single mu_; only the
-  // queues are per-worker, which is what the FIFO horizon invariant needs.
-  size_t WorkerFor(const std::string& tag) const {
-    return std::hash<std::string>{}(tag) % worker_count_;
-  }
-
-  // Ops enqueued or in application, summed across workers. Caller holds mu_.
-  size_t UsedLocked() const;
-
   index::IndexCollection* const indexes_;
   osd::Osd* const volume_;
   const size_t capacity_;
-  const size_t batch_limit_;
-  const size_t worker_count_;
 
   mutable std::mutex mu_;
   std::condition_variable slots_cv_;    // Reservers waiting for queue room.
-  std::condition_variable work_cv_;     // Workers waiting for ops / unpause.
+  std::condition_variable work_cv_;     // The worker waiting for ops / unpause.
   std::condition_variable applied_cv_;  // Strict readers waiting on horizons.
 
-  std::vector<std::deque<Op>> queues_;       // Per worker: enqueued, not picked up.
-  std::vector<std::vector<Op>> in_flights_;  // Per worker: application in progress.
+  std::deque<Op> queue_;         // Enqueued, not picked up.
+  std::vector<Op> in_flight_;    // Application in progress.
   size_t reserved_ = 0;          // Slots reserved but not yet enqueued.
   bool paused_ = false;
   bool shutdown_ = false;
@@ -152,7 +136,8 @@ class LazyTagIndexer {
   uint64_t enqueued_total_ = 0;
   uint64_t applied_total_ = 0;
 
-  std::vector<std::thread> workers_;
+  // Declared last: it starts in the constructor and uses every member above.
+  std::thread worker_;
 };
 
 }  // namespace core

@@ -766,6 +766,7 @@ Result<Osd::JournalCredit> Osd::Reserve(uint64_t logical, uint64_t epilogue,
 }
 
 Result<Osd::JournalCredit> Osd::ReserveApplyCredit(CreditUse use, size_t mutations) {
+  HFAD_RETURN_IF_ERROR(CheckWritable());
   const uint64_t epilogue =
       use == CreditUse::kContent
           ? kContentCredit
@@ -1421,27 +1422,11 @@ Status Osd::DoSetAttributes(ObjectId oid, uint32_t mode, uint32_t uid, uint32_t 
 Status Osd::Read(ObjectId oid, uint64_t offset, size_t n, std::string* out) const {
   HFAD_RETURN_IF_ERROR(CheckReadable());
   std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  // Plain reads hold the object shard shared; atime maintenance mutates the record,
-  // so it needs the exclusive hold.
-  std::shared_lock<std::shared_mutex> oshared;
-  std::unique_lock<std::shared_mutex> oexcl;
-  if (options_.update_atime) {
-    oexcl = object_mu_.LockExclusive(oid);
-  } else {
-    oshared = object_mu_.LockShared(oid);
-  }
-  std::string key = OidKey(oid);
-  HFAD_ASSIGN_OR_RETURN(std::string raw, object_table_->Get(key));
+  auto olock = object_mu_.LockShared(oid);
+  HFAD_ASSIGN_OR_RETURN(std::string raw, object_table_->Get(OidKey(oid)));
   HFAD_ASSIGN_OR_RETURN(ObjectRecord rec, DecodeRecord(raw));
   extent::ExtentTree tree(pager_.get(), allocator_.get(), rec.extent_root);
-  HFAD_RETURN_IF_ERROR(tree.Read(offset, n, out));
-  if (options_.update_atime) {
-    rec.meta.atime_ns = NowNs();
-    // atime is restored only to checkpoint granularity after a crash (like relatime);
-    // it is deliberately not journaled.
-    HFAD_RETURN_IF_ERROR(object_table_->Put(key, EncodeRecord(rec)));
-  }
-  return Status::Ok();
+  return tree.Read(offset, n, out);
 }
 
 namespace {

@@ -90,8 +90,6 @@ struct OsdOptions {
   size_t pager_capacity_pages = 4096;
   // Journal region size; 0 = 1/8 of the device clamped to [256 KiB, 64 MiB].
   uint64_t journal_size = 0;
-  // Maintain atime on reads (off by default, like mounting noatime).
-  bool update_atime = false;
   // Accounted journal fill at which the reservation path kicks the background
   // checkpointer. The fill is what a checkpoint would need the journal for: bytes
   // appended, reservations for records not yet appended, credits ops still hold for
@@ -200,10 +198,6 @@ class Osd {
 
   bool Exists(ObjectId oid) const;
 
-  // Whether the volume journals logical records. Higher layers use this to skip
-  // encoding records that AppendForeign would discard anyway.
-  bool journaling_enabled() const { return options_.journaling; }
-
   // Number of live objects.
   uint64_t object_count() const;
 
@@ -311,6 +305,9 @@ class Osd {
   // follows, so no checkpoint this thread runs can fall between the record and its
   // apply, and drop it when the apply returns. May checkpoint or wait for other
   // credits (never holding a volume lock); never NoSpace for lack of room alone.
+  // Refused first with CheckWritable()'s status: the credit is the health gate for
+  // higher-layer state on this volume, whose record may go to another volume's journal
+  // or, with journaling off, to none.
   Result<JournalCredit> ReserveApplyCredit(CreditUse use, size_t mutations = 0);
 
   // The most mutations one credit may cover: a quarter of the journal's worth. The lazy

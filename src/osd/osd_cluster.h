@@ -109,8 +109,6 @@ class OsdCluster {
   Osd* owner(ObjectId oid) { return osds_[ShardOf(oid)].get(); }
   const Osd* owner(ObjectId oid) const { return osds_[ShardOf(oid)].get(); }
 
-  bool journaling_enabled() const { return osds_[0]->journaling_enabled(); }
-
   // ---- Object lifecycle and data ops (routed to the owner, no cluster locks) ----
 
   Result<ObjectId> CreateObject();

@@ -453,6 +453,86 @@ TEST(FaultsTest, ReadOnlyShardRejectsForeignAppends) {
   cluster->shard(owner)->health().Reset();
 }
 
+// With journaling off no tag record is written, so no journal append can refuse a tag
+// mutation: the metadata volume's naming credit is the health gate.
+TEST(FaultsTest, ReadOnlyVolumeRejectsTagMutationsWithJournalingOff) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "inline");
+    core::FileSystemOptions opts;
+    opts.lazy_indexing_threads = 0;
+    opts.lazy_tag_indexing = lazy;
+    opts.osd.journaling = false;
+    auto fs_r = core::FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+    ASSERT_TRUE(fs_r.ok()) << fs_r.status().ToString();
+    auto fs = std::move(fs_r).value();
+    auto oid = fs->Create({{"UDEF", "kept"}});
+    ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+
+    fs->volume()->health().Escalate(HealthState::kReadOnly, "test: read-only volume");
+    Status s = fs->AddTag(*oid, {"UDEF", "added"});
+    EXPECT_TRUE(s.IsReadOnly()) << s.ToString();
+    s = fs->RemoveTag(*oid, {"UDEF", "kept"});
+    EXPECT_TRUE(s.IsReadOnly()) << s.ToString();
+    core::NamespaceBatch batch = fs->NewBatch();
+    ASSERT_TRUE(batch.AddTag(*oid, {"UDEF", "batched"}).ok());
+    ASSERT_TRUE(batch.RemoveTag(*oid, {"UDEF", "kept"}).ok());
+    s = batch.Commit();
+    EXPECT_TRUE(s.IsReadOnly()) << s.ToString();
+
+    auto tags = fs->Tags(*oid);
+    ASSERT_TRUE(tags.ok()) << tags.status().ToString();
+    ASSERT_EQ(tags->size(), 1u);
+    EXPECT_EQ((*tags)[0].value, "kept");
+    auto kept = fs->Lookup({{"UDEF", "kept"}});
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    EXPECT_EQ(*kept, std::vector<ObjectId>{*oid});
+    EXPECT_TRUE(fs->Lookup({{"UDEF", "added"}})->empty());
+    EXPECT_TRUE(fs->Lookup({{"UDEF", "batched"}})->empty());
+    fs->volume()->health().Reset();  // Let teardown close cleanly.
+  }
+}
+
+// Namespace state lives on shard 0, but an object's tag records go to its owner's
+// journal: a read-only shard 0 must refuse tag mutations on objects a healthy shard
+// owns.
+TEST(FaultsTest, ReadOnlyMetadataShardRejectsTagMutationsOnHealthyOwners) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "inline");
+    core::FileSystemOptions opts;
+    opts.lazy_indexing_threads = 0;
+    opts.lazy_tag_indexing = lazy;
+    opts.shard_count = 4;
+    auto fs_r = core::FileSystem::Create(MakeDevices(4), opts);
+    ASSERT_TRUE(fs_r.ok()) << fs_r.status().ToString();
+    auto fs = std::move(fs_r).value();
+    Result<ObjectId> oid = fs->Create();
+    for (int i = 0; i < 64 && oid.ok() && fs->cluster()->ShardOf(*oid) == 0; i++) {
+      oid = fs->Create();
+    }
+    ASSERT_TRUE(oid.ok());
+    ASSERT_NE(fs->cluster()->ShardOf(*oid), 0u) << "hash placed nothing off shard 0";
+    ASSERT_TRUE(fs->AddTag(*oid, {"UDEF", "kept"}).ok());
+    ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+
+    fs->volume()->health().Escalate(HealthState::kReadOnly, "test: read-only shard 0");
+    Status s = fs->AddTag(*oid, {"UDEF", "added"});
+    EXPECT_TRUE(s.IsReadOnly()) << s.ToString();
+    s = fs->RemoveTag(*oid, {"UDEF", "kept"});
+    EXPECT_TRUE(s.IsReadOnly()) << s.ToString();
+
+    auto tags = fs->Tags(*oid);
+    ASSERT_TRUE(tags.ok()) << tags.status().ToString();
+    ASSERT_EQ(tags->size(), 1u);
+    EXPECT_EQ((*tags)[0].value, "kept");
+    auto kept = fs->Lookup({{"UDEF", "kept"}});
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    EXPECT_EQ(*kept, std::vector<ObjectId>{*oid});
+    EXPECT_TRUE(fs->Lookup({{"UDEF", "added"}})->empty());
+    fs->volume()->health().Reset();  // Let teardown close cleanly.
+  }
+}
+
 // ---------------------------------------------------------------- scrub vs. live load
 
 // TSan target: a background scrubber at full tilt under an 8-thread tag storm. Proves

@@ -405,14 +405,12 @@ TEST(LazyIndexTest, RetagsAndInsertsLeaveTheBackstopIdle) {
             std::vector<ObjectId>{oids[7]});
 }
 
-// ---------------------------------------------------------------- multi-worker
+// ---------------------------------------------------------------- per-tag FIFO
 
-// With several application workers, tags are hash-partitioned so per-tag FIFO order
-// is preserved; add/remove/add sequences queued before any of them apply must net to
-// the same final postings as single-worker operation.
-TEST(LazyIndexTest, MultiWorkerAppliesPerTagFifoOrder) {
+// Add/remove/add sequences queued while the worker is paused, so none of them has
+// applied, must net to the final postings their enqueue order implies.
+TEST(LazyIndexTest, PausedQueueAppliesPerTagFifoOrder) {
   FileSystemOptions opts = LazyOptions();
-  opts.tag_indexer_workers = 4;
   auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), opts);
   ASSERT_NE(fs, nullptr);
   auto oid = fs->Create();
@@ -452,10 +450,8 @@ TEST(LazyIndexTest, MultiWorkerAppliesPerTagFifoOrder) {
 TEST(LazyIndexStressTest, TagStormWithConcurrentReadersAndFsck) {
   FileSystemOptions opts = LazyOptions();
   // A small queue so writers regularly block in ReserveSlots and exercise the
-  // backpressure path against the worker and checkpoints. Three workers (uneven
-  // hash split) so the TSan job covers multi-worker draining too.
+  // backpressure path against the worker and checkpoints.
   opts.tag_intent_queue_capacity = 64;
-  opts.tag_indexer_workers = 3;
   auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev), opts);
   ASSERT_NE(fs, nullptr);
 

@@ -107,6 +107,43 @@ TEST(MetricsHistogram, ConcurrentRecordingLosesNothing) {
   EXPECT_EQ(snap.max, 1024u);
 }
 
+// Each tag entry point records its own histogram, once: AddTag and RemoveTag do not
+// pass through batch_commit, and Create(names), Remove and NamespaceBatch::Commit each
+// record it once.
+TEST(MetricsHistogram, TagEntryPointsRecordTheirOwnHistograms) {
+  auto expect_counts = [](uint64_t create, uint64_t add_tag, uint64_t remove_tag,
+                          uint64_t batch_commit) {
+    EXPECT_EQ(metrics::HistSnapshot::Take(metrics::Hist::kCreate).count, create);
+    EXPECT_EQ(metrics::HistSnapshot::Take(metrics::Hist::kAddTag).count, add_tag);
+    EXPECT_EQ(metrics::HistSnapshot::Take(metrics::Hist::kRemoveTag).count, remove_tag);
+    EXPECT_EQ(metrics::HistSnapshot::Take(metrics::Hist::kBatchCommit).count, batch_commit);
+  };
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "inline");
+    FileSystemOptions options;
+    options.lazy_indexing_threads = 0;
+    options.lazy_tag_indexing = lazy;
+    auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
+    ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
+    std::unique_ptr<FileSystem> fs = std::move(fs_or).value();
+    metrics::ResetAll();
+
+    auto oid = fs->Create({{"UDEF", "created"}});
+    ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+    expect_counts(1, 0, 0, 1);
+    ASSERT_TRUE(fs->AddTag(*oid, {"UDEF", "loose"}).ok());
+    expect_counts(1, 1, 0, 1);
+    ASSERT_TRUE(fs->RemoveTag(*oid, {"UDEF", "loose"}).ok());
+    expect_counts(1, 1, 1, 1);
+    core::NamespaceBatch batch = fs->NewBatch();
+    ASSERT_TRUE(batch.AddTag(*oid, {"UDEF", "batched"}).ok());
+    ASSERT_TRUE(batch.Commit().ok());
+    expect_counts(1, 1, 1, 2);
+    ASSERT_TRUE(fs->Remove(*oid).ok());
+    expect_counts(1, 1, 1, 3);
+  }
+}
+
 // ---------------------------------------------------------------- trace ring
 
 TEST(TraceRing, CapturesNestedSpansOfOneOperation) {

@@ -133,7 +133,6 @@ void BM_TagStormSync(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   if (state.thread_index() == 0) {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.shard_count = shards;
     g_fs = std::move(FileSystem::Create(MakeSlowDevices(shards), options)).value();
   }

@@ -69,7 +69,6 @@ BENCHMARK(BM_LookupThroughSharedAncestors_Hier)
 void BM_LookupByTag_Hfad(benchmark::State& state) {
   if (state.thread_index() == 0) {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;  // Match hierfs (no journal) for a fair comparison.
     g_hfad = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                           options))
@@ -126,7 +125,6 @@ BENCHMARK(BM_CreateStorm_Hier)->ThreadRange(1, 16)->UseRealTime()->MeasureProces
 void BM_CreateStorm_Hfad(benchmark::State& state) {
   if (state.thread_index() == 0) {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;
     g_hfad = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                           options))

@@ -26,7 +26,6 @@ using hfad::core::ObjectId;
 // does all day.
 void BM_MixedNativeWorkload(benchmark::State& state) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.journaling = state.range(0) != 0;
   auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                          options))
@@ -76,7 +75,6 @@ BENCHMARK(BM_MixedNativeWorkload)->Arg(0)->Arg(1)->Iterations(50000);
 // directory tree. Everything below the veneer is tag lookups and range scans.
 void BM_MixedPosixWorkload(benchmark::State& state) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.journaling = false;
   auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                          options))
@@ -122,7 +120,6 @@ BENCHMARK(BM_MixedPosixWorkload)->Iterations(30000);
 // Durability dial: cost of one tagged-create+write under each §3.3 mode.
 void BM_DurabilityModes(benchmark::State& state) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.journaling = state.range(0) != 0;
   options.osd.group_commit = state.range(1) != 0;
   auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
@@ -153,7 +150,6 @@ void BM_CrashRecovery(benchmark::State& state) {
     auto base = std::make_shared<MemoryBlockDevice>(512ull << 20);
     auto faulty = std::make_shared<hfad::FaultyBlockDevice>(base);
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.group_commit = false;
     {
       auto fs = std::move(FileSystem::Create(faulty, options)).value();

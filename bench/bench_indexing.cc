@@ -66,7 +66,6 @@ class SeekChargedDevice : public BlockDevice {
 
 std::unique_ptr<FileSystem> MakeFs(bool lazy_tags) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = lazy_tags;
   // A deep queue: the bench measures acknowledge throughput (the relaxed-mode ingest
   // win), not worker backpressure.
@@ -103,9 +102,7 @@ void BM_TagStormIngest(benchmark::State& state) {
   {
     // Seed with ascending values (fresh pages, no cold reads), then close so the
     // reopened pager starts empty.
-    FileSystemOptions seed_options;
-    seed_options.lazy_indexing_threads = 0;
-    auto seed_fs = std::move(FileSystem::Create(device, seed_options)).value();
+    auto seed_fs = std::move(FileSystem::Create(device)).value();
     std::vector<ObjectId> seed_oids;
     for (int i = 0; i < kStormOids; i++) {
       seed_oids.push_back(*seed_fs->Create());
@@ -123,7 +120,6 @@ void BM_TagStormIngest(benchmark::State& state) {
   }
 
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = lazy;
   options.tag_intent_queue_capacity = 1 << 16;
   options.osd.pager_capacity_pages = 256;

@@ -24,7 +24,6 @@ constexpr uint64_t kInsertSize = 4096;
 void BM_InsertMiddle_Hfad(benchmark::State& state) {
   const uint64_t object_size = static_cast<uint64_t>(state.range(0));
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.journaling = false;  // Match hierfs.
   auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                          options))
@@ -78,7 +77,6 @@ BENCHMARK(BM_InsertMiddle_PosixRewrite)
 void BM_RemoveMiddle_Hfad(benchmark::State& state) {
   const uint64_t object_size = static_cast<uint64_t>(state.range(0));
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.journaling = false;
   auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                          options))

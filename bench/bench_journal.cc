@@ -288,9 +288,7 @@ void BM_TagStormSync(benchmark::State& state) {
   if (state.thread_index() == 0) {
     g_slow = std::make_shared<SlowSyncDevice>(
         std::make_shared<MemoryBlockDevice>(1ull << 30), kSyncCost);
-    FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
-    g_fs = std::move(FileSystem::Create(g_slow, options)).value();
+    g_fs = std::move(FileSystem::Create(g_slow)).value();
   }
   const std::string user = "user" + std::to_string(state.thread_index());
   uint64_t i = 0;
@@ -322,7 +320,6 @@ BENCHMARK(BM_TagStormSync)->ThreadRange(1, 8)->UseRealTime()->MeasureProcessCPUT
 void BM_CheckpointUnderLoad(benchmark::State& state) {
   if (state.thread_index() == 0) {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journal_size = 256 * 1024;  // Fills every few hundred ops.
     g_fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                         options))

@@ -25,7 +25,6 @@ using hfad::core::FileSystemOptions;
 
 std::unique_ptr<FileSystem> MakeHfad() {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.journaling = false;
   return std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                       options))

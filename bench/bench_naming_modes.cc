@@ -22,7 +22,6 @@ using hfad::core::ObjectId;
 struct Fixture {
   explicit Fixture(int objects) {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;
     fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(2ull << 30),
                                       options))

@@ -55,7 +55,6 @@ void RestoreDefaults() {
 FileSystem* QueryFixture() {
   static std::unique_ptr<FileSystem> fs = [] {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;
     auto f = FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30), options);
     for (int i = 0; i < 20000; i++) {
@@ -91,10 +90,7 @@ BENCHMARK(BM_FindPage64)
 // The journal hot path: one journaled AddTag per iteration (group commit on, the
 // default), cycling values so postings stay small.
 void BM_JournalAddTag(benchmark::State& state) {
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
-  auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
-                                         options))
+  auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30)))
                 .value();
   auto oid = fs->Create(std::vector<TagValue>{});
   ApplyMode(static_cast<int>(state.range(0)));

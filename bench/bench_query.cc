@@ -29,7 +29,6 @@ using hfad::query::PlanStats;
 struct QueryFixture {
   explicit QueryFixture(int n) {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;
     fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                       options))
@@ -129,10 +128,7 @@ constexpr int kTagsPerObject = 8;
 
 // Journaled volume for the mutation benches (group commit on, the default).
 std::unique_ptr<FileSystem> MakeJournaledFs() {
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
-  return std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
-                                      options))
+  return std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30)))
       .value();
 }
 

@@ -27,7 +27,6 @@ using hfad::query::QueryEngine;
 struct SkewFixture {
   explicit SkewFixture(int n) {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;
     fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(1ull << 30),
                                       options))

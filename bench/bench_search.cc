@@ -1,8 +1,7 @@
 // C4 (§1, §2.1): users find data by describing what they want, not where it lives.
 //
 // Measures full-text query latency and ranking cost vs corpus size, conjunction
-// selectivity effects, and the ingest-side cost of eager vs lazy (§3.4 background)
-// indexing.
+// selectivity effects, and the ingest cost of indexing a document.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -119,7 +118,7 @@ void BM_PhraseQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PhraseQuery)->Unit(benchmark::kMicrosecond);
 
-// Ingest cost, eager: caller pays indexing inline.
+// Ingest cost: the caller pays indexing inline.
 void BM_IngestEager(benchmark::State& state) {
   MemoryBlockDevice dev(kPageSize + kHeap);
   Pager pager(&dev, 16384);
@@ -137,29 +136,6 @@ void BM_IngestEager(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IngestEager);
-
-// Ingest cost, lazy: caller only enqueues; §3.4's background threads do the indexing.
-// items/s here is the *submission* rate the foreground thread observes.
-void BM_IngestLazySubmit(benchmark::State& state) {
-  MemoryBlockDevice dev(kPageSize + kHeap);
-  Pager pager(&dev, 16384);
-  BuddyAllocator alloc(kPageSize, kHeap);
-  hfad::btree::BTree tree(&pager, &alloc, 0);
-  ft::FullTextIndex index(&tree);
-  ft::LazyIndexer lazy(&index, static_cast<int>(state.range(0)));
-  Random rng(7);
-  uint64_t d = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::string doc = MakeDoc(&rng, 500, 40, "");
-    state.ResumeTiming();
-    lazy.Submit(++d, std::move(doc));
-  }
-  lazy.Drain();  // Outside the timed region: the cost lazy indexing hides.
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::to_string(state.range(0)) + " worker(s)");
-}
-BENCHMARK(BM_IngestLazySubmit)->Arg(1)->Arg(4);
 
 }  // namespace
 

@@ -33,7 +33,6 @@ namespace {
 
 using hfad::MemoryBlockDevice;
 using hfad::core::FileSystem;
-using hfad::core::FileSystemOptions;
 namespace stats = hfad::stats;
 
 constexpr int kFilesPerDir = 32;
@@ -110,10 +109,7 @@ struct HierStack {
 
 struct HfadStack {
   HfadStack() {
-    FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
-    auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(512ull << 20),
-                                    options);
+    auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(512ull << 20));
     fs = std::move(fs_or).value();
     for (int i = 0; i < kFilesPerDir; i++) {
       auto oid = fs->Create();
@@ -192,10 +188,7 @@ BENCHMARK(BM_PathResolve_Hierarchical)->DenseRange(2, 10, 2);
 
 void BM_PathResolve_HfadPosixTag(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
-  auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(512ull << 20),
-                                         options))
+  auto fs = std::move(FileSystem::Create(std::make_shared<MemoryBlockDevice>(512ull << 20)))
                 .value();
   std::string path = DeepPath(depth, 7);
   auto oid = fs->Create({{"POSIX", path}});

@@ -15,7 +15,6 @@
 
 using hfad::MemoryBlockDevice;
 using hfad::core::FileSystem;
-using hfad::core::FileSystemOptions;
 using hfad::core::ObjectId;
 
 namespace {
@@ -57,9 +56,7 @@ const Message kMailbox[] = {
 
 int main() {
   auto device = std::make_shared<MemoryBlockDevice>(64ull << 20);
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
-  auto fs_or = FileSystem::Create(device, options);
+  auto fs_or = FileSystem::Create(device);
   Check(fs_or.status(), "create volume");
   auto& fs = *fs_or;
 

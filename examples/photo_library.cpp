@@ -17,7 +17,6 @@
 using hfad::MemoryBlockDevice;
 using hfad::Random;
 using hfad::core::FileSystem;
-using hfad::core::FileSystemOptions;
 using hfad::core::ObjectId;
 
 namespace {
@@ -37,9 +36,7 @@ const char* kYears[] = {"2007", "2008", "2009"};
 
 int main() {
   auto device = std::make_shared<MemoryBlockDevice>(256ull << 20);
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 2;  // Captions are indexed in the background (§3.4).
-  auto fs_or = FileSystem::Create(device, options);
+  auto fs_or = FileSystem::Create(device);
   Check(fs_or.status(), "create volume");
   auto& fs = *fs_or;
 
@@ -67,7 +64,6 @@ int main() {
     Check(fs->Write(*photo, 0, payload), "write photo");
     Check(fs->IndexContent(*photo), "index caption");
   }
-  Check(fs->WaitForIndexing(), "drain indexer");
 
   // Who: every photo with grandma in it.
   auto grandma = fs->Lookup({{"UDEF", "person:grandma"}});

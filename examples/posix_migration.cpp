@@ -18,7 +18,6 @@
 
 using hfad::MemoryBlockDevice;
 using hfad::core::FileSystem;
-using hfad::core::FileSystemOptions;
 using hfad::posix::kAppend;
 using hfad::posix::kCreate;
 using hfad::posix::kRead;
@@ -39,9 +38,7 @@ void Check(const hfad::Status& s, const char* what) {
 
 int main() {
   auto device = std::make_shared<MemoryBlockDevice>(64ull << 20);
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
-  auto fs_or = FileSystem::Create(device, options);
+  auto fs_or = FileSystem::Create(device);
   Check(fs_or.status(), "create volume");
   auto& fs = *fs_or;
   auto pfs_or = PosixFs::Mount(fs.get());

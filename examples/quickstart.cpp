@@ -13,7 +13,6 @@
 
 using hfad::MemoryBlockDevice;
 using hfad::core::FileSystem;
-using hfad::core::FileSystemOptions;
 using hfad::core::ObjectId;
 
 namespace {
@@ -30,9 +29,7 @@ void Check(const hfad::Status& s, const char* what) {
 int main() {
   // 1. Create a volume. Any BlockDevice works; FileBlockDevice persists across runs.
   auto device = std::make_shared<MemoryBlockDevice>(64ull << 20);
-  FileSystemOptions options;
-  options.lazy_indexing_threads = 0;  // Index synchronously for a deterministic demo.
-  auto fs_or = FileSystem::Create(device, options);
+  auto fs_or = FileSystem::Create(device);
   Check(fs_or.status(), "create volume");
   auto& fs = *fs_or;
 

@@ -136,11 +136,6 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
     (void)reverse_[shard].tree->Height();
   }
   query_engine_ = std::make_unique<query::QueryEngine>(indexes_.get());
-  if (options_.lazy_indexing_threads > 0) {
-    auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
-    lazy_indexer_ = std::make_unique<fulltext::LazyIndexer>(ft->engine(),
-                                                            options_.lazy_indexing_threads);
-  }
   if (options_.lazy_tag_indexing) {
     tag_indexer_ = std::make_unique<LazyTagIndexer>(indexes_.get(), osd_,
                                                     options_.tag_intent_queue_capacity);
@@ -148,8 +143,6 @@ FileSystem::FileSystem(std::unique_ptr<osd::OsdCluster> cluster,
 }
 
 FileSystem::~FileSystem() {
-  // Drain background indexing before the indexes are torn down.
-  lazy_indexer_.reset();
   if (tag_indexer_ != nullptr) {
     // Apply what we can (Drain returns immediately while a test holds the queue
     // paused)...
@@ -168,15 +161,20 @@ FileSystem::~FileSystem() {
 
 namespace {
 
-// shard_count 0 means "one shard per device"; anything else must match exactly.
-Status ValidateShardCount(size_t devices, size_t shard_count) {
+// shard_count 0 means "one shard per device"; anything else must match exactly. There
+// are no background content-indexing threads to ask for.
+Status ValidateOptions(size_t devices, const FileSystemOptions& options) {
   if (devices == 0) {
     return Status::InvalidArgument("filesystem needs at least one device");
   }
-  if (shard_count != 0 && shard_count != devices) {
-    return Status::InvalidArgument("shard_count " + std::to_string(shard_count) +
+  if (options.shard_count != 0 && options.shard_count != devices) {
+    return Status::InvalidArgument("shard_count " + std::to_string(options.shard_count) +
                                    " does not match device count " +
                                    std::to_string(devices));
+  }
+  if (options.lazy_indexing_threads != 0) {
+    return Status::InvalidArgument(
+        "content indexing is inline; lazy_indexing_threads must be 0");
   }
   return Status::Ok();
 }
@@ -192,7 +190,7 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Create(std::shared_ptr<BlockDevi
 
 Result<std::unique_ptr<FileSystem>> FileSystem::Create(
     std::vector<std::shared_ptr<BlockDevice>> devices, FileSystemOptions options) {
-  HFAD_RETURN_IF_ERROR(ValidateShardCount(devices.size(), options.shard_count));
+  HFAD_RETURN_IF_ERROR(ValidateOptions(devices.size(), options));
   HFAD_ASSIGN_OR_RETURN(std::unique_ptr<osd::OsdCluster> cluster,
                         osd::OsdCluster::Create(std::move(devices), options.osd));
   HFAD_ASSIGN_OR_RETURN(std::unique_ptr<index::IndexCollection> indexes,
@@ -212,7 +210,7 @@ Result<std::unique_ptr<FileSystem>> FileSystem::Open(std::shared_ptr<BlockDevice
 
 Result<std::unique_ptr<FileSystem>> FileSystem::Open(
     std::vector<std::shared_ptr<BlockDevice>> devices, FileSystemOptions options) {
-  HFAD_RETURN_IF_ERROR(ValidateShardCount(devices.size(), options.shard_count));
+  HFAD_RETURN_IF_ERROR(ValidateOptions(devices.size(), options));
   // Namespace records replay through a lazily-mounted index collection on the metadata
   // shard; the collection is then adopted by the FileSystem. Index intents (lazy mode's
   // journaled-but-possibly-unapplied tag mutations) accumulate here: their reverse-map
@@ -344,20 +342,13 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
                          /*forward=*/true);
     }
     case kNsIndexContent: {
-      // Object bytes live on the shard whose journal carried the record.
-      auto size = data->Size(oid);
-      if (size.status().IsNotFound()) {
-        return Status::Ok();  // Object deleted later in the log.
-      }
-      HFAD_RETURN_IF_ERROR(size.status());
-      std::string content;
-      HFAD_RETURN_IF_ERROR(data->Read(oid, 0, *size, &content));
-      auto* ft = static_cast<index::FullTextIndexStore*>(indexes->store(index::kTagFulltext));
-      return ft->Add(content, oid);
+      // Object bytes live on the shard whose journal carried the record. NotFound: the
+      // object was deleted later in the log.
+      Status s = IndexObjectContent(data, indexes, oid);
+      return s.IsNotFound() ? Status::Ok() : s;
     }
     case kNsUnindexContent: {
-      auto* ft = static_cast<index::FullTextIndexStore*>(indexes->store(index::kTagFulltext));
-      Status s = ft->Remove(Slice(), oid);
+      Status s = indexes->store(index::kTagFulltext)->Remove(Slice(), oid);
       return s.IsNotFound() ? Status::Ok() : s;
     }
     default:
@@ -541,25 +532,30 @@ Result<ObjectId> FileSystem::Create(const std::vector<TagValue>& names) {
 }
 
 Status FileSystem::Remove(ObjectId oid) {
-  HFAD_ASSIGN_OR_RETURN(std::vector<TagValue> names, Tags(oid));
-  // Every name leaves in one batch, as Create(names) adds them: one record, all or
-  // nothing. A name removed since Tags() fails the batch's validation with NotFound.
-  std::vector<TagOp> ops;
-  ops.reserve(names.size());
-  for (TagValue& name : names) {
-    ops.push_back(TagOp{false, oid, std::move(name)});
+  // The object's tag shard is held from the name scan through the delete: an AddTag or
+  // IndexContent on this object either finished before (its name or postings are
+  // stripped below) or runs after (and finds no object).
+  auto lock = tag_mu_.LockExclusive(oid);
+  HFAD_ASSIGN_OR_RETURN(std::vector<TagValue> names, NamesLocked(oid));
+  if (!names.empty()) {
+    // Every name leaves in one batch, as Create(names) adds them: one record.
+    metrics::ScopedLatency latency(metrics::Hist::kBatchCommit);
+    trace::OpScope op("batch_commit");
+    std::vector<TagOp> ops;
+    ops.reserve(names.size());
+    for (TagValue& name : names) {
+      ops.push_back(TagOp{false, oid, std::move(name)});
+    }
+    HFAD_RETURN_IF_ERROR(CommitTagOpsLocked(ops));
   }
-  HFAD_RETURN_IF_ERROR(CommitBatch(ops));
   // Strip any full-text postings (journaled so replay stays in sync).
   {
-    auto lock = tag_mu_.LockExclusive(oid);
     HFAD_ASSIGN_OR_RETURN(auto credit,
                           osd_->ReserveApplyCredit(osd::Osd::CreditUse::kContent));
     uint64_t token = 0;
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeOidRecord(kNsUnindexContent, oid), &token));
-    auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
-    Status s = ft->Remove(Slice(), oid);
+    Status s = indexes_->store(index::kTagFulltext)->Remove(Slice(), oid);
     if (!s.ok() && !s.IsNotFound()) {
       return s;
     }
@@ -615,8 +611,21 @@ Status FileSystem::CommitBatch(const std::vector<TagOp>& ops) {
 }
 
 Status FileSystem::CommitTagOps(const std::vector<TagOp>& ops) {
-  // Existence once per object that gains a name. A removal needs no lookup: the
-  // reverse-map check below finds a name only on a live object.
+  std::vector<ObjectId> oids;
+  oids.reserve(ops.size());
+  for (const TagOp& op : ops) {
+    oids.push_back(op.oid);
+  }
+  // Every involved shard once, ascending (the MultiLock deadlock-freedom rule), instead
+  // of lock/unlock per tag.
+  auto lock = tag_mu_.LockMultiExclusive(oids);
+  return CommitTagOpsLocked(ops);
+}
+
+Status FileSystem::CommitTagOpsLocked(const std::vector<TagOp>& ops) {
+  // Existence once per object that gains a name, under the shard locks so a concurrent
+  // Remove (which holds the shard through its delete) cannot slip in between. A removal
+  // needs no lookup: the reverse-map check below finds a name only on a live object.
   std::vector<ObjectId> oids;
   std::vector<ObjectId> gaining;
   oids.reserve(ops.size());
@@ -633,9 +642,6 @@ Status FileSystem::CommitTagOps(const std::vector<TagOp>& ops) {
       return Status::NotFound("no object " + std::to_string(oid));
     }
   }
-  // Every involved shard once, ascending (the MultiLock deadlock-freedom rule), instead
-  // of lock/unlock per tag.
-  auto lock = tag_mu_.LockMultiExclusive(oids);
   // Validate removals against pre-batch state so a journaled record always corresponds
   // to applicable ops.
   for (const TagOp& op : ops) {
@@ -718,10 +724,14 @@ Status FileSystem::CommitTagOps(const std::vector<TagOp>& ops) {
 }
 
 Result<std::vector<TagValue>> FileSystem::Tags(ObjectId oid) const {
+  auto lock = tag_mu_.LockShared(oid);
+  return NamesLocked(oid);
+}
+
+Result<std::vector<TagValue>> FileSystem::NamesLocked(ObjectId oid) const {
   if (!cluster_->Exists(oid)) {
     return Status::NotFound("no object " + std::to_string(oid));
   }
-  auto lock = tag_mu_.LockShared(oid);
   std::vector<TagValue> out;
   std::string prefix = OidBytes(oid);
   HFAD_RETURN_IF_ERROR(reverse_[TagShardOf(oid)].tree->ScanPrefix(
@@ -771,46 +781,27 @@ Status FileSystem::ScanAllNames(
   return Status::Ok();
 }
 
-Status FileSystem::IndexContentNow(ObjectId oid) {
-  HFAD_ASSIGN_OR_RETURN(uint64_t size, cluster_->Size(oid));
+Status FileSystem::IndexObjectContent(const osd::Osd* data, index::IndexCollection* indexes,
+                                      ObjectId oid) {
+  HFAD_ASSIGN_OR_RETURN(uint64_t size, data->Size(oid));
   std::string content;
-  HFAD_RETURN_IF_ERROR(cluster_->Read(oid, 0, size, &content));
-  auto* ft = static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
-  return ft->Add(content, oid);
+  HFAD_RETURN_IF_ERROR(data->Read(oid, 0, size, &content));
+  return indexes->store(index::kTagFulltext)->Add(content, oid);
 }
 
 Status FileSystem::IndexContent(ObjectId oid) {
+  // Existence under the shard lock, so a concurrent Remove's strip cannot miss us.
+  auto lock = tag_mu_.LockExclusive(oid);
   if (!cluster_->Exists(oid)) {
     return Status::NotFound("no object " + std::to_string(oid));
   }
-  auto lock = tag_mu_.LockExclusive(oid);
   HFAD_ASSIGN_OR_RETURN(auto credit, osd_->ReserveApplyCredit(osd::Osd::CreditUse::kContent));
   uint64_t token = 0;
   HFAD_RETURN_IF_ERROR(
       cluster_->AppendForeign(oid, EncodeOidRecord(kNsIndexContent, oid), &token));
-  if (lazy_indexer_ == nullptr) {
-    HFAD_RETURN_IF_ERROR(IndexContentNow(oid));
-    cluster_->MarkForeignApplied(token);
-    return Status::Ok();
-  }
-  // Snapshot the content now so later writes do not race the background worker; the
-  // worker indexes exactly these bytes.
-  HFAD_ASSIGN_OR_RETURN(uint64_t size, cluster_->Size(oid));
-  std::string content;
-  HFAD_RETURN_IF_ERROR(cluster_->Read(oid, 0, size, &content));
-  lazy_indexer_->Submit(oid, std::move(content));
-  // Same crash contract as the single-volume lazy path: the record's redo (a content
-  // re-read) is durable until here; the submitted snapshot itself lives only in memory.
+  HFAD_RETURN_IF_ERROR(IndexObjectContent(cluster_->owner(oid), indexes_.get(), oid));
   cluster_->MarkForeignApplied(token);
   return Status::Ok();
-}
-
-Status FileSystem::WaitForIndexing() {
-  if (lazy_indexer_ == nullptr) {
-    return Status::Ok();
-  }
-  lazy_indexer_->Drain();
-  return lazy_indexer_->first_error();
 }
 
 Status FileSystem::WaitForTagIndexing() {

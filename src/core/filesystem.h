@@ -16,10 +16,10 @@
 // Tag mutations are journaled through the OSD (write-ahead), so the namespace and the
 // object store recover together, in order, after a crash.
 //
-// Content indexing follows §3.4: "we use background threads to perform lazy full-text
-// indexing." IndexContent(oid) snapshots the object's bytes and either indexes them
-// synchronously (lazy_indexing_threads == 0) or queues them for the background workers;
-// WaitForIndexing() drains the queue.
+// Content indexing is inline: IndexContent(oid) journals its record and indexes the
+// object's bytes before it returns, so an acknowledged index survives a crash like any
+// other journaled op. The paper's background indexing (§3.4) is lazy_tag_indexing: tag
+// mutations journal an intent and a worker applies their posting updates.
 //
 // Open question #2 ("extend the notion of a current directory to be an iterative
 // refinement of a search") is implemented by SearchCursor: a stack of refinements whose
@@ -51,8 +51,9 @@ using index::TagValue;
 
 struct FileSystemOptions {
   osd::OsdOptions osd;
-  // Background full-text indexing workers; 0 indexes synchronously in IndexContent.
-  int lazy_indexing_threads = 2;
+  // Must be 0: IndexContent always indexes inline, and Create/Open refuse any other
+  // value. Kept only so existing callers that assign 0 still compile.
+  int lazy_indexing_threads = 0;
   // Lazy TAG indexing (§3.4 generalized to the namespace itself): tag mutations journal
   // an intent, update the reverse map inline, and return; a background worker applies
   // the forward posting-store updates in sorted bulk batches. Readers choose per query
@@ -157,8 +158,9 @@ class FileSystem {
   Result<ObjectId> Create(const std::vector<TagValue>& names = {});
 
   // Remove an object: every name, any full-text postings, then the object itself. The
-  // names are stripped in one batch (one journal record), all or nothing: a name removed
-  // concurrently since they were read fails the call with NotFound and strips none.
+  // object's tag shard is held from the name scan through the delete, so a concurrent
+  // AddTag or IndexContent on it lands wholly before (and is stripped) or after (and
+  // fails NotFound). The names leave in one batch (one journal record).
   Status Remove(ObjectId oid);
 
   // ---- Tag management ----
@@ -177,12 +179,9 @@ class FileSystem {
   // Visit every (object, name) pair on the volume, in oid order (fsck support).
   Status ScanAllNames(const std::function<bool(ObjectId, const TagValue&)>& fn) const;
 
-  // (Re)index the object's current bytes for full-text search. Queued to the background
-  // workers when lazy indexing is enabled; WaitForIndexing() makes results visible.
+  // (Re)index the object's current bytes for full-text search: one journal record, then
+  // the FULLTEXT store, before returning. Searches see the content once this returns.
   Status IndexContent(ObjectId oid);
-
-  // Drain the lazy indexer (no-op when synchronous). Returns the first indexing error.
-  Status WaitForIndexing();
 
   // Drain the lazy TAG indexer: wait until every tag intent acknowledged before the
   // call is applied to the posting stores. No-op with inline indexing. Returns the
@@ -245,16 +244,21 @@ class FileSystem {
   // indexer's queue entry.
   using TagOp = LazyTagIndexer::Op;
 
-  // The one tag-mutation path, behind AddTag, RemoveTag and CommitBatch: check that
-  // every object gaining a name exists, acquire every involved tag shard once (ordered
-  // MultiLock), check removals against the pre-batch reverse map, journal ONE record
-  // for all ops, then apply them in order. Lazy and inline indexing differ only in the
-  // indexer's queue slots and enqueue, the credit size, the record kind, and whether
-  // the posting stores are applied here. Crash recovery replays the record as a unit.
+  // The one tag-mutation path, behind AddTag, RemoveTag and CommitBatch: acquire every
+  // involved tag shard once (ordered MultiLock), then run CommitTagOpsLocked.
   Status CommitTagOps(const std::vector<TagOp>& ops);
 
-  // CommitTagOps under the batch_commit histogram and span (Create, Remove and
-  // NamespaceBatch::Commit). An empty batch is a no-op.
+  // With every involved tag shard held exclusively by the caller: check that every
+  // object gaining a name exists, check removals against the pre-batch reverse map,
+  // journal ONE record for all ops, then apply them in order. Lazy and inline indexing
+  // differ only in the indexer's queue slots and enqueue, the credit size, the record
+  // kind, and whether the posting stores are applied here. Crash recovery replays the
+  // record as a unit. Remove calls it directly, holding its object's shard from the
+  // name scan through the delete.
+  Status CommitTagOpsLocked(const std::vector<TagOp>& ops);
+
+  // CommitTagOps under the batch_commit histogram and span (Create and
+  // NamespaceBatch::Commit; Remove records the same). An empty batch is a no-op.
   Status CommitBatch(const std::vector<TagOp>& ops);
 
   // A name a tag mutation may carry: its tag has an index store and, to be added, is
@@ -284,7 +288,14 @@ class FileSystem {
   // forward updates inline (non-lazy), then install the live checkpoint provider.
   Status AdoptRecoveredIntents(std::vector<TagOp> recovered);
 
-  Status IndexContentNow(ObjectId oid);
+  // Read the object's bytes from `data` (the shard that owns it) and index them in the
+  // FULLTEXT store: IndexContent's apply and the kNsIndexContent replay.
+  static Status IndexObjectContent(const osd::Osd* data, index::IndexCollection* indexes,
+                                   ObjectId oid);
+
+  // The object's names from the reverse map; NotFound if the object does not exist.
+  // Caller holds the object's tag shard, shared or exclusive.
+  Result<std::vector<TagValue>> NamesLocked(ObjectId oid) const;
 
   // Tag state is striped (see docs/CONCURRENCY.md): shard i of tag_mu_ guards both the
   // serialization of tag mutations for oids in shard i and that shard's slice of the
@@ -311,7 +322,6 @@ class FileSystem {
   osd::Osd* osd_ = nullptr;  // cluster_->meta(): the shard namespace state lives on.
   std::unique_ptr<index::IndexCollection> indexes_;
   std::unique_ptr<query::QueryEngine> query_engine_;
-  std::unique_ptr<fulltext::LazyIndexer> lazy_indexer_;
   std::unique_ptr<LazyTagIndexer> tag_indexer_;  // Null unless lazy_tag_indexing.
 
   mutable ShardedMutex<kTagShards> tag_mu_;

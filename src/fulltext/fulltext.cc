@@ -466,75 +466,5 @@ Result<uint64_t> FullTextIndex::DocumentFrequency(const std::string& term) const
   return df;
 }
 
-// ---------------------------------------------------------------- LazyIndexer
-
-LazyIndexer::LazyIndexer(FullTextIndex* index, int num_threads) : index_(index) {
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; i++) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-LazyIndexer::~LazyIndexer() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) {
-    w.join();
-  }
-}
-
-void LazyIndexer::Submit(uint64_t docid, std::string text) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back(docid, std::move(text));
-  }
-  cv_.notify_one();
-}
-
-void LazyIndexer::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  drained_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-size_t LazyIndexer::backlog() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + in_flight_;
-}
-
-Status LazyIndexer::first_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return first_error_;
-}
-
-void LazyIndexer::WorkerLoop() {
-  for (;;) {
-    std::pair<uint64_t, std::string> work;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return !queue_.empty() || shutdown_; });
-      if (queue_.empty()) {
-        return;  // Shutdown with nothing left: workers drain the queue first.
-      }
-      work = std::move(queue_.front());
-      queue_.pop_front();
-      in_flight_++;
-    }
-    Status s = index_->IndexDocument(work.first, Slice(work.second));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!s.ok() && first_error_.ok()) {
-        first_error_ = s;
-      }
-      in_flight_--;
-      if (queue_.empty() && in_flight_ == 0) {
-        drained_cv_.notify_all();
-      }
-    }
-  }
-}
-
 }  // namespace fulltext
 }  // namespace hfad

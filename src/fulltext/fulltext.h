@@ -11,22 +11,19 @@
 //   "S"                      -> varint doc_count, varint total_tokens (corpus stats)
 //
 // Queries are conjunctive (§3.1.1: results are "the conjunction of the results of an
-// index lookup for each element") and ranked by BM25. Indexing can be synchronous or
-// handed to the LazyIndexer, which mirrors the paper's "background threads to perform
-// lazy full-text indexing" (§3.4).
+// index lookup for each element") and ranked by BM25. Indexing is synchronous: the
+// FileSystem writes through index::FullTextIndexStore, which persists the tree's root
+// after every Add and Remove.
 //
 // Thread safety: Search is safe concurrently with indexing; Index/Remove are internally
 // serialized (tokenization happens outside the lock).
 #ifndef HFAD_SRC_FULLTEXT_FULLTEXT_H_
 #define HFAD_SRC_FULLTEXT_FULLTEXT_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/btree/btree.h"
@@ -116,42 +113,6 @@ class FullTextIndex {
   btree::BTree* const tree_;
   const Bm25Params params_;
   mutable std::mutex write_mu_;  // Serializes multi-entry index mutations.
-};
-
-// Background lazy indexer (§3.4): worker threads drain a queue of (docid, text) pairs
-// into a FullTextIndex. Documents are searchable only after they have been drained.
-class LazyIndexer {
- public:
-  LazyIndexer(FullTextIndex* index, int num_threads);
-  ~LazyIndexer();  // Drains the queue, then joins the workers.
-
-  LazyIndexer(const LazyIndexer&) = delete;
-  LazyIndexer& operator=(const LazyIndexer&) = delete;
-
-  // Enqueue a document for indexing. Returns immediately.
-  void Submit(uint64_t docid, std::string text);
-
-  // Block until every submitted document has been indexed.
-  void Drain();
-
-  // Documents waiting or in flight.
-  size_t backlog() const;
-
-  // First error any worker hit (Ok if none). Sticky.
-  Status first_error() const;
-
- private:
-  void WorkerLoop();
-
-  FullTextIndex* const index_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;         // Signals work available or shutdown.
-  std::condition_variable drained_cv_; // Signals backlog reaching zero.
-  std::deque<std::pair<uint64_t, std::string>> queue_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-  Status first_error_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace fulltext

@@ -203,8 +203,9 @@ class KeyValueIndexStore : public IndexStore {
 };
 
 // Full-text store: Add() treats the value as document *content* to index; Lookup()
-// treats the value as a single search term. Ranked multi-term search goes through
-// engine() directly (the IndexStore interface is set semantics only).
+// treats the value as a single search term. Every write goes through Add or Remove,
+// which hold mu_ and persist the tree's root; ranked multi-term search and fsck read
+// the const engine() directly (the IndexStore interface is set semantics only).
 class FullTextIndexStore : public IndexStore {
  public:
   static Result<std::unique_ptr<FullTextIndexStore>> Mount(osd::Osd* volume);
@@ -222,7 +223,6 @@ class FullTextIndexStore : public IndexStore {
   Result<std::unique_ptr<PostingIterator>> OpenPostings(Slice term,
                                                         PlanStats* stats) const override;
 
-  fulltext::FullTextIndex* engine() { return engine_.get(); }
   const fulltext::FullTextIndex* engine() const { return engine_.get(); }
 
  private:
@@ -237,9 +237,7 @@ class FullTextIndexStore : public IndexStore {
   std::unique_ptr<btree::BTree> tree_;
   std::unique_ptr<fulltext::FullTextIndex> engine_;
   uint64_t last_root_ = 0;
-  // Reader/writer separation for the store API. The LazyIndexer's workers write through
-  // engine() directly and rely on the engine's own serialization instead.
-  mutable std::shared_mutex mu_;
+  mutable std::shared_mutex mu_;  // Reader/writer separation for the store API.
 };
 
 // The ID fastpath (Table 1): "a special tag, ID, indicates that the value is actually a

@@ -48,7 +48,6 @@ std::vector<std::shared_ptr<BlockDevice>> MakeDevices(size_t n) {
 
 FileSystemOptions ShardedOptions(size_t n) {
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;  // Synchronous content indexing: deterministic.
   opts.shard_count = n;
   return opts;
 }
@@ -708,8 +707,6 @@ TEST_P(ClusterDifferentialTest, FourShardsMatchSingleVolume) {
     }
   }
 
-  ASSERT_TRUE(fs1->WaitForIndexing().ok());
-  ASSERT_TRUE(fs4->WaitForIndexing().ok());
   for (int v = 0; v < 24; v++) {
     std::string q = "UDEF:v" + std::to_string(v);
     EXPECT_EQ(StrictFind(fs1, q), StrictFind(fs4, q)) << q;

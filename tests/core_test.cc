@@ -1,6 +1,8 @@
 // Tests for the native hFAD API: naming, tagging, access, search cursors, and
 // namespace crash recovery.
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -23,9 +25,7 @@ constexpr uint64_t kDev = 64 * 1024 * 1024;
 class CoreTest : public ::testing::Test {
  protected:
   CoreTest() : dev_(std::make_shared<MemoryBlockDevice>(kDev)) {
-    FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;  // Synchronous indexing: deterministic tests.
-    auto fs = FileSystem::Create(dev_, opts);
+    auto fs = FileSystem::Create(dev_);
     EXPECT_TRUE(fs.ok()) << fs.status().ToString();
     fs_ = std::move(fs).value();
   }
@@ -265,36 +265,13 @@ TEST_F(CoreTest, CursorTracksLiveChanges) {
   EXPECT_EQ(after->size(), 2u);
 }
 
-// ---------------------------------------------------------------- lazy indexing
-
-TEST(CoreLazyTest, BackgroundIndexingBecomesVisibleAfterDrain) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 3;
-  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
-  ASSERT_TRUE(fs.ok());
-  std::vector<ObjectId> oids;
-  for (int i = 0; i < 100; i++) {
-    auto oid = (*fs)->Create({{"APP", "ingest"}});
-    ASSERT_TRUE(oid.ok());
-    ASSERT_TRUE((*fs)->Write(*oid, 0, "lazy document payload " + std::to_string(i)).ok());
-    ASSERT_TRUE((*fs)->IndexContent(*oid).ok());
-    oids.push_back(*oid);
-  }
-  ASSERT_TRUE((*fs)->WaitForIndexing().ok());
-  auto hits = (*fs)->SearchText({"lazy", "payload"});
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 100u);
-}
-
 // ---------------------------------------------------------------- persistence & crash
 
 TEST(CorePersistenceTest, NamespaceSurvivesCleanReopen) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
   ObjectId oid;
   {
-    FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
-    auto fs = FileSystem::Create(dev, opts);
+    auto fs = FileSystem::Create(dev);
     ASSERT_TRUE(fs.ok());
     auto r = (*fs)->Create({{"USER", "margo"}, {"UDEF", "keeper"}});
     ASSERT_TRUE(r.ok());
@@ -316,13 +293,75 @@ TEST(CorePersistenceTest, NamespaceSurvivesCleanReopen) {
   EXPECT_EQ(tags->size(), 2u);
 }
 
+// IndexContent persists the FULLTEXT store's root before it returns, so content indexed
+// with default options is found after a clean close; no background indexer can be asked
+// for.
+TEST(CorePersistenceTest, IndexedContentSurvivesCleanReopen) {
+  auto dev = std::make_shared<MemoryBlockDevice>(kDev);
+  std::vector<ObjectId> oids;
+  {
+    auto fs = FileSystem::Create(dev);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    for (int i = 0; i < 50; i++) {
+      auto oid = (*fs)->Create();
+      ASSERT_TRUE(oid.ok());
+      ASSERT_TRUE((*fs)->Write(*oid, 0, "reopened document " + std::to_string(i)).ok());
+      ASSERT_TRUE((*fs)->IndexContent(*oid).ok());
+      oids.push_back(*oid);
+    }
+  }
+  {
+    auto fs = FileSystem::Open(dev);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    auto hits = (*fs)->Lookup({{"FULLTEXT", "reopened"}});
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    EXPECT_EQ(*hits, oids);
+    auto report = CheckFileSystem((*fs).get());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->clean()) << report->ToString();
+  }
+  FileSystemOptions background;
+  background.lazy_indexing_threads = 2;
+  EXPECT_TRUE(FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), background)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(FileSystem::Open(dev, background).status().IsInvalidArgument());
+}
+
+// Content indexed before a Sync and a Checkpoint is on the device when the power goes:
+// the checkpoint that resets the journal holding the kNsIndexContent records also
+// flushes the postings those records produced.
+TEST(CorePersistenceTest, SyncedIndexContentSurvivesCheckpointAndCrash) {
+  auto base = std::make_shared<MemoryBlockDevice>(kDev);
+  auto faulty = std::make_shared<FaultyBlockDevice>(base);
+  std::vector<ObjectId> oids;
+  {
+    auto fs = FileSystem::Create(faulty);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    for (int i = 0; i < 200; i++) {
+      auto oid = (*fs)->Create();
+      ASSERT_TRUE(oid.ok());
+      ASSERT_TRUE((*fs)->Write(*oid, 0, "checkpointed document " + std::to_string(i)).ok());
+      ASSERT_TRUE((*fs)->IndexContent(*oid).ok());
+      oids.push_back(*oid);
+    }
+    ASSERT_TRUE((*fs)->Sync().ok());
+    ASSERT_TRUE((*fs)->Checkpoint().ok());
+    faulty->SetWriteBudget(0);  // Power cut: nothing after the checkpoint is written.
+  }
+  auto fs = FileSystem::Open(base);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  auto hits = (*fs)->Lookup({{"FULLTEXT", "checkpointed"}});
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, oids);
+}
+
 TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   ObjectId kept, removed;
   {
     FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
     opts.osd.group_commit = false;  // Every op durable on return.
     auto fs = FileSystem::Create(faulty, opts);
     ASSERT_TRUE(fs.ok());
@@ -339,7 +378,6 @@ TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
     faulty->SetWriteBudget(0);  // Crash: destructor checkpoint cannot reach the device.
   }
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.group_commit = false;
   auto fs = FileSystem::Open(base, opts);
   ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -367,9 +405,7 @@ TEST(CorePersistenceTest, NamespaceRecoversAfterCrash) {
 // the storm, the forward indexes and the reverse map must agree perfectly (Fsck), and
 // every surviving name must be reachable through Lookup.
 TEST(CoreConcurrencyTest, OverlappingTagStormStaysFsckClean) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
-  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
   ASSERT_TRUE(fs.ok());
 
   constexpr int kObjects = 48;
@@ -427,10 +463,63 @@ TEST(CoreConcurrencyTest, OverlappingTagStormStaysFsckClean) {
   }
 }
 
+// Remove holds the object's tag shard from its name scan through the delete, so an
+// AddTag or IndexContent racing it on the same object lands wholly before the remove
+// (and is stripped with the rest) or after it (and finds no object). Each racer hammers
+// the object the remover is on until it is gone, then moves to the next one.
+TEST(CoreConcurrencyTest, RemoveRacingAddTagAndIndexContentLeavesNothingBehind) {
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy" : "inline");
+    FileSystemOptions opts;
+    opts.lazy_tag_indexing = lazy;
+    auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    std::vector<ObjectId> oids;
+    for (int i = 0; i < 300; i++) {
+      auto oid = (*fs)->Create({{"UDEF", "early"}});
+      ASSERT_TRUE(oid.ok());
+      ASSERT_TRUE((*fs)->Write(*oid, 0, "racing document").ok());
+      oids.push_back(*oid);
+    }
+    std::atomic<bool> remover_done{false};
+    auto race = [&oids, &remover_done](const std::function<Status(ObjectId)>& op) {
+      for (ObjectId oid : oids) {
+        while (!remover_done.load()) {
+          Status s = op(oid);
+          if (s.IsNotFound()) {
+            break;  // Removed: on to the object the remover is on now.
+          }
+          EXPECT_TRUE(s.ok()) << s.ToString();
+        }
+      }
+    };
+    std::thread tagger(race,
+                       [&fs](ObjectId oid) { return (*fs)->AddTag(oid, {"UDEF", "late"}); });
+    std::thread indexer(race, [&fs](ObjectId oid) { return (*fs)->IndexContent(oid); });
+    for (ObjectId oid : oids) {
+      Status rm = (*fs)->Remove(oid);
+      EXPECT_TRUE(rm.ok()) << rm.ToString();
+      std::this_thread::yield();  // Let the racers reach the next object first.
+    }
+    remover_done = true;
+    tagger.join();
+    indexer.join();
+    ASSERT_TRUE((*fs)->WaitForTagIndexing().ok());
+    auto report = CheckFileSystem((*fs).get());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->clean()) << report->ToString();
+    for (const TagValue& name : std::vector<TagValue>{
+             {"UDEF", "early"}, {"UDEF", "late"}, {"FULLTEXT", "racing"}}) {
+      auto hits = (*fs)->Lookup({name});
+      ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+      EXPECT_TRUE(hits->empty()) << name.tag << ":" << name.value << " still names "
+                                 << hits->size() << " objects";
+    }
+  }
+}
+
 TEST(CoreConcurrencyTest, ParallelTaggingOnIndependentObjects) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
-  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
   ASSERT_TRUE(fs.ok());
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;

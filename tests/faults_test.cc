@@ -459,7 +459,6 @@ TEST(FaultsTest, ReadOnlyVolumeRejectsTagMutationsWithJournalingOff) {
   for (bool lazy : {false, true}) {
     SCOPED_TRACE(lazy ? "lazy" : "inline");
     core::FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
     opts.lazy_tag_indexing = lazy;
     opts.osd.journaling = false;
     auto fs_r = core::FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
@@ -500,7 +499,6 @@ TEST(FaultsTest, ReadOnlyMetadataShardRejectsTagMutationsOnHealthyOwners) {
   for (bool lazy : {false, true}) {
     SCOPED_TRACE(lazy ? "lazy" : "inline");
     core::FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
     opts.lazy_tag_indexing = lazy;
     opts.shard_count = 4;
     auto fs_r = core::FileSystem::Create(MakeDevices(4), opts);
@@ -540,7 +538,6 @@ TEST(FaultsTest, ReadOnlyMetadataShardRejectsTagMutationsOnHealthyOwners) {
 // reads from cached pages) against concurrent tag mutations, checkpoints, and reads.
 TEST(FaultsTest, ScrubUnderTagStormIsRaceFree) {
   core::FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.scrub_interval_ms = 1;  // Scrub continuously.
   opts.osd.scrub_pages_per_batch = 64;
   opts.osd.scrub_pause_us = 0;
@@ -598,11 +595,9 @@ TEST(FaultsTest, ScrubUnderTagStormIsRaceFree) {
 TEST(FaultsTest, FsckReportsQuarantinedPages) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
-  core::FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   uint64_t victim = 0;
   {
-    auto fs_r = core::FileSystem::Create(faulty, opts);
+    auto fs_r = core::FileSystem::Create(faulty);
     ASSERT_TRUE(fs_r.ok());
     auto fs = std::move(fs_r).value();
     auto oid = fs->Create({{"UDEF", "doomed"}});
@@ -612,7 +607,7 @@ TEST(FaultsTest, FsckReportsQuarantinedPages) {
     victim = LastStampedPage(fs->cluster()->shard(0), kDev);
   }  // Destructor closes the filesystem; cache is cold at reopen.
   ASSERT_TRUE(faulty->FlipBit(victim + 9, 2).ok());
-  auto fs_r = core::FileSystem::Open(faulty, opts);
+  auto fs_r = core::FileSystem::Open(faulty);
   ASSERT_TRUE(fs_r.ok()) << fs_r.status().ToString();
   auto fs = std::move(fs_r).value();
   ScrubReport rep;

@@ -1,6 +1,7 @@
 // Tests for the offline consistency checker, including detection of injected damage.
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,9 +17,7 @@ namespace {
 constexpr uint64_t kDev = 64 * 1024 * 1024;
 
 std::unique_ptr<FileSystem> MakeFs(std::shared_ptr<BlockDevice> dev) {
-  FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
-  auto fs = FileSystem::Create(std::move(dev), opts);
+  auto fs = FileSystem::Create(std::move(dev));
   EXPECT_TRUE(fs.ok());
   return std::move(fs).value();
 }
@@ -72,6 +71,30 @@ TEST(FsckTest, CleanAfterChurn) {
   EXPECT_TRUE(report->clean()) << report->ToString();
   EXPECT_EQ(report->objects_checked, 30u);
   EXPECT_EQ(report->postings_checked, 30u);
+}
+
+// Remove strips an object's postings once IndexContent has returned: no full-text
+// posting is left on the dead object.
+TEST(FsckTest, RemoveAfterIndexContentLeavesNoDeadPosting) {
+  auto fs = MakeFs(std::make_shared<MemoryBlockDevice>(kDev));
+  std::vector<ObjectId> oids;
+  for (int i = 0; i < 200; i++) {
+    auto oid = fs->Create();
+    ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE(fs->Write(*oid, 0, "indexed document " + std::to_string(i)).ok());
+    oids.push_back(*oid);
+  }
+  for (ObjectId oid : oids) {
+    ASSERT_TRUE(fs->IndexContent(oid).ok());
+  }
+  ASSERT_TRUE(fs->Remove(oids.back()).ok());
+  oids.pop_back();
+  auto hits = fs->Lookup({{"FULLTEXT", "indexed"}});
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, oids);
+  auto report = CheckFileSystem(fs.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->clean()) << report->ToString();
 }
 
 TEST(FsckTest, DetectsOrphanedForwardIndexEntry) {

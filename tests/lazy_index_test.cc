@@ -26,14 +26,12 @@ constexpr uint64_t kDev = 64 * 1024 * 1024;
 
 FileSystemOptions LazyOptions() {
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;  // Content indexing out of the way; tags only.
   opts.lazy_tag_indexing = true;
   return opts;
 }
 
 FileSystemOptions InlineOptions() {
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.lazy_tag_indexing = false;
   return opts;
 }

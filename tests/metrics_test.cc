@@ -121,7 +121,6 @@ TEST(MetricsHistogram, TagEntryPointsRecordTheirOwnHistograms) {
   for (bool lazy : {false, true}) {
     SCOPED_TRACE(lazy ? "lazy" : "inline");
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.lazy_tag_indexing = lazy;
     auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
     ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
@@ -230,7 +229,6 @@ class ExplainTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.journaling = false;
     auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
@@ -350,7 +348,6 @@ void ExpectBalancedJson(const std::string& doc) {
 
 TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = true;
   auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
   ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
@@ -413,7 +410,6 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
 
 TEST(VisibilityOptions, SearchTextAndCursorExposeVisibility) {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.lazy_tag_indexing = true;
   auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), options);
   ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();

@@ -43,9 +43,7 @@ TEST(PathTest, ParentAndBasename) {
 class PosixFsTest : public ::testing::Test {
  protected:
   PosixFsTest() : dev_(std::make_shared<MemoryBlockDevice>(kDev)) {
-    core::FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
-    auto fs = core::FileSystem::Create(dev_, opts);
+    auto fs = core::FileSystem::Create(dev_);
     EXPECT_TRUE(fs.ok());
     fs_ = std::move(fs).value();
     auto pfs = PosixFs::Mount(fs_.get());

@@ -25,7 +25,6 @@ constexpr uint64_t kDev = 256 * 1024 * 1024;
 
 FileSystemOptions FastOptions() {
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.journaling = false;
   return options;
 }
@@ -291,7 +290,6 @@ class NamespaceBatchTest : public ::testing::Test {
  protected:
   NamespaceBatchTest() {
     FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
     options.osd.group_commit = false;  // Every journaled op durable on return.
     base_ = std::make_shared<MemoryBlockDevice>(kDev);
     faulty_ = std::make_shared<FaultyBlockDevice>(base_);
@@ -305,9 +303,7 @@ class NamespaceBatchTest : public ::testing::Test {
   std::unique_ptr<FileSystem> CrashAndRecover() {
     faulty_->SetWriteBudget(0);
     fs_.reset();
-    FileSystemOptions options;
-    options.lazy_indexing_threads = 0;
-    auto fs = FileSystem::Open(base_, options);
+    auto fs = FileSystem::Open(base_);
     EXPECT_TRUE(fs.ok()) << fs.status().ToString();
     return fs.ok() ? std::move(fs).value() : nullptr;
   }
@@ -449,7 +445,6 @@ TEST(NamespaceBatchCrashTest, UnsyncedBatchVanishesAtomically) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   FileSystemOptions options;
-  options.lazy_indexing_threads = 0;
   options.osd.group_commit = true;
   ObjectId a = 0;
   {

@@ -29,9 +29,7 @@ constexpr uint64_t kDev = 128 * 1024 * 1024;
 class SystemTest : public ::testing::Test {
  protected:
   SystemTest() : dev_(std::make_shared<MemoryBlockDevice>(kDev)) {
-    FileSystemOptions opts;
-    opts.lazy_indexing_threads = 0;
-    auto fs = FileSystem::Create(dev_, opts);
+    auto fs = FileSystem::Create(dev_);
     EXPECT_TRUE(fs.ok());
     fs_ = std::move(fs).value();
     auto pfs = posix::PosixFs::Mount(fs_.get());
@@ -111,7 +109,6 @@ TEST(SystemCrashTest, CrossLayerCrashConsistency) {
   auto base = std::make_shared<MemoryBlockDevice>(kDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.group_commit = false;
   std::string surviving_path;
   ObjectId tagged_oid = 0;
@@ -174,7 +171,6 @@ TEST_P(SystemPropertyTest, NamespaceModelSurvivesReopen) {
   const SystemWorkload p = GetParam();
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
   FileSystemOptions opts;
-  opts.lazy_indexing_threads = 0;
   opts.osd.journaling = p.journaling;
   Random rng(p.seed);
 

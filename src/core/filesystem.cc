@@ -548,17 +548,19 @@ Status FileSystem::Remove(ObjectId oid) {
     }
     HFAD_RETURN_IF_ERROR(CommitTagOpsLocked(ops));
   }
-  // Strip any full-text postings (journaled so replay stays in sync).
-  {
+  // Strip the object's full text, journaled so replay stays in sync, when it has any:
+  // IndexContent holds this shard too, so none can appear after the check. A never
+  // indexed object takes no credit and writes no record.
+  auto* fulltext =
+      static_cast<index::FullTextIndexStore*>(indexes_->store(index::kTagFulltext));
+  HFAD_ASSIGN_OR_RETURN(bool indexed, fulltext->HasDocument(oid));
+  if (indexed) {
     HFAD_ASSIGN_OR_RETURN(auto credit,
                           osd_->ReserveApplyCredit(osd::Osd::CreditUse::kContent));
     uint64_t token = 0;
     HFAD_RETURN_IF_ERROR(
         cluster_->AppendForeign(oid, EncodeOidRecord(kNsUnindexContent, oid), &token));
-    Status s = indexes_->store(index::kTagFulltext)->Remove(Slice(), oid);
-    if (!s.ok() && !s.IsNotFound()) {
-      return s;
-    }
+    HFAD_RETURN_IF_ERROR(fulltext->Remove(Slice(), oid));
     cluster_->MarkForeignApplied(token);
   }
   return cluster_->DeleteObject(oid);
@@ -907,6 +909,7 @@ std::string FileSystem::DumpMetrics() const {
   w.Key("checkpointer_state").Value(static_cast<int64_t>(osd_->checkpointer_state()));
   w.Key("object_count").Value(cluster_->object_count());
   w.Key("shard_count").Value(static_cast<uint64_t>(cluster_->shard_count()));
+  w.Key("retained_records").Value(static_cast<uint64_t>(cluster_->retained_records()));
   w.Key("volume_health").Value(static_cast<int64_t>(worst_health));
   w.Key("volume_health_name").Value(std::string(HealthStateName(worst_health)));
   w.Key("checksums_enabled").Value(static_cast<uint64_t>(checksums_enabled ? 1 : 0));
@@ -928,6 +931,8 @@ std::string FileSystem::DumpMetrics() const {
       w.Key("pager_dirty_pages").Value(static_cast<uint64_t>(shard->pager()->dirty_pages()));
       w.Key("checkpointer_state").Value(static_cast<int64_t>(shard->checkpointer_state()));
       w.Key("object_count").Value(shard->object_count());
+      w.Key("retained_records")
+          .Value(static_cast<uint64_t>(cluster_->retained_records(k)));
       w.Key("volume_health").Value(static_cast<int64_t>(shard->health_state()));
       w.EndObject();
     }

@@ -157,10 +157,12 @@ class FileSystem {
   // Create an object carrying the given initial names.
   Result<ObjectId> Create(const std::vector<TagValue>& names = {});
 
-  // Remove an object: every name, any full-text postings, then the object itself. The
-  // object's tag shard is held from the name scan through the delete, so a concurrent
-  // AddTag or IndexContent on it lands wholly before (and is stripped) or after (and
-  // fails NotFound). The names leave in one batch (one journal record).
+  // Remove an object: every name, its full text when it was content-indexed, then the
+  // object itself. The object's tag shard is held from the name scan through the
+  // delete, so a concurrent AddTag or IndexContent on it lands wholly before (and is
+  // stripped) or after (and fails NotFound). The names leave in one batch (one journal
+  // record); the full-text strip is one more record, written only for an indexed
+  // object.
   Status Remove(ObjectId oid);
 
   // ---- Tag management ----

@@ -173,10 +173,18 @@ class ExtentTree::Impl {
       return Status::Ok();
     }
     stats::Add(stats::Counter::kIndexTraversals);
-    if (root_ == 0) {
+    const bool was_empty = root_ == 0;
+    if (was_empty) {
       HFAD_ASSIGN_OR_RETURN(root_, NewPage(kExtentLeaf));
     }
-    return SpliceIn(offset, data);
+    Status s = SpliceIn(offset, data);
+    if (!s.ok() && was_empty && size_ == 0) {
+      // Nothing was spliced in, and the failed op stores no record that could reference
+      // the fresh root: give it back with the extents.
+      (void)FreePage(root_);
+      root_ = 0;
+    }
+    return s;
   }
 
   Status RemoveRange(uint64_t offset, uint64_t length) {

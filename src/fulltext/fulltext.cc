@@ -448,6 +448,15 @@ Status FullTextIndex::ScanDocuments(const std::function<bool(uint64_t)>& fn) con
   });
 }
 
+Result<bool> FullTextIndex::HasDocument(uint64_t docid) const {
+  auto raw = tree_->Get(DocTermsKey(docid));
+  if (raw.status().IsNotFound()) {
+    return false;
+  }
+  HFAD_RETURN_IF_ERROR(raw.status());
+  return true;
+}
+
 Result<uint64_t> FullTextIndex::doc_count() const {
   HFAD_ASSIGN_OR_RETURN(auto cs, CorpusStats());
   return cs.first;

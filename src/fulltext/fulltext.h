@@ -90,6 +90,9 @@ class FullTextIndex {
   Result<std::vector<SearchHit>> SearchPhrase(const std::vector<std::string>& phrase,
                                               size_t limit = 0) const;
 
+  // Is `docid` indexed (even as an empty document)? One btree lookup.
+  Result<bool> HasDocument(uint64_t docid) const;
+
   // Number of indexed documents.
   Result<uint64_t> doc_count() const;
 

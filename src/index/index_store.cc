@@ -587,6 +587,11 @@ Status FullTextIndexStore::Remove(Slice, ObjectId oid) {
   return SyncRoot();
 }
 
+Result<bool> FullTextIndexStore::HasDocument(ObjectId oid) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return engine_->HasDocument(oid);
+}
+
 Result<std::vector<ObjectId>> FullTextIndexStore::Lookup(Slice term) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return engine_->Postings(term.ToString());

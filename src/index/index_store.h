@@ -213,6 +213,8 @@ class FullTextIndexStore : public IndexStore {
   std::string_view tag() const override { return kTagFulltext; }
   Status Add(Slice content, ObjectId oid) override;
   Status Remove(Slice content, ObjectId oid) override;  // Content is ignored: oid keys it.
+  // Whether `oid` has been indexed and not removed since (FullTextIndex::HasDocument).
+  Result<bool> HasDocument(ObjectId oid) const;
   Result<std::vector<ObjectId>> Lookup(Slice term) const override;
   Result<bool> Contains(Slice term, ObjectId oid) const override;
   Result<uint64_t> EstimateCardinality(Slice term) const override;

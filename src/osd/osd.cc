@@ -41,7 +41,7 @@ constexpr uint64_t kPageCredit = kPageImageBytes + kAllocEntryBytes;
 // Framing of the epilogue's allocator-snapshot and commit records: two headers, the
 // types, the snapshot's entry count and the commit's three fixed64 fields.
 constexpr uint64_t kEpilogueFraming = 2 * journal::kRecordHeaderSize + 64;
-// Epilogue a full-text record keeps reserved until the next checkpoint (kContent).
+// Epilogue credit for full-text indexing of one record (kContent).
 constexpr uint64_t kContentCredit = 64 * 1024;
 // Backstop checkpoints one reservation may run before it gives up with NoSpace.
 constexpr int kMaxBackstopCheckpoints = 8;
@@ -622,9 +622,6 @@ void Osd::ReleaseCredit(JournalCredit* credit) {
       apply_credits_ -= credit->epilogue_;
     } else {
       naming_credits_ -= credit->epilogue_;
-      if (credit->use_ == CreditUse::kContent) {
-        until_checkpoint_ += credit->epilogue_;
-      }
     }
   }
   credit->logical_ = 0;
@@ -647,8 +644,7 @@ Osd::Fill Osd::FillLocked() const {
                pending_foreign_pages_ * kPageImageBytes;
   // The deferred records' bound is reclaimable: the checkpoint that snapshots them
   // measures the pages afresh, and their retention may have been trimmed since.
-  fill.reclaimable = used + (pager_->dirty_pages() + deferred_pages) * kPageImageBytes +
-                     until_checkpoint_;
+  fill.reclaimable = used + (pager_->dirty_pages() + deferred_pages) * kPageImageBytes;
   fill.total = fill.reclaimable + fill.floor + logical_reserved_ + apply_credits_ +
                naming_credits_;
   return fill;
@@ -1016,9 +1012,8 @@ Status Osd::CheckpointLocked() {
     HFAD_RETURN_IF_ERROR(journal_->Reset());
   }
   {
-    // Credits ops still hold are theirs: only what was kept for this checkpoint resets.
+    // Credits ops still hold are theirs: only the estimate this snapshot replaced resets.
     std::lock_guard<std::mutex> lock(journal_mu_);
-    until_checkpoint_ = 0;
     deferred_foreign_bytes_ = 0;
     pending_foreign_pages_ = snapshot_pages;
   }
@@ -1122,6 +1117,11 @@ void Osd::SetCheckpointCallback(std::function<void()> fn) {
   checkpoint_callback_ = std::move(fn);
 }
 
+void Osd::SetKickCallback(std::function<void()> fn) {
+  std::lock_guard<std::mutex> lock(foreign_mu_);
+  kick_callback_ = std::move(fn);
+}
+
 void Osd::RequestCheckpoint() {
   if (!checkpoint_thread_.joinable()) {
     return;
@@ -1136,6 +1136,14 @@ void Osd::RequestCheckpoint() {
                       std::memory_order_relaxed);
   }
   ckpt_cv_.notify_one();
+  std::function<void()> also;
+  {
+    std::lock_guard<std::mutex> lock(foreign_mu_);
+    also = kick_callback_;
+  }
+  if (also) {
+    also();
+  }
 }
 
 // ---------------------------------------------------------------- replay

@@ -126,9 +126,10 @@ class Osd {
     // leaves free (a lone larger one only when none is held), so records never wait on
     // them.
     kNaming,
-    // Full-text indexing of one record: a fixed 64 KiB, admitted like kNaming, whose
-    // epilogue part stays reserved until the next checkpoint after it is dropped (the
-    // pages one document dirties grow with its terms; no small per-call bound exists).
+    // Full-text indexing of one record: a fixed 64 KiB (the pages one document dirties
+    // grow with its terms; no small per-call bound exists), admitted like kNaming and,
+    // like every credit, given back when dropped: by then the pages its apply dirtied
+    // are counted as dirty pages.
     kContent,
   };
 
@@ -334,9 +335,16 @@ class Osd {
   // must not call back into this Osd (the volume lock is held) and must not block.
   void SetCheckpointCallback(std::function<void()> fn);
 
-  // Wake the background checkpointer (no-op when the thread is not running). The
-  // reservation path calls it once the accounted fill crosses the kick; OsdCluster
-  // calls it to bound retention-list growth.
+  // Invoked each time RequestCheckpoint delivers a kick to this volume's background
+  // checkpointer (not on explicit checkpoints). OsdCluster gives every data shard the
+  // metadata shard's kick: a data shard's journal fills partly with records it retains
+  // until a metadata checkpoint, and only that checkpoint lets its next snapshot drop
+  // them. Runs on the kicking thread with no volume lock held; must not block.
+  void SetKickCallback(std::function<void()> fn);
+
+  // Wake the background checkpointer (no-op when the thread is not running or already
+  // kicked). The reservation path calls it once the accounted fill crosses the kick, a
+  // scrub repair calls it, and a data shard's kick callback calls the metadata shard's.
   void RequestCheckpoint();
 
   // True while Open() is replaying the journal. Higher layers use this to suppress
@@ -467,8 +475,8 @@ class Osd {
   struct Fill {
     uint64_t total = 0;        // Everything the journal must hold room for.
     uint64_t reclaimable = 0;  // What a checkpoint gives back: appended bytes, dirty
-                               // page images, content credits dropped since, and
-                               // the bound on deferred records' snapshot pages.
+                               // page images, and the bound on deferred records'
+                               // snapshot pages.
     uint64_t floor = 0;        // What it does not: the allocator snapshot, record
                                // framing, and the last unapplied-foreign snapshot.
   };
@@ -550,12 +558,10 @@ class Osd {
   mutable ShardedMutex<kObjectShards> object_mu_;
 
   // Journal reservations (see JournalCredit), guarded by journal_mu_. No checkpoint
-  // zeroes what ops in flight hold; only until_checkpoint_ and the deferred-foreign
-  // estimate reset there.
+  // zeroes what ops in flight hold; only the deferred-foreign estimate resets there.
   uint64_t logical_reserved_ = 0;  // Records reserved but not yet appended.
   uint64_t apply_credits_ = 0;     // Epilogue parts of kApply credits held.
   uint64_t naming_credits_ = 0;    // Epilogue parts of kNaming/kContent credits held.
-  uint64_t until_checkpoint_ = 0;  // Dropped kContent credits, kept to the next checkpoint.
   // The next checkpoint's unapplied-foreign snapshot: the pages the last one took, and
   // a bound on the tree bytes of deferred records appended since (AppendForeign with a
   // callback).
@@ -570,6 +576,7 @@ class Osd {
   std::mutex foreign_mu_;
   UnappliedForeignFn unapplied_foreign_;
   std::function<void()> checkpoint_callback_;  // Also guarded by foreign_mu_.
+  std::function<void()> kick_callback_;        // Also guarded by foreign_mu_.
 
   // Background checkpointer state (StartCheckpointThread).
   std::thread checkpoint_thread_;

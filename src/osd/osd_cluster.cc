@@ -41,7 +41,7 @@ Result<std::unique_ptr<OsdCluster>> OsdCluster::Create(
       HFAD_RETURN_IF_ERROR(cluster->osds_[k]->Checkpoint());
       cluster->InstallShardProvider(k, cluster->osds_[k].get());
     }
-    cluster->osds_[0]->SetCheckpointCallback([raw] { raw->TrimRetained(); });
+    raw->InstallCheckpointHooks();
   }
   return cluster;
 }
@@ -101,7 +101,7 @@ Result<std::unique_ptr<OsdCluster>> OsdCluster::Open(
   cluster->next_oid_.store(next);
   cluster->next_batch_id_.store(cluster->max_batch_id_seen_ + 1);
   if (n > 1) {
-    cluster->osds_[0]->SetCheckpointCallback([raw] { raw->TrimRetained(); });
+    raw->InstallCheckpointHooks();
   }
   return cluster;
 }
@@ -424,7 +424,7 @@ void OsdCluster::SetUnappliedForeignProvider(UnappliedProviderFn fn) {
   });
 }
 
-size_t OsdCluster::retained_for_testing() const {
+size_t OsdCluster::retained_records() const {
   std::lock_guard<std::mutex> lock(retained_mu_);
   size_t total = 0;
   for (const auto& list : retained_) {
@@ -433,22 +433,25 @@ size_t OsdCluster::retained_for_testing() const {
   return total;
 }
 
+size_t OsdCluster::retained_records(size_t shard) const {
+  std::lock_guard<std::mutex> lock(retained_mu_);
+  return retained_[shard].size();
+}
+
 // ---------------------------------------------------------------- retention
 
+void OsdCluster::InstallCheckpointHooks() {
+  Osd* meta = osds_[0].get();
+  meta->SetCheckpointCallback([this] { TrimRetained(); });
+  for (size_t k = 1; k < n_; k++) {
+    // Async kick only: RequestCheckpoint never waits for the checkpoint.
+    osds_[k]->SetKickCallback([meta] { meta->RequestCheckpoint(); });
+  }
+}
+
 void OsdCluster::Retain(size_t k, std::string payload, uint64_t token) {
-  size_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(retained_mu_);
-    retained_[k].push_back(Retained{std::move(payload), token});
-    for (const auto& list : retained_) {
-      total += list.size();
-    }
-  }
-  if (total >= kRetainedKickThreshold && !osds_.empty()) {
-    // A metadata-shard checkpoint is what trims the lists; nudge it along. Async kick
-    // only — this runs under a data shard's volume lock.
-    osds_[0]->RequestCheckpoint();
-  }
+  std::lock_guard<std::mutex> lock(retained_mu_);
+  retained_[k].push_back(Retained{std::move(payload), token});
 }
 
 void OsdCluster::RetainReplayed(size_t k, Slice payload) {

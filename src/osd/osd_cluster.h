@@ -37,7 +37,11 @@
 // provider (persisted into the shard's pending-foreign set by its checkpoints) and is
 // trimmed by the metadata shard's checkpoint callback once the applying layer has
 // marked the record applied (MarkForeignApplied). Replay is idempotent, so an entry
-// persisted one checkpoint longer than necessary is harmless.
+// persisted one checkpoint longer than necessary is harmless. The list is bounded by
+// journal pressure, not by its length: every retained record counts in shard k's
+// accounted journal fill until shard k checkpoints, and when that fill kicks shard k's
+// checkpointer it kicks the metadata shard's too (Osd::SetKickCallback), whose
+// checkpoint trims the list before shard k would persist it again.
 #ifndef HFAD_SRC_OSD_OSD_CLUSTER_H_
 #define HFAD_SRC_OSD_OSD_CLUSTER_H_
 
@@ -192,8 +196,10 @@ class OsdCluster {
   // for that shard.
   void SetUnappliedForeignProvider(UnappliedProviderFn fn);
 
-  // Retention-list size across shards (test support).
-  size_t retained_for_testing() const;
+  // Records kept until a metadata-shard checkpoint, on every shard together or on
+  // `shard` (0 on one shard): FileSystem::DumpMetrics' retained_records gauge.
+  size_t retained_records() const;
+  size_t retained_records(size_t shard) const;
 
   // ---- Fault-domain health ----
   //
@@ -260,9 +266,9 @@ class OsdCluster {
     return k == 0 ? volume : osds_[0].get();
   }
 
-  // Kick the metadata shard's checkpointer once this many records are retained, so the
-  // lists stay bounded under sustained off-meta traffic.
-  static constexpr size_t kRetainedKickThreshold = 256;
+  // Trim retention on the metadata shard's checkpoints, and wake its checkpointer
+  // whenever a data shard's is kicked (see file comment).
+  void InstallCheckpointHooks();
 
   std::vector<std::unique_ptr<Osd>> osds_;
   size_t n_ = 1;  // Shard count; fixed before any shard opens.

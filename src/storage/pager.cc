@@ -396,7 +396,9 @@ Status Pager::WriteRaw(uint64_t offset, Slice data) {
       continue;
     }
     std::string merged;
-    if (device_->Read(page, kPageSize, &merged).ok()) {
+    Status read =
+        retry_.RunWithRetry([&] { return device_->Read(page, kPageSize, &merged); });
+    if (read.ok()) {
       checksums_->Stamp(page, Slice(merged));
     } else {
       checksums_->Invalidate(page);  // Unverifiable now; the scrubber restamps later.

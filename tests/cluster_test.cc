@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -436,9 +437,10 @@ TEST(ShardedFileSystemTest, CheckpointedBatchNamesOfRemovedObjectsStayGone) {
 }
 
 // Removing an object strips all its names in one record: its owner's journal grows by
-// the name strip, the full-text unindex and the delete, whatever the name count. After a
-// crash the object and every name of it are gone; a name it shared stays on the other
-// object.
+// the name strip and the delete, whatever the name count, plus the full-text unindex
+// only for an object whose content was indexed. After a crash both objects, every name
+// of them and the indexed object's postings are gone; a name they shared stays on the
+// third object.
 TEST(ShardedFileSystemTest, RemoveStripsEveryNameInOneRecord) {
   const std::vector<TagValue> names = {
       {"USER", "alice"}, {"APP", "mail"}, {"UDEF", "a"}, {"UDEF", "b"}, {"UDEF", "c"}};
@@ -456,20 +458,29 @@ TEST(ShardedFileSystemTest, RemoveStripsEveryNameInOneRecord) {
       opts.lazy_tag_indexing = lazy;
       // No checkpoint epilogue inside the counted window.
       opts.osd.checkpoint_kick_occupancy = 0;
-      ObjectId gone = 0, kept = 0;
+      ObjectId gone = 0, indexed = 0, kept = 0;
       {
         auto fs = FileSystem::Create(devices, opts);
         ASSERT_TRUE(fs.ok()) << fs.status().ToString();
         auto a = (*fs)->Create(names);
+        auto c = (*fs)->Create(names);
         auto b = (*fs)->Create({{"UDEF", "a"}});
-        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_TRUE(a.ok() && b.ok() && c.ok());
         gone = *a;
+        indexed = *c;
         kept = *b;
+        ASSERT_TRUE((*fs)->Write(indexed, 0, "quokka marsupial").ok());
+        ASSERT_TRUE((*fs)->IndexContent(indexed).ok());
         ASSERT_TRUE((*fs)->WaitForTagIndexing().ok());
-        osd::Osd* owner = (*fs)->cluster()->owner(gone);
-        const uint64_t before = owner->journal_records_appended();
-        ASSERT_TRUE((*fs)->Remove(gone).ok());
-        EXPECT_EQ(owner->journal_records_appended() - before, 3u)
+        auto records_to_remove = [&](ObjectId oid) -> uint64_t {
+          osd::Osd* owner = (*fs)->cluster()->owner(oid);
+          const uint64_t before = owner->journal_records_appended();
+          Status s = (*fs)->Remove(oid);
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          return owner->journal_records_appended() - before;
+        };
+        EXPECT_EQ(records_to_remove(gone), 2u) << "want the name strip and the delete";
+        EXPECT_EQ(records_to_remove(indexed), 3u)
             << "want the name strip, the full-text unindex and the delete";
         ASSERT_TRUE((*fs)->Sync().ok());
         for (auto& f : faulty) {
@@ -481,6 +492,7 @@ TEST(ShardedFileSystemTest, RemoveStripsEveryNameInOneRecord) {
       FileSystem* fs = reopened->get();
       ASSERT_TRUE(fs->WaitForTagIndexing().ok());
       EXPECT_FALSE(fs->cluster()->Exists(gone));
+      EXPECT_FALSE(fs->cluster()->Exists(indexed));
       EXPECT_TRUE(fs->cluster()->Exists(kept));
       for (const TagValue& name : names) {
         const std::vector<ObjectId> want =
@@ -488,11 +500,128 @@ TEST(ShardedFileSystemTest, RemoveStripsEveryNameInOneRecord) {
         EXPECT_EQ(StrictFind(fs, name.tag + ":" + name.value), want)
             << name.tag << ":" << name.value;
       }
+      EXPECT_TRUE(StrictFind(fs, "FULLTEXT:quokka").empty());
       auto report = CheckFileSystem(fs);
       ASSERT_TRUE(report.ok());
       EXPECT_TRUE(report->clean()) << report->ToString();
+      EXPECT_EQ(report->postings_checked, 0u) << "the removed object's postings survived";
     }
   }
+}
+
+// Records retained on the data shards wait for journal pressure, not for a count: 1500
+// retags of objects on shards 1-3 retain 1500 records and run no checkpoint while every
+// journal is roomy. Once one data shard's journal crosses its kick, the metadata shard
+// checkpoints too and trims the lists. A crash after that loses no name and brings
+// back no old one.
+TEST(ShardedFileSystemTest, RetainedRecordsWaitForDataShardJournalPressure) {
+  constexpr size_t kShards = 4;
+  constexpr int kRetags = 1500;
+  auto bases = MakeDevices(kShards);
+  std::vector<std::shared_ptr<FaultyBlockDevice>> faulty;
+  std::vector<std::shared_ptr<BlockDevice>> devices;
+  for (auto& b : bases) {
+    faulty.push_back(std::make_shared<FaultyBlockDevice>(b));
+    devices.push_back(faulty.back());
+  }
+  FileSystemOptions opts = ShardedOptions(kShards);
+  opts.lazy_tag_indexing = true;
+  opts.osd.journal_size = 4 * 1024 * 1024;
+  auto name = [](size_t i, int v) {
+    return TagValue{"UDEF", "r" + std::to_string(i) + "-" + std::to_string(v)};
+  };
+  std::vector<ObjectId> oids;  // Eight objects on each data shard.
+  std::vector<int> version;
+  {
+    auto fsr = FileSystem::Create(devices, opts);
+    ASSERT_TRUE(fsr.ok()) << fsr.status().ToString();
+    FileSystem* fs = fsr->get();
+    OsdCluster* cluster = fs->cluster();
+    std::vector<size_t> per_shard(kShards, 0);
+    while (oids.size() < 8 * (kShards - 1)) {
+      auto oid = fs->Create();
+      ASSERT_TRUE(oid.ok());
+      const size_t k = cluster->ShardOf(*oid);
+      if (k != 0 && per_shard[k] < 8) {
+        per_shard[k]++;
+        ASSERT_TRUE(fs->AddTag(*oid, name(oids.size(), 0)).ok());
+        oids.push_back(*oid);
+      }
+    }
+    version.assign(oids.size(), 0);
+    ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+    auto all_idle = [&] {
+      for (size_t k = 0; k < kShards; k++) {
+        if (cluster->shard(k)->checkpointer_state() != Osd::CheckpointerState::kIdle) {
+          return false;
+        }
+      }
+      return true;
+    };
+    auto wait_until = [](const std::function<bool()>& done) {
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (!done() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      return done();
+    };
+    ASSERT_TRUE(wait_until(all_idle));
+    auto checkpoints = [] {
+      return metrics::HistSnapshot::Take(metrics::Hist::kCheckpoint).count;
+    };
+    const uint64_t checkpoints_before = checkpoints();
+    const size_t retained_before = cluster->retained_records();
+
+    for (int i = 0; i < kRetags; i++) {
+      const size_t k = static_cast<size_t>(i) % oids.size();
+      NamespaceBatch batch = fs->NewBatch();  // One owner: one record, retained there.
+      ASSERT_TRUE(batch.RemoveTag(oids[k], name(k, version[k])).ok());
+      ASSERT_TRUE(batch.AddTag(oids[k], name(k, version[k] + 1)).ok());
+      Status s = batch.Commit();
+      ASSERT_TRUE(s.ok()) << "retag " << i << ": " << s.ToString();
+      version[k]++;
+    }
+    ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+    ASSERT_TRUE(wait_until(all_idle));
+    EXPECT_EQ(checkpoints(), checkpoints_before)
+        << "a checkpoint ran with every journal roomy";
+    const size_t retained = cluster->retained_records();
+    EXPECT_GE(retained, retained_before + kRetags);
+    const std::string gauge = "\"retained_records\":" + std::to_string(retained) + ",";
+    EXPECT_NE(fs->DumpMetrics().find(gauge), std::string::npos);
+
+    // 64 KiB appends to one object until its data shard's journal passes the kick.
+    const ObjectId big = oids[0];
+    Osd* data = cluster->owner(big);
+    const std::string chunk(64 * 1024, 'j');
+    uint64_t offset = 0;
+    for (int i = 0; i < 100 && data->journal_reserved() < 0.75; i++) {
+      ASSERT_TRUE(fs->Write(big, offset, chunk).ok());
+      offset += chunk.size();
+    }
+    ASSERT_TRUE(fs->Write(big, offset, chunk).ok());
+    EXPECT_TRUE(wait_until([&] { return cluster->retained_records() < retained; }))
+        << "the metadata shard never checkpointed: " << cluster->retained_records()
+        << " records still retained";
+    ASSERT_TRUE(fs->Sync().ok());
+    for (auto& f : faulty) {
+      f->SetWriteBudget(0);  // Hard crash on every device at once.
+    }
+  }
+  auto reopened = FileSystem::Open(bases, opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  FileSystem* fs = reopened->get();
+  ASSERT_TRUE(fs->WaitForTagIndexing().ok());
+  for (size_t k = 0; k < oids.size(); k++) {
+    EXPECT_EQ(StrictFind(fs, "UDEF:" + name(k, version[k]).value),
+              std::vector<ObjectId>{oids[k]})
+        << "object " << oids[k];
+    EXPECT_TRUE(StrictFind(fs, "UDEF:" + name(k, version[k] - 1).value).empty())
+        << "object " << oids[k];
+  }
+  auto report = CheckFileSystem(fs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->clean()) << report->ToString();
 }
 
 // ------------------------------------------------------- cross-shard commit overlap
@@ -853,14 +982,14 @@ TEST(ClusterStormTest, CrossShardBatchStormWithReadersAndFsck) {
 }
 
 // Journal-credit accounting under pressure: 512 KiB journals (a checkpoint every few
-// hundred ops) and eight writers mixing bodied and content-indexed creates, retags,
+// dozen ops) and eight writers mixing bodied and content-indexed creates, retags,
 // cross-shard batches, middle inserts and removes while the tag indexer applies, on one
 // and four shards, with lazy and inline tag indexing. Every op must succeed (no
 // reservation fails or deadlocks) and no checkpoint may find its epilogue larger than
 // the room the credits promised. Each run ends with a clean close, a reopen and fsck.
 TEST(ClusterStormTest, JournalCreditsHoldUnderSmallJournals) {
   constexpr int kWriters = 8;
-  constexpr int kOpsPerWriter = 60;
+  constexpr int kOpsPerWriter = 400;
   for (size_t shards : {size_t{1}, size_t{4}}) {
     for (bool lazy : {false, true}) {
       SCOPED_TRACE("shards " + std::to_string(shards) + (lazy ? ", lazy" : ", inline"));

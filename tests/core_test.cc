@@ -328,6 +328,47 @@ TEST(CorePersistenceTest, IndexedContentSurvivesCleanReopen) {
   EXPECT_TRUE(FileSystem::Open(dev, background).status().IsInvalidArgument());
 }
 
+// An IndexContent credit is given back when the call returns, like every other credit:
+// by then the pages it dirtied count as dirty pages. With the kick off (so no checkpoint
+// runs), 20 calls leave the accounted journal fill explained by appended bytes, dirty
+// page images and allocator-snapshot entries alone, with no 64 KiB held per document.
+TEST(CorePersistenceTest, IndexContentCreditEndsWithItsCall) {
+  constexpr uint64_t kJournal = 8 * 1024 * 1024;
+  FileSystemOptions opts;
+  opts.osd.journal_size = kJournal;
+  opts.osd.checkpoint_kick_occupancy = 0;
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  std::vector<ObjectId> oids;
+  for (int i = 0; i < 20; i++) {
+    auto oid = (*fs)->Create();
+    ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE((*fs)->Write(*oid, 0, "credited document " + std::to_string(i)).ok());
+    oids.push_back(*oid);
+  }
+  osd::Osd* volume = (*fs)->cluster()->meta();
+  // Accounted fill, in bytes, less what the pages and records on the volume explain: a
+  // page image record per dirty page and a 16-byte snapshot entry per allocation.
+  const double journal = static_cast<double>(kJournal);
+  auto unexplained = [&] {
+    const double images =
+        static_cast<double>(volume->pager()->dirty_pages()) * (16 + 1 + 8 + 4096);
+    const double entries =
+        static_cast<double>(volume->allocator()->allocation_count()) * 16;
+    return (volume->journal_reserved() - volume->journal_occupancy()) * journal - images -
+           entries;
+  };
+  const double before = unexplained();
+  for (ObjectId oid : oids) {
+    ASSERT_TRUE((*fs)->IndexContent(oid).ok());
+  }
+  auto hits = (*fs)->Lookup({{"FULLTEXT", "credited"}});
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, oids);
+  EXPECT_LT(unexplained() - before, 1024.0)
+      << "dropped content credits still count in the journal fill";
+}
+
 // Content indexed before a Sync and a Checkpoint is on the device when the power goes:
 // the checkpoint that resets the journal holding the kNsIndexContent records also
 // flushes the postings those records produced.

@@ -310,6 +310,34 @@ TEST(ExtentInsertFailureTest, FailedRawWriteLeavesTheObjectUnchanged) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
+// A first write into an empty object allocates the tree's root page before its extents.
+// When the extents do not fit, the root goes back as well: the failed op stores no
+// record that could reference it.
+TEST(ExtentInsertFailureTest, FailedFirstWriteIntoAnEmptyObjectAllocatesNothing) {
+  constexpr uint64_t kSmallHeap = 256 * 1024;
+  MemoryBlockDevice dev(kPageSize + kSmallHeap);
+  Pager pager(&dev, 64);
+  BuddyAllocator alloc(kPageSize, kSmallHeap);
+  ExtentTree full(&pager, &alloc, 0);
+  ASSERT_TRUE(full.Write(0, Pattern(128 * 1024)).ok());  // A root page and two blocks.
+  const uint64_t live = alloc.allocation_count();
+  const uint64_t bytes = alloc.allocated_bytes();
+
+  // 200 KiB is four chunks; the 124 KiB left free holds one 64 KiB block beside the
+  // root page, so the second chunk's allocation fails.
+  ExtentTree empty(&pager, &alloc, 0);
+  Status s = empty.Write(0, std::string(200 * 1024, 'E'));
+  EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
+  EXPECT_EQ(alloc.allocation_count(), live);
+  EXPECT_EQ(alloc.allocated_bytes(), bytes);
+  EXPECT_EQ(empty.root(), 0u);
+  EXPECT_EQ(empty.Size(), 0u);
+
+  ASSERT_TRUE(empty.Write(0, "fits").ok());
+  EXPECT_EQ(ReadWhole(empty), "fits");
+  ASSERT_TRUE(empty.CheckInvariants().ok());
+}
+
 // ---------------------------------------------------------------- device IO per edit
 
 // FaultyBlockDevice that also logs the size of every single-range write.

@@ -396,10 +396,12 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
         "\"histograms\"", "\"create\"", "\"add_tag\"", "\"find\"", "\"search_text\"",
         "\"journal_commit\"", "\"page_read\"", "\"gauges\"", "\"journal_occupancy_pct\"",
         "\"journal_reserved_pct\"", "\"pager_resident_pages\"", "\"pager_dirty_pages\"", "\"indexer_queue_depth\"",
-        "\"checkpointer_state\"", "\"locks\"", "\"tag_shards\"", "\"pager_stripes\"",
-        "\"top_contended\""}) {
+        "\"checkpointer_state\"", "\"retained_records\"", "\"locks\"", "\"tag_shards\"",
+        "\"pager_stripes\"", "\"top_contended\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << "missing " << key << " in " << doc;
   }
+  // One shard retains nothing: its records and their effects share a checkpoint.
+  EXPECT_NE(doc.find("\"retained_records\":0,"), std::string::npos) << doc;
   const std::string osd_doc = fs->volume()->DumpMetrics();
   EXPECT_NE(osd_doc.find("\"scope\":\"osd\""), std::string::npos) << osd_doc;
   EXPECT_NE(osd_doc.find("\"object_mutex\""), std::string::npos) << osd_doc;

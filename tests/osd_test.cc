@@ -113,6 +113,38 @@ TEST(OsdTest, DeleteReleasesStorage) {
   EXPECT_LE(osd->heap_allocated_bytes(), baseline + 64 * 1024);
 }
 
+// A write into an empty object that the heap cannot hold fails with NoSpace and leaves
+// the heap as it found it: the extent-tree root page the write allocated first goes back
+// with its extents.
+TEST(OsdTest, FailedFirstWriteIntoAnEmptyObjectLeavesTheHeapAlone) {
+  OsdOptions opts;
+  opts.checkpoint_kick_occupancy = 0;
+  auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(8 * 1024 * 1024), opts);
+  auto filler = osd->CreateObject();
+  auto empty = osd->CreateObject();
+  ASSERT_TRUE(filler.ok() && empty.ok());
+  const std::string chunk(64 * 1024, 'f');
+  uint64_t size = 0;
+  for (;;) {
+    Status s = osd->Write(*filler, size, chunk);
+    if (s.IsNoSpace()) {
+      break;
+    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    size += chunk.size();
+  }
+  // One 64 KiB block free again: room for a root page, not for the write below.
+  ASSERT_TRUE(osd->Truncate(*filler, size - chunk.size()).ok());
+  const uint64_t heap = osd->heap_allocated_bytes();
+  Status s = osd->Write(*empty, 0, std::string(200 * 1024, 'e'));
+  EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
+  EXPECT_EQ(osd->heap_allocated_bytes(), heap);
+  auto empty_size = osd->Size(*empty);
+  ASSERT_TRUE(empty_size.ok());
+  EXPECT_EQ(*empty_size, 0u);
+  EXPECT_TRUE(osd->CheckObject(*empty).ok());
+}
+
 TEST(OsdTest, StatReportsMetadata) {
   auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev));
   auto oid = osd->CreateObject();

@@ -655,6 +655,28 @@ TEST(PagerTest, RawIoBypassesCache) {
   EXPECT_EQ(direct, "raw payload");
 }
 
+// A raw write that covers part of a page reads the page back to stamp its checksum. A
+// transient read fault there is retried like one on a pager miss, so the page keeps a
+// checksum; a persistent one leaves it unverified rather than stamped wrong.
+TEST(PagerTest, RawWriteReadBackRetriesTransientReadFaults) {
+  constexpr uint64_t kRaw = 64 * 1024;
+  FaultyBlockDevice dev(std::make_shared<MemoryBlockDevice>(kMiB));
+  PageChecksums checksums(kMiB, kPageSize);
+  Pager pager(&dev, 16);
+  pager.SetChecksums(&checksums);
+  pager.SetRetryPolicy(RetryPolicy{});
+  dev.SetReadFaults(0, 1);  // The next read fails once, then the device heals.
+  ASSERT_TRUE(pager.WriteRaw(kRaw, std::string(1000, 'r')).ok());
+  EXPECT_TRUE(checksums.HasChecksum(kRaw)) << "the read-back was not retried";
+  std::string out;
+  ASSERT_TRUE(pager.ReadRaw(kRaw, 1000, &out).ok());
+  EXPECT_EQ(out, std::string(1000, 'r'));
+
+  dev.SetReadFaults(0, -1);  // Past any retry budget.
+  ASSERT_TRUE(pager.WriteRaw(kRaw + kPageSize, std::string(1000, 's')).ok());
+  EXPECT_FALSE(checksums.HasChecksum(kRaw + kPageSize));
+}
+
 // A checksummed volume with three stamped raw pages at kRawBase, and the unaligned raw
 // range [kRawBase + 100, kRawBase + 2 pages + 50) that touches all three of them.
 class RawReadTest : public ::testing::Test {

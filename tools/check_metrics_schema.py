@@ -45,11 +45,18 @@ REQUIRED_GAUGES = [
     "quarantined_pages",
 ]
 
+# Gauges only the filesystem scope emits, and must: retention is a cluster notion.
+REQUIRED_FILESYSTEM_GAUGES = [
+    # Records the data shards keep until a metadata-shard checkpoint (0 on one shard).
+    "retained_records",
+]
+
 # Every gauge DumpMetrics may emit, per scope. An emitter adding a gauge without
 # updating this list (and docs/OBSERVABILITY.md) fails the check: unknown keys
 # are how schema drift sneaks past dashboards.
 KNOWN_GAUGES = {
     "filesystem": set(REQUIRED_GAUGES)
+    | set(REQUIRED_FILESYSTEM_GAUGES)
     | {
         "journal_pending_records",
         "indexer_queue_depth",
@@ -122,7 +129,10 @@ def main():
             fail(f"histogram '{name}': max_ns < p50_ns")
 
     gauges = doc["gauges"]
-    for name in REQUIRED_GAUGES:
+    required = REQUIRED_GAUGES
+    if doc["scope"] == "filesystem":
+        required = required + REQUIRED_FILESYSTEM_GAUGES
+    for name in required:
         if name not in gauges:
             fail(f"missing gauge '{name}'")
     unknown = sorted(set(gauges) - KNOWN_GAUGES[doc["scope"]])
@@ -142,6 +152,11 @@ def main():
                  "quarantined_pages"):
         if not isinstance(gauges[name], int):
             fail(f"gauge '{name}' must be an integer")
+    if doc["scope"] == "filesystem" and not isinstance(gauges["retained_records"], int):
+        fail("gauge 'retained_records' must be an integer")
+    for entry in doc.get("shards", []):
+        if not isinstance(entry.get("retained_records"), int):
+            fail(f"shards entry {entry.get('shard')} missing int 'retained_records'")
     if not 0 <= gauges["volume_health"] <= 3:
         fail(f"gauge 'volume_health' out of range: {gauges['volume_health']}")
     if gauges["checksums_enabled"] not in (0, 1):

@@ -15,8 +15,8 @@
 //     threads writes an object on shard t % N, so one Sync has up to min(T, N) journals
 //     to commit. The cluster starts every shard's commit before it waits for any, so
 //     this should cost one device sync per op, not one per dirty shard.
-//     ClusterSyncStorm/1 runs Osd::Sync itself, and OsdSyncStorm and TagStormSync
-//     bypass the fan-out.
+//     ClusterSyncStorm/1 takes the same fan-out over its one shard, and OsdSyncStorm
+//     and TagStormSync bypass it.
 //
 // BENCH_cluster.json holds the checked-in trajectory; docs/BENCHMARKS.md has the
 // regeneration commands.
@@ -184,10 +184,12 @@ void BM_ClusterSyncStorm(benchmark::State& state) {
       }
     }
   }
-  const ObjectId oid = g_thread_oids[static_cast<size_t>(state.thread_index())];
   uint32_t uid = 0;
   uint64_t failed = 0;
   for (auto _ : state) {
+    // Read inside the loop: thread 0's set-up is visible to the others only after the
+    // barrier the loop starts with.
+    const ObjectId oid = g_thread_oids[static_cast<size_t>(state.thread_index())];
     Status s = g_cluster->SetAttributes(oid, 0600, uid++, 0);
     if (s.ok()) {
       s = g_cluster->Sync();

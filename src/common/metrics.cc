@@ -34,6 +34,8 @@ std::string_view HistName(Hist h) {
       return "checkpoint";
     case Hist::kIndexerApply:
       return "indexer_apply";
+    case Hist::kSync:
+      return "sync";
     case Hist::kNumHists:
       break;
   }

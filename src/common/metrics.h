@@ -28,10 +28,11 @@ enum class Hist : int {
   kFind,            // FileSystem::Find (parse excluded; plan + execute + paginate).
   kSearchText,      // FileSystem::SearchText full-text conjunctions.
   kBatchCommit,     // NamespaceBatch::Commit via FileSystem::CommitBatch.
-  kJournalCommit,   // Journal commit-chain link, drain to sync completion.
+  kJournalCommit,   // Journal commit-chain link, drain to retirement (in order).
   kPageRead,        // Pager miss servicing (device read + frame install).
   kCheckpoint,      // Osd::CheckpointLocked end-to-end.
   kIndexerApply,    // LazyTagIndexer background batch application.
+  kSync,            // FileSystem::Sync end to end (every shard's journal commit).
   kNumHists,        // Sentinel.
 };
 

@@ -850,7 +850,10 @@ Status FileSystem::SetAttributes(ObjectId oid, uint32_t mode, uint32_t uid, uint
   return cluster_->SetAttributes(oid, mode, uid, gid);
 }
 
-Status FileSystem::Sync() { return cluster_->Sync(); }
+Status FileSystem::Sync() {
+  metrics::ScopedLatency latency(metrics::Hist::kSync);
+  return cluster_->Sync();
+}
 
 Status FileSystem::Checkpoint() { return cluster_->Checkpoint(); }
 

@@ -61,9 +61,9 @@ struct IoRequest {
 
 class IoEngine {
  public:
-  // Worker threads per engine. The journal's chain keeps one request in flight, so
-  // the second worker only starts a follow-up while the first is still inside the
-  // completion callback that submitted it.
+  // Worker threads per engine. The journal keeps up to kWorkers commit links in flight,
+  // at most one of them writing, so every link's request has a worker; a third link
+  // would only queue behind two sleeping syncs.
   static constexpr int kWorkers = 2;
 
   explicit IoEngine(BlockDevice* device);

@@ -28,13 +28,16 @@ uint32_t RecordCrc(uint32_t length, uint64_t sequence, Slice payload) {
 
 // One link of the commit chain. Owns the drained batch bytes so the engine's
 // buffer-lifetime rule holds without copying, and carries the bookkeeping its
-// completion needs.
+// completions need.
 struct Journal::ChainLink {
   std::string batch;            // Drained pending_ bytes; Slice target for the write.
   size_t count = 0;             // Records in the batch.
   uint64_t batch_last = 0;      // Highest sequence in the batch.
-  uint64_t pos = 0;             // write_pos_ at drain time.
+  uint64_t pos = 0;             // Region offset of the batch.
   int attempts = 1;             // Submissions so far (retry accounting).
+  bool written = false;         // The write has landed (guarded by mu_).
+  bool finished = false;        // The sync, or a failure, has completed (guarded by mu_).
+  Status status;                // The outcome once finished (guarded by mu_).
   std::chrono::steady_clock::time_point start;
 };
 
@@ -81,30 +84,56 @@ Result<uint64_t> Journal::Append(Slice payload) {
   return seq;
 }
 
-std::shared_ptr<Journal::ChainLink> Journal::PrepareLinkLocked() {
+std::shared_ptr<Journal::ChainLink> Journal::DrainLocked() {
+  // One write in flight keeps device writes in record order, so a torn log is a
+  // prefix; a failed link stops the chain until FinishLink has taken every link back.
+  if (links_.size() >= static_cast<size_t>(io::IoEngine::kWorkers)) {
+    return nullptr;
+  }
+  uint64_t drained = committed_seq_;
+  if (!links_.empty()) {
+    if (!links_.back()->written || links_.front()->finished) {
+      return nullptr;  // A finished link still in links_ has failed.
+    }
+    drained = links_.back()->batch_last;
+  }
+  // Only a waiter past every drained record needs a link (its records are pending).
+  if (std::none_of(waiters_.begin(), waiters_.end(),
+                   [&](const auto& w) { return w.first > drained; })) {
+    return nullptr;
+  }
   auto link = std::make_shared<ChainLink>();
   link->batch.swap(pending_);
   link->count = pending_count_;
   pending_count_ = 0;
   link->batch_last = next_seq_ - 1;
-  link->pos = write_pos_;
-  inflight_bytes_ = link->batch.size();
-  inflight_count_ = link->count;
-  commit_in_progress_ = true;
+  link->pos = write_pos_ + inflight_bytes_;
+  inflight_bytes_ += link->batch.size();
+  inflight_count_ += link->count;
   link->start = std::chrono::steady_clock::now();
+  links_.push_back(link);
   return link;
 }
 
 void Journal::SubmitLink(std::shared_ptr<ChainLink> link) {
-  // The write's completion submits the sync, the sync's completion advances the
-  // watermark. Both callbacks run on engine completion threads and take only mu_ (a
-  // leaf lock on that path).
+  // The write's completion drains the next link and submits this link's sync; the
+  // sync's completion retires it. Both callbacks run on engine completion threads and
+  // take only mu_ (a leaf lock on that path).
   io::IoRequest write;
   write.op = io::IoOp::kWrite;
   write.offset = region_offset_ + link->pos;
   write.data = Slice(link->batch);
   write.on_complete = [this, link](Status ws) {
     if (ws.ok()) {
+      // The next link's write may start now and overlap this link's sync, which
+      // covers only writes that landed before it.
+      std::shared_ptr<ChainLink> next;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        link->written = true;
+        next = DrainLocked();
+      }
+      if (next) SubmitLink(std::move(next));
       io::IoRequest sync;
       sync.op = io::IoOp::kSync;
       sync.on_complete = [this, link](Status ss) {
@@ -128,60 +157,71 @@ void Journal::SubmitLink(std::shared_ptr<ChainLink> link) {
   };
   Status submitted = engine_->Submit(std::move(write));
   if (!submitted.ok()) {
-    FinishLink(std::move(link), std::move(submitted));
+    FinishLink(link, std::move(submitted));
   }
 }
 
-void Journal::FinishLink(std::shared_ptr<ChainLink> link, Status s) {
-  std::vector<std::function<void(Status)>> fire;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_bytes_ = 0;
-    inflight_count_ = 0;
-    if (s.ok()) {
-      write_pos_ += link->batch.size();
-      committed_seq_ = link->batch_last;
-      stats::Add(stats::Counter::kJournalCommits);
-      stats::Add(stats::Counter::kJournalRecords, link->count);
-      stats::Add(stats::Counter::kJournalBytes, link->batch.size());
-      auto split = std::partition(waiters_.begin(), waiters_.end(),
-                                  [&](const auto& w) { return w.first > committed_seq_; });
-      for (auto it = split; it != waiters_.end(); ++it) {
-        fire.push_back(std::move(it->second));
-      }
-      waiters_.erase(split, waiters_.end());
-    } else {
-      // Failed batches stay pending, prepended ahead of anything appended while the
-      // link was in flight (records must stay in sequence order). Every waiter learns
-      // this link's failure; the next commit rewrites the records.
-      link->batch.append(pending_);
-      pending_.swap(link->batch);
-      pending_count_ += link->count;
-      for (auto& w : waiters_) fire.push_back(std::move(w.second));
-      waiters_.clear();
-    }
-  }
-  metrics::Record(metrics::Hist::kJournalCommit,
-                  static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                            std::chrono::steady_clock::now() - link->start)
-                                            .count()));
-  for (auto& f : fire) f(s);
-  // The chain moves on only now, with the covered callers released: uncovered waiters
-  // (and any that registered meanwhile) ride the next link, drained from this thread.
-  // With none left the chain idles, and a CommitThrough caller that waited out this
-  // link drains the next one from its own thread — after its wake-up, so usually with
-  // the released callers' next records on board.
+void Journal::FinishLink(const std::shared_ptr<ChainLink>& link, Status s) {
+  std::vector<std::function<void(Status)>> covered;
+  std::vector<std::function<void(Status)>> failed;
+  Status error;
   std::shared_ptr<ChainLink> next;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (waiters_.empty()) {
-      commit_in_progress_ = false;
-    } else {
-      next = PrepareLinkLocked();
+    link->finished = true;
+    link->status = std::move(s);
+    // Retire the finished prefix only, so acknowledgement order is record order: a
+    // link that lands before an older one waits for it.
+    const auto now = std::chrono::steady_clock::now();
+    while (!links_.empty() && links_.front()->finished && links_.front()->status.ok()) {
+      const ChainLink& done = *links_.front();
+      write_pos_ += done.batch.size();
+      inflight_bytes_ -= done.batch.size();
+      inflight_count_ -= done.count;
+      committed_seq_ = done.batch_last;
+      stats::Add(stats::Counter::kJournalCommits);
+      stats::Add(stats::Counter::kJournalRecords, done.count);
+      stats::Add(stats::Counter::kJournalBytes, done.batch.size());
+      metrics::Record(metrics::Hist::kJournalCommit,
+                      static_cast<uint64_t>(
+                          std::chrono::duration_cast<std::chrono::nanoseconds>(now - done.start)
+                              .count()));
+      links_.pop_front();
     }
-    commit_cv_.notify_all();
+    auto split = std::partition(waiters_.begin(), waiters_.end(),
+                                [&](const auto& w) { return w.first > committed_seq_; });
+    for (auto it = split; it != waiters_.end(); ++it) {
+      covered.push_back(std::move(it->second));
+    }
+    waiters_.erase(split, waiters_.end());
+    if (!links_.empty() && links_.front()->finished &&
+        std::all_of(links_.begin(), links_.end(), [](const auto& l) { return l->finished; })) {
+      // The oldest link failed and every link has landed. Their batches go back to
+      // pending_ in sequence order, ahead of anything appended meanwhile, and every
+      // waiter left learns the failure; the next commit rewrites the records.
+      error = links_.front()->status;
+      std::string restored;
+      for (const auto& l : links_) {
+        restored.append(l->batch);
+        pending_count_ += l->count;
+      }
+      restored.append(pending_);
+      pending_.swap(restored);
+      inflight_bytes_ = 0;
+      inflight_count_ = 0;
+      links_.clear();
+      for (auto& w : waiters_) failed.push_back(std::move(w.second));
+      waiters_.clear();
+    } else {
+      next = DrainLocked();
+    }
+    if (links_.empty()) {
+      commit_cv_.notify_all();
+    }
   }
   if (next) SubmitLink(std::move(next));
+  for (auto& f : covered) f(Status::Ok());
+  for (auto& f : failed) f(error);
 }
 
 void Journal::CommitAsync(uint64_t sequence, std::function<void(Status)> done) {
@@ -194,10 +234,10 @@ void Journal::CommitAsync(uint64_t sequence, std::function<void(Status)> done) {
     uint64_t target = std::min(sequence, next_seq_ - 1);
     if (committed_seq_ < target) {
       waiters_.emplace_back(target, std::move(done));
-      if (commit_in_progress_) {
-        return;  // The in-flight link (or its successor) resolves us.
+      link = DrainLocked();
+      if (!link) {
+        return;  // A link in flight, or one drained after it, resolves us.
       }
-      link = PrepareLinkLocked();
     }
   }
   if (link) {
@@ -208,16 +248,6 @@ void Journal::CommitAsync(uint64_t sequence, std::function<void(Status)> done) {
 }
 
 Status Journal::CommitThrough(uint64_t sequence) {
-  {
-    // Wait out an in-flight link rather than pile onto the one after it: the link
-    // usually covers this caller, and if not, the caller drains the next one itself.
-    std::unique_lock<std::mutex> lock(mu_);
-    uint64_t target = std::min(sequence, next_seq_ - 1);
-    commit_cv_.wait(lock, [&] { return committed_seq_ >= target || !commit_in_progress_; });
-    if (committed_seq_ >= target) {
-      return Status::Ok();
-    }
-  }
   auto done = std::make_shared<std::promise<Status>>();
   std::future<Status> result = done->get_future();
   CommitAsync(sequence, [done](Status s) { done->set_value(std::move(s)); });
@@ -259,9 +289,9 @@ double Journal::Occupancy() const {
 
 Status Journal::Reset() {
   std::unique_lock<std::mutex> lock(mu_);
-  // An in-flight link still owns [write_pos_, +inflight_bytes_); wait it out so the
-  // head zeroes below cannot be overwritten by its batch. No waiter outlives it.
-  commit_cv_.wait(lock, [&] { return !commit_in_progress_; });
+  // Links in flight still own [write_pos_, +inflight_bytes_); wait them out so the
+  // head zeroes below cannot be overwritten by a batch. No waiter outlives them.
+  commit_cv_.wait(lock, [&] { return links_.empty(); });
   pending_.clear();
   pending_count_ = 0;
   write_pos_ = 0;
@@ -280,7 +310,7 @@ Status Journal::Reset() {
 Result<uint64_t> Journal::Recover(
     const std::function<void(uint64_t sequence, Slice payload)>& fn) {
   std::unique_lock<std::mutex> lock(mu_);
-  commit_cv_.wait(lock, [&] { return !commit_in_progress_; });
+  commit_cv_.wait(lock, [&] { return links_.empty(); });
   pending_.clear();
   pending_count_ = 0;
   uint64_t pos = 0;

@@ -10,18 +10,19 @@
 // The CRC covers (length, sequence, payload), is masked as in crc32.h, and a record of all
 // zeroes marks the end of the log. Sequences increase by exactly one per record.
 //
-// Commits run as a completion chain on the journal's own io::IoEngine (see
+// Commits run as a pipeline of chain links on the journal's own io::IoEngine (see
 // docs/CONCURRENCY.md). A caller whose target is not yet durable registers as a waiter;
-// if no commit is in flight it drains the pending buffer into a chain link and submits
-// the link's write. The write's completion submits the sync, and the sync's completion
-// advances the committed_seq_ watermark, fires every covered waiter, and drains the
-// next link if uncovered waiters remain. No thread parks inside Sync() and the journal
-// lock is never held across device IO, so Append() never waits out an in-flight fsync
-// and one fsync amortizes across every waiter that registered inside its window.
-// Blocking Commit()/CommitThrough() wait out an in-flight link (which usually covers
-// them) and are otherwise CommitAsync() plus a wait: the caller then drains the next
-// link itself, after its wake-up, by which time the callers the previous link released
-// have usually appended their next records.
+// a link drains the pending buffer and submits its write, and the write's completion
+// submits the link's sync. Up to io::IoEngine::kWorkers links are in flight: the next
+// link drains as soon as the previous link's write has landed, while that link's sync
+// may still run, so a record appended during a sync waits for one link of its own
+// instead of for the sync and then a link. Writes go one at a time, in record order, so
+// a link's sync covers every earlier link's bytes and a torn log is always a prefix.
+// Links retire strictly in order: the committed_seq_ watermark advances only across a
+// contiguous prefix of finished links, and each retirement fires every waiter it
+// covers. No thread parks inside Sync() and the journal lock is never held across
+// device IO, so Append() never waits out an in-flight fsync. Blocking
+// Commit()/CommitThrough() are CommitAsync() plus a wait.
 //
 // The log is linear, not a ring: when the region fills, Append returns NoSpace and the
 // caller must Checkpoint() — i.e. durably flush the state the journal protects, then reset
@@ -39,6 +40,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -91,10 +93,10 @@ class Journal {
   Status Commit();
 
   // Block until the watermark covers `sequence`. Sequences from a previous log
-  // generation (at or below the last Reset) count as covered. Waits out an in-flight
-  // link first, then joins the waiter list like CommitAsync and returns the outcome of
-  // the link that resolved it: if that link fails, every waiter on it gets its error
-  // and its records stay pending for the next commit.
+  // generation (at or below the last Reset) count as covered. CommitAsync plus a wait:
+  // returns the outcome of the link that resolved it. If that link (or an older one
+  // still unretired) fails, every uncovered waiter gets its error and the records stay
+  // pending for the next commit.
   Status CommitThrough(uint64_t sequence);
 
   // Non-blocking CommitThrough: `done` fires with the commit outcome once the
@@ -108,7 +110,7 @@ class Journal {
   // The engine the commit chain runs on (never null). The OSD reports its gauges.
   io::IoEngine* io_engine() const { return engine_.get(); }
 
-  // Number of records appended but not yet durable (pending buffer + in-flight batch).
+  // Number of records appended but not yet durable (pending buffer + in-flight links).
   size_t pending_records() const;
 
   // Highest sequence number known durable (the group-commit watermark).
@@ -123,8 +125,8 @@ class Journal {
 
   // Logically empty the log after the protected state has been durably checkpointed.
   // Sequence numbering continues; the head of the region is zeroed so recovery stops
-  // there. Waits out any in-flight commit; pending records are discarded (the checkpoint
-  // made them durable by other means).
+  // there. Waits until no link is in flight; pending records are discarded (the
+  // checkpoint made them durable by other means).
   Status Reset();
 
   // Scan the region from the start, calling fn(sequence, payload) for each intact record,
@@ -144,42 +146,51 @@ class Journal {
   // to outlive their completions.
   struct ChainLink;
 
-  // Drain pending_ into a new chain link and mark the commit in progress. Caller holds
-  // mu_ and must call SubmitLink with mu_ released.
-  std::shared_ptr<ChainLink> PrepareLinkLocked();
+  // Drain pending_ into a new chain link when a waiter needs records no link holds,
+  // fewer than io::IoEngine::kWorkers links are in flight, the newest link's write has
+  // landed, and the oldest unretired link has not failed; null otherwise. Caller holds mu_ and must
+  // call SubmitLink with mu_ released.
+  std::shared_ptr<ChainLink> DrainLocked();
 
-  // Submit the link's write; its completion submits the sync; the sync's completion
-  // calls FinishLink. Called with mu_ RELEASED (engine locks are leaves).
+  // Submit the link's write; its completion drains the next link (DrainLocked) and
+  // then submits this link's sync; the sync's completion calls FinishLink. Called with
+  // mu_ RELEASED (engine locks are leaves).
   void SubmitLink(std::shared_ptr<ChainLink> link);
 
-  // Chain epilogue, called from a completion thread: advance the watermark (or
-  // restore the batch), fire resolved waiters, and drain the next link if uncovered
-  // waiters remain. Takes mu_; fires callbacks only after releasing it.
-  void FinishLink(std::shared_ptr<ChainLink> link, Status s);
+  // Chain epilogue, called from a completion thread once the link's sync (or a
+  // failure) completes: retire the finished prefix of links_, or, when the oldest link
+  // failed and every link has landed, return all their batches to pending_; then fire
+  // resolved waiters and drain the next link. Takes mu_; fires callbacks only after
+  // releasing it.
+  void FinishLink(const std::shared_ptr<ChainLink>& link, Status s);
 
   BlockDevice* const device_;
   const uint64_t region_offset_;
   const uint64_t region_size_;
 
   mutable std::mutex mu_;
-  // Signalled when a chain link finishes (after its covered waiters fired), so
-  // CommitThrough and Reset/Recover can wait out the link in flight.
+  // Signalled when links_ empties, so Reset/Recover can wait until no link owns part
+  // of the region.
   std::condition_variable commit_cv_;
-  bool commit_in_progress_ = false;
 
   uint64_t next_seq_;
   uint64_t committed_seq_;       // Highest durable sequence (== next_seq_-1 when clean).
   uint64_t write_pos_ = 0;       // Byte offset within the region of the next commit.
-  uint64_t inflight_bytes_ = 0;  // Bytes drained by the in-flight link (space-reserved).
+  uint64_t inflight_bytes_ = 0;  // Bytes drained by the links in flight (space-reserved).
   std::string pending_;          // Encoded records awaiting a commit batch.
   size_t pending_count_ = 0;
-  size_t inflight_count_ = 0;    // Records in the in-flight link.
+  size_t inflight_count_ = 0;    // Records in the links in flight.
+
+  // Unretired chain links, oldest first, at most io::IoEngine::kWorkers. They hold
+  // consecutive batches at [write_pos_, +inflight_bytes_).
+  std::deque<std::shared_ptr<ChainLink>> links_;
 
   // Transient-failure policy for commit IO (write, sync, Reset's head zeroing).
   RetryPolicy retry_ = RetryPolicy::None();
 
   // Callers whose target the watermark does not yet cover, blocking and async alike.
-  // Invariant: non-empty only while a chain link is in flight.
+  // Invariant: non-empty only while links_ is, so Reset/Recover, which wait for links_
+  // to empty, never strand a waiter.
   std::vector<std::pair<uint64_t, std::function<void(Status)>>> waiters_;
 
   std::unique_ptr<io::IoEngine> engine_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -1049,14 +1051,10 @@ Status Osd::Checkpoint() {
 }
 
 Status Osd::Sync() {
-  HFAD_RETURN_IF_ERROR(CheckWritable());
-  if (!options_.journaling) {
-    return Checkpoint();
-  }
-  // No journal_mu_: Commit rides the journal's commit chain, and holding the append
-  // lock across an fsync is exactly what group commit exists to avoid.
-  std::shared_lock<std::shared_mutex> vlock(volume_mu_);
-  return journal_->Commit();
+  auto done = std::make_shared<std::promise<Status>>();
+  std::future<Status> result = done->get_future();
+  SyncAsync([done](Status s) { done->set_value(std::move(s)); });
+  return result.get();
 }
 
 void Osd::SyncAsync(std::function<void(Status)> done) {
@@ -1065,8 +1063,9 @@ void Osd::SyncAsync(std::function<void(Status)> done) {
     done(s.ok() ? Checkpoint() : std::move(s));
     return;
   }
-  // No volume lock: the chain link covers the records or a checkpoint's journal reset
-  // does (Reset waits out the link, and no waiter outlives one).
+  // No volume lock and no journal_mu_: a chain link covers the records or a
+  // checkpoint's journal reset does (Reset waits until no link is in flight, and no
+  // waiter outlives the links).
   journal_->CommitAsync(~uint64_t{0}, std::move(done));
 }
 

@@ -240,9 +240,7 @@ class Osd {
   // ---- Durability ----
 
   // Make every acknowledged op durable (journal commit). Without journaling, a
-  // checkpoint. Blocking, on the journal's CommitThrough: it waits out an in-flight link
-  // and then drains the next one itself, after its wake-up, which is what batches a
-  // one-volume Sync storm (about 3 records per link at 8 threads).
+  // checkpoint. SyncAsync plus a wait; it holds no volume lock across the commit.
   Status Sync();
 
   // Sync for a caller that syncs several volumes at once (OsdCluster's fan-out): starts
@@ -250,8 +248,8 @@ class Osd {
   // this call when the volume refuses, nothing is pending, or journaling is off (then
   // after a checkpoint on this thread); otherwise on the journal's engine completion
   // thread, so it must follow the completion-thread rules in docs/CONCURRENCY.md. It
-  // joins the next chain link instead of waiting out the one in flight, so volumes
-  // synced together cost one device sync round trip, not one each.
+  // joins a chain link in flight or drains the next one, so volumes synced together
+  // cost one device sync round trip, not one each.
   void SyncAsync(std::function<void(Status)> done);
 
   // Full checkpoint: journal dirty page images + commit record, write everything in

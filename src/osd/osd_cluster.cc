@@ -190,12 +190,6 @@ Status OsdCluster::ScanObjects(
 // ---------------------------------------------------------------- durability
 
 Status OsdCluster::Sync() {
-  if (n_ == 1) {
-    // One volume keeps the blocking CommitThrough: waiting out the in-flight link and
-    // draining the next from this thread is what batches a one-volume Sync storm, and
-    // there is no second device to overlap with.
-    return osds_[0]->Sync();
-  }
   std::vector<size_t> all(n_);
   std::iota(all.begin(), all.end(), size_t{0});
   return SyncShards(all);

@@ -153,9 +153,8 @@ class OsdCluster {
   // ---- Durability (fan-out) ----
 
   // Every record appended on any shard before the call is durable on return. Every shard
-  // is attempted; the first error in shard order wins. A multi-shard cluster starts all
-  // shards' journal commits before it waits for any (SyncShards); one shard keeps the
-  // blocking Osd::Sync.
+  // is attempted; the first error in shard order wins. SyncShards over every shard: all
+  // journal commits start before any is waited for.
   Status Sync();
 
   // Checkpoints the metadata shard first (so its callback trims the retention lists),

@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -75,59 +73,6 @@ std::vector<std::pair<std::string, std::string>> SortedTags(FileSystem* fs,
   std::sort(out.begin(), out.end());
   return out;
 }
-
-// Parks every device sync it is installed on until Release(), and records how many were
-// parked at the same moment: a sync that is started only after another one finished never
-// meets it here.
-class SyncGate {
- public:
-  SyncGate() = default;
-  SyncGate(const SyncGate&) = delete;
-  SyncGate& operator=(const SyncGate&) = delete;
-
-  void Install(const std::vector<std::shared_ptr<FaultyBlockDevice>>& devices) {
-    for (const auto& d : devices) {
-      d->SetSyncHook([this] { Park(); });
-    }
-  }
-
-  // Waits up to `timeout` for `n` syncs parked together.
-  bool WaitParked(size_t n, std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [&] { return parked_ >= n; });
-  }
-
-  // Lets every parked sync through, and every later one without parking.
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
-  size_t max_parked() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_parked_;
-  }
-
- private:
-  void Park() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (released_) {
-      return;
-    }
-    parked_++;
-    max_parked_ = std::max(max_parked_, parked_);
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return released_; });
-    parked_--;
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t parked_ = 0;
-  size_t max_parked_ = 0;
-  bool released_ = false;
-};
 
 // Four shards on FaultyBlockDevice, with no background checkpoint to sync in a gated
 // window.
@@ -634,12 +579,14 @@ TEST(ClusterSyncTest, SyncOverlapsEveryShardCommit) {
   if (HasFatalFailure()) {
     return;
   }
-  SyncGate gate;
-  gate.Install(g.faulty);  // After Create, whose checkpoints sync every shard.
+  test::SyncGate gate;
+  for (const auto& d : g.faulty) {
+    gate.Install(d.get());  // After Create, whose checkpoints sync every shard.
+  }
   Status synced;
   std::thread syncer([&] { synced = g.cluster->Sync(); });
   const bool overlapped = gate.WaitParked(GatedCluster::kShards, kParkWait);
-  gate.Release();
+  gate.ReleaseAll();
   syncer.join();
   EXPECT_TRUE(overlapped) << "at most " << gate.max_parked() << " of "
                           << GatedCluster::kShards
@@ -661,15 +608,17 @@ TEST(ClusterSyncTest, PrepareRoundOverlapsParticipantSyncs) {
   const std::vector<ObjectId> members = {g.on_shard[1], g.on_shard[2], g.on_shard[3]};
   Osd* coordinator = g.cluster->shard(1);
   const uint64_t before = coordinator->journal_records_appended();
-  SyncGate gate;
-  gate.Install(g.faulty);
+  test::SyncGate gate;
+  for (const auto& d : g.faulty) {
+    gate.Install(d.get());
+  }
   Status committed;
   std::thread committer([&] {
     committed = g.cluster->CommitForeignBatch(members, Slice("overlap")).status();
   });
   const bool overlapped = gate.WaitParked(3, kParkWait);
   const uint64_t while_parked = coordinator->journal_records_appended();
-  gate.Release();
+  gate.ReleaseAll();
   committer.join();
   EXPECT_TRUE(overlapped) << "at most " << gate.max_parked()
                           << " of 3 prepare syncs were in flight together";

@@ -9,13 +9,19 @@
 //
 // A sweep is the same run repeated at every write budget (typically via TEST_P over
 // ::testing::Range), which moves the tear across every device write the operation
-// issues — epilogue pages, in-place batches, superblock, journal reset.
+// issues — epilogue pages, in-place batches, superblock, journal reset. SyncGate parks
+// device syncs, so a test can hold commits in flight and observe which ones overlap.
 #ifndef HFAD_TESTS_CRASH_HARNESS_H_
 #define HFAD_TESTS_CRASH_HARNESS_H_
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -45,6 +51,76 @@ class CrashPoint {
  private:
   FaultyBlockDevice* dev_;
   int64_t budget_;
+};
+
+// Parks every device sync it is installed on until it is released, by its arrival number
+// (1 for the first) or all at once, and records how many were parked at the same moment:
+// a sync that is started only after another one finished never meets it here.
+class SyncGate {
+ public:
+  SyncGate() = default;
+  SyncGate(const SyncGate&) = delete;
+  SyncGate& operator=(const SyncGate&) = delete;
+
+  void Install(FaultyBlockDevice* dev) {
+    dev->SetSyncHook([this] { Park(); });
+  }
+
+  // Waits up to `timeout` for `n` syncs parked together.
+  bool WaitParked(size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return parked_ >= n; });
+  }
+
+  // Lets sync number `ticket` through.
+  void Release(int ticket) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_.insert(ticket);
+    cv_.notify_all();
+  }
+
+  // Waits up to `timeout` for sync number `ticket` to leave the gate.
+  bool WaitLeft(int ticket, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return left_.count(ticket) > 0; });
+  }
+
+  // Lets every parked sync through, and every later one without parking.
+  void ReleaseAll() {
+    std::lock_guard<std::mutex> lock(mu_);
+    all_released_ = true;
+    cv_.notify_all();
+  }
+
+  size_t max_parked() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_parked_;
+  }
+
+ private:
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (all_released_) {
+      return;
+    }
+    const int ticket = ++arrived_;
+    parked_++;
+    max_parked_ = std::max(max_parked_, parked_);
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return all_released_ || released_.count(ticket) > 0; });
+    parked_--;
+    left_.insert(ticket);
+    cv_.notify_all();
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  size_t parked_ = 0;
+  size_t max_parked_ = 0;
+  std::set<int> released_;
+  std::set<int> left_;
+  bool all_released_ = false;
 };
 
 // Single-device torn-write crash: `body` builds state on the faulty device (budget

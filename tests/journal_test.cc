@@ -1,5 +1,6 @@
 // Unit and failure-injection tests for the write-ahead journal.
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <ostream>
@@ -33,6 +34,23 @@ Records RecoverAll(Journal* j, uint64_t* count = nullptr) {
     *count = n.ok() ? *n : 0;
   }
   return out;
+}
+
+// Bound on every wait for the commit chain to reach a state, so a chain that never gets
+// there fails the test instead of hanging it.
+constexpr auto kParkWait = std::chrono::seconds(5);
+
+// Waits up to kParkWait for `done` to hold.
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + kParkWait;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
 }
 
 TEST(JournalTest, EmptyLogRecoversNothing) {
@@ -299,65 +317,116 @@ TEST(JournalTest, SequencesContinueAfterRecovery) {
 
 // ---- Group commit: the completion chain ----
 
-// Park the device inside its first Sync (the first chain link's fsync), let two more
-// threads append AND commit meanwhile, then release: the two waiters' records must share
-// one further sync between them — fsync cost amortizes across the whole commit window.
+// Park the device inside the first chain link's sync and append two followers' records
+// meanwhile. The first follower's commit starts link 2 at once, because link 1's write
+// has landed, so link 2's sync parks beside link 1's; the second follower rides link 2.
+// Two syncs cover the three records, and fsync cost amortizes across the window.
 TEST(JournalGroupCommitTest, FollowersShareOneSyncPerWindow) {
   auto base = std::make_shared<MemoryBlockDevice>(kRegion);
   FaultyBlockDevice dev(base);
+  // Declared before the journal, so a sync or callback its teardown still runs finds
+  // them.
+  test::SyncGate gate;
+  gate.Install(&dev);
+  std::atomic<bool> second_fired{false};
+  Status second_status;
   Journal j(&dev, 0, kRegion);
 
-  std::atomic<bool> leader_in_sync{false};
-  std::atomic<bool> release_sync{false};
-  dev.SetSyncHook([&] {
-    leader_in_sync.store(true);
-    while (!release_sync.load()) {
-      std::this_thread::yield();
-    }
-  });
-
   ASSERT_TRUE(j.Append("window-1 record").ok());
-  std::thread leader([&] { EXPECT_TRUE(j.Commit().ok()); });
-  while (!leader_in_sync.load()) {
-    std::this_thread::yield();
-  }
-
-  std::atomic<int> appended{0};
-  auto worker = [&](const char* payload) {
-    EXPECT_TRUE(j.Append(payload).ok());
-    appended.fetch_add(1);
-    EXPECT_TRUE(j.Commit().ok());
-  };
-  std::thread w1(worker, "window-2 record a");
-  std::thread w2(worker, "window-2 record b");
-  while (appended.load() < 2) {
-    std::this_thread::yield();
-  }
-  // Both appends completed while the first sync was still parked: appenders never wait
-  // behind an in-flight fsync.
-  EXPECT_TRUE(leader_in_sync.load());
-  EXPECT_FALSE(release_sync.load());
-  release_sync.store(true);  // Later syncs fall straight through the hook.
+  Status leader_status;
+  std::thread leader([&] { leader_status = j.Commit(); });
+  const bool leader_parked = gate.WaitParked(1, kParkWait);
+  // Both appends complete while the first sync is parked: appenders never wait behind
+  // an in-flight fsync.
+  ASSERT_TRUE(j.Append("window-2 record a").ok());
+  auto b = j.Append("window-2 record b");
+  ASSERT_TRUE(b.ok());
+  Status first_status;
+  std::thread first([&] { first_status = j.Commit(); });
+  const bool both_parked = gate.WaitParked(2, kParkWait);
+  const uint64_t submitted_while_parked = j.io_engine()->submitted();
+  j.CommitAsync(*b, [&](Status s) {
+    second_status = s;
+    second_fired.store(true);
+  });
+  // The second follower drained nothing: link 2 already holds its record.
+  EXPECT_FALSE(second_fired.load());
+  EXPECT_EQ(j.io_engine()->submitted(), submitted_while_parked);
+  EXPECT_EQ(j.committed_sequence(), 0u);
+  gate.ReleaseAll();
   leader.join();
-  w1.join();
-  w2.join();
+  first.join();
+  ASSERT_TRUE(WaitUntil([&] { return second_fired.load(); }));
 
+  EXPECT_TRUE(leader_parked);
+  EXPECT_TRUE(both_parked) << "link 2 never synced while link 1's sync was parked";
+  EXPECT_TRUE(leader_status.ok()) << leader_status.ToString();
+  EXPECT_TRUE(first_status.ok()) << first_status.ToString();
+  EXPECT_TRUE(second_status.ok()) << second_status.ToString();
   EXPECT_EQ(j.committed_sequence(), 3u);
   EXPECT_EQ(j.pending_records(), 0u);
   // Exactly two batch syncs: the parked link's window, then ONE link that drained both
-  // waiters' records.
+  // followers' records.
   EXPECT_EQ(dev.syncs_attempted(), 2u);
 
   Journal j2(base.get(), 0, kRegion);
   Records r = RecoverAll(&j2);
   ASSERT_EQ(r.size(), 3u);
   EXPECT_EQ(r[0].second, "window-1 record");
+  EXPECT_EQ(r[1].second, "window-2 record a");
+  EXPECT_EQ(r[2].second, "window-2 record b");
 
-  // A write and a sync per link, and the sync submitted only from the write's
-  // completion: never more than one request in flight, which is what lets two
-  // engine workers serve every journal.
+  // A write and a sync per link, and one write at a time: link 2's write ran while
+  // link 1's sync was parked, then the two syncs, so the depth peaks at two requests.
   EXPECT_EQ(j.io_engine()->submitted(), 4u);
-  EXPECT_EQ(j.io_engine()->max_queue_depth(), 1u);
+  EXPECT_EQ(j.io_engine()->max_queue_depth(), 2u);
+}
+
+// With link 1's sync parked, a commit of a later record drains link 2 and its sync
+// reaches the device, so two syncs are parked at once. Link 2's sync returning first
+// retires nothing: links retire in order, so its waiter stays blocked and the watermark
+// stays put until link 1 lands.
+TEST(JournalGroupCommitTest, NextLinkSyncsWhileThePreviousSyncIsParked) {
+  auto base = std::make_shared<MemoryBlockDevice>(kRegion);
+  FaultyBlockDevice dev(base);
+  // Declared before the journal, so a sync its teardown still runs finds the gate.
+  test::SyncGate gate;
+  gate.Install(&dev);
+  Journal j(&dev, 0, kRegion);
+
+  ASSERT_TRUE(j.Append("link 1").ok());
+  Status first_status;
+  std::thread first([&] { first_status = j.Commit(); });
+  EXPECT_TRUE(gate.WaitParked(1, kParkWait));
+  ASSERT_TRUE(j.Append("link 2").ok());
+  Status second_status;
+  std::atomic<bool> second_returned{false};
+  std::thread second([&] {
+    second_status = j.Commit();
+    second_returned.store(true);
+  });
+  const bool overlapped = gate.WaitParked(2, kParkWait);
+  if (overlapped) {
+    gate.Release(2);  // Link 2's sync returns; link 1's stays parked.
+    EXPECT_TRUE(gate.WaitLeft(2, kParkWait));
+    // Both writes and link 2's sync have completed.
+    EXPECT_TRUE(WaitUntil([&] { return j.io_engine()->completed() >= 3; }));
+    for (int i = 0; i < 20; i++) {
+      EXPECT_EQ(j.committed_sequence(), 0u);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_FALSE(second_returned.load());
+    EXPECT_EQ(j.pending_records(), 2u);
+  }
+  gate.ReleaseAll();
+  first.join();
+  second.join();
+  EXPECT_TRUE(overlapped) << "link 2's sync never reached the device while link 1's "
+                             "sync was parked";
+  EXPECT_TRUE(first_status.ok()) << first_status.ToString();
+  EXPECT_TRUE(second_status.ok()) << second_status.ToString();
+  EXPECT_EQ(j.committed_sequence(), 2u);
+  EXPECT_EQ(dev.syncs_attempted(), 2u);
 }
 
 // The acceptance-criterion test: Append must complete while a slow device Sync is in
@@ -535,6 +604,136 @@ TEST(JournalCommitAsyncTest, FailedLinkFailsEveryWaiterAndKeepsRecords) {
   EXPECT_EQ(r[0], (std::pair<uint64_t, std::string>{1, "record a"}));
   EXPECT_EQ(r[1], (std::pair<uint64_t, std::string>{2, "record b"}));
 }
+
+// Link 1's sync fails while link 2 is in flight. Link 2 cannot retire past it: once link 2
+// lands too, both batches go back to pending in sequence order and both waiters get the
+// error, although link 2's own sync succeeded. The next Commit rewrites both records
+// where they were, and recovery returns each once, in order.
+TEST(JournalTest, FailedOlderLinkFailsTheNewerOneAndRewritesInOrder) {
+  auto base = std::make_shared<MemoryBlockDevice>(kRegion);
+  FaultyBlockDevice dev(base);
+  // Declared before the journal, so a sync its teardown still runs finds the gate.
+  test::SyncGate gate;
+  gate.Install(&dev);
+  Journal j(&dev, 0, kRegion);
+
+  ASSERT_TRUE(j.Append("record 1").ok());
+  Status first_status;
+  std::atomic<bool> first_returned{false};
+  std::thread first([&] {
+    first_status = j.Commit();
+    first_returned.store(true);
+  });
+  EXPECT_TRUE(gate.WaitParked(1, kParkWait));
+  ASSERT_TRUE(j.Append("record 2").ok());
+  Status second_status;
+  std::thread second([&] { second_status = j.Commit(); });
+  const bool overlapped = gate.WaitParked(2, kParkWait);
+  dev.SetWriteBudget(0);  // The parked syncs now fail.
+  if (overlapped) {
+    gate.Release(1);  // Link 1's sync fails; link 2's stays parked.
+    EXPECT_TRUE(gate.WaitLeft(1, kParkWait));
+    EXPECT_TRUE(WaitUntil([&] { return j.io_engine()->completed() >= 3; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Link 2 is still in flight, so nobody has heard of the failure yet.
+    EXPECT_FALSE(first_returned.load());
+    dev.SetWriteBudget(-1);  // Link 2's sync succeeds.
+  }
+  gate.ReleaseAll();
+  first.join();
+  second.join();
+  EXPECT_TRUE(overlapped) << "link 2 never synced while link 1's sync was parked";
+  EXPECT_TRUE(first_status.IsIoError()) << first_status.ToString();
+  EXPECT_TRUE(second_status.IsIoError()) << second_status.ToString();
+  EXPECT_EQ(j.committed_sequence(), 0u);
+  EXPECT_EQ(j.pending_records(), 2u);
+
+  dev.SetWriteBudget(-1);
+  ASSERT_TRUE(j.Commit().ok());
+  EXPECT_EQ(j.pending_records(), 0u);
+  EXPECT_EQ(j.committed_sequence(), 2u);
+  Journal j2(base.get(), 0, kRegion);
+  Records r = RecoverAll(&j2);
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r[0], (std::pair<uint64_t, std::string>{1, "record 1"}));
+  EXPECT_EQ(r[1], (std::pair<uint64_t, std::string>{2, "record 2"}));
+}
+
+// Tear sweep across two overlapping links. Link 2 drains once link 1's write lands, and
+// link 1's sync is held until link 2's write has been attempted, so the budget moves the
+// tear across both writes, the syncs after them and a third link. At every budget the
+// reopened journal is a prefix of the appended records that holds every acknowledged one.
+class JournalOverlapTearTest : public ::testing::TestWithParam<int64_t> {};
+
+TEST_P(JournalOverlapTearTest, TornOverlappingLinksRecoverAnAcknowledgedPrefix) {
+  const std::vector<std::string> payloads = {"acked 1", "acked 2", std::string(700, 'x'),
+                                             std::string(900, 'y'), "z"};
+  size_t acked = 0;
+  bool overlapped = false;
+  test::RunTornWriteCrash(
+      kRegion, GetParam(),
+      [&](const std::shared_ptr<FaultyBlockDevice>& dev, test::CrashPoint* point) {
+        // Declared before the journal, so a sync or callback its teardown still runs
+        // finds them.
+        uint64_t writes_before = 0;
+        std::atomic<int> syncs{0};
+        std::atomic<bool> saw_second_write{false};
+        std::atomic<int> fired{0};
+        Status link_status[2];
+        Journal j(dev.get(), 0, kRegion);
+        for (size_t i = 0; i < 2; i++) {
+          ASSERT_TRUE(j.Append(payloads[i]).ok());
+          ASSERT_TRUE(j.Commit().ok());
+        }
+        acked = 2;
+        point->Tear();
+        writes_before = dev->writes_attempted();
+        dev->SetSyncHook([&] {
+          if (syncs.fetch_add(1) > 0) {
+            return;  // Only the first sync, link 1's, waits.
+          }
+          WaitUntil([&] { return dev->writes_attempted() >= writes_before + 2; });
+          saw_second_write.store(dev->writes_attempted() >= writes_before + 2);
+        });
+        for (int k = 0; k < 2; k++) {
+          auto seq = j.Append(payloads[2 + k]);
+          ASSERT_TRUE(seq.ok());
+          j.CommitAsync(*seq, [&, k](Status s) {
+            link_status[k] = std::move(s);
+            fired.fetch_add(1);
+          });
+        }
+        ASSERT_TRUE(WaitUntil([&] { return fired.load() == 2; }));
+        // Acknowledgement order is record order.
+        EXPECT_TRUE(link_status[0].ok() || !link_status[1].ok());
+        if (link_status[0].ok()) acked = 3;
+        if (link_status[1].ok()) acked = 4;
+        ASSERT_TRUE(j.Append(payloads[4]).ok());
+        if (j.Commit().ok()) {
+          EXPECT_EQ(acked, 4u);
+          acked = 5;
+        }
+        overlapped = saw_second_write.load();
+        dev->SetSyncHook(nullptr);
+      },
+      [&](const std::shared_ptr<MemoryBlockDevice>& base) {
+        Journal j2(base.get(), 0, kRegion);
+        Records r = RecoverAll(&j2);
+        ASSERT_GE(r.size(), acked);
+        ASSERT_LE(r.size(), payloads.size());
+        for (size_t i = 0; i < r.size(); i++) {
+          EXPECT_EQ(r[i], (std::pair<uint64_t, std::string>{i + 1, payloads[i]}))
+              << "record " << i;
+        }
+      });
+  if (GetParam() >= 1) {
+    // Link 1's write landed, so its sync met link 2's write.
+    EXPECT_TRUE(overlapped);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TearAtEveryWrite, JournalOverlapTearTest,
+                         ::testing::Range<int64_t>(0, 5));
 
 // A torn commit never advances the watermark, and recovery replays exactly the covered
 // records plus at most a durable prefix of the torn batch — never a torn suffix.

@@ -143,6 +143,20 @@ TEST(MetricsHistogram, TagEntryPointsRecordTheirOwnHistograms) {
   }
 }
 
+// FileSystem::Sync records one "sync" sample per call, its journal commit included.
+TEST(MetricsHistogram, SyncRecordsOneSamplePerCall) {
+  auto fs_or = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), FileSystemOptions{});
+  ASSERT_TRUE(fs_or.ok()) << fs_or.status().ToString();
+  std::unique_ptr<FileSystem> fs = std::move(fs_or).value();
+  ASSERT_TRUE(fs->Create({{"UDEF", "synced"}}).ok());
+  metrics::ResetAll();
+  ASSERT_TRUE(fs->Sync().ok());
+  metrics::HistSnapshot snap = metrics::HistSnapshot::Take(metrics::Hist::kSync);
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_GT(snap.sum, 0u);
+  EXPECT_NE(fs->DumpMetrics().find("\"sync\""), std::string::npos);
+}
+
 // ---------------------------------------------------------------- trace ring
 
 TEST(TraceRing, CapturesNestedSpansOfOneOperation) {

@@ -22,6 +22,7 @@ REQUIRED_HISTOGRAMS = [
     "search_text",
     "journal_commit",
     "page_read",
+    "sync",
 ]
 
 HIST_FIELDS = ["count", "sum_ns", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"]

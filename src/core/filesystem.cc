@@ -16,9 +16,7 @@ namespace core {
 namespace {
 
 // Foreign (namespace) journal record ops. kNsAddTag/kNsRemoveTag frame the sub-records
-// of the two tag records below; as top-level single-tag records
-// ([op][varint oid][length-prefixed tag][length-prefixed value]) they are only replayed,
-// since volumes written before every tag mutation became a batch may hold them.
+// of the two tag records below.
 constexpr uint8_t kNsAddTag = 1;
 constexpr uint8_t kNsRemoveTag = 2;
 constexpr uint8_t kNsIndexContent = 3;
@@ -148,15 +146,9 @@ FileSystem::~FileSystem() {
     // paused)...
     (void)tag_indexer_->Drain();
   }
-  // ...then checkpoint: anything still unapplied rides the pending set via the
-  // checkpoint provider and is re-seeded on the next Open.
-  (void)Checkpoint();
-  if (tag_indexer_ != nullptr) {
-    // The OSD's own close-time checkpoint must not call back into a dead indexer; the
-    // pending set it would have persisted is exactly what the line above persisted.
-    cluster_->SetUnappliedForeignProvider(nullptr);
-    tag_indexer_.reset();
-  }
+  // ...then close with the provider still installed: every shard's close-time
+  // checkpoint persists what the indexer has not applied, and the next Open re-seeds it.
+  (void)cluster_->Close();
 }
 
 namespace {
@@ -331,16 +323,6 @@ Status FileSystem::ApplyNamespaceRecord(osd::Osd* meta, osd::Osd* data,
     return Status::Corruption("bad namespace record oid");
   }
   switch (op) {
-    case kNsAddTag:
-    case kNsRemoveTag: {
-      Slice tag, value;
-      if (!GetLengthPrefixed(&in, &tag) || !GetLengthPrefixed(&in, &value)) {
-        return Status::Corruption("bad tag record");
-      }
-      return ReplayTagOp(meta, indexes,
-                         TagOp{op == kNsAddTag, oid, {tag.ToString(), value.ToString()}},
-                         /*forward=*/true);
-    }
     case kNsIndexContent: {
       // Object bytes live on the shard whose journal carried the record. NotFound: the
       // object was deleted later in the log.
@@ -920,27 +902,25 @@ std::string FileSystem::DumpMetrics() const {
   w.Key("quarantined_pages").Value(quarantined);
   w.EndObject();
 
-  if (cluster_->shard_count() > 1) {
-    w.Key("shards").BeginArray();
-    for (size_t k = 0; k < cluster_->shard_count(); k++) {
-      osd::Osd* shard = cluster_->shard(k);
-      w.BeginObject();
-      w.Key("shard").Value(static_cast<uint64_t>(k));
-      w.Key("journal_occupancy_pct").Value(shard->journal_occupancy() * 100.0);
-      w.Key("journal_reserved_pct").Value(shard->journal_reserved() * 100.0);
-      w.Key("journal_pending_records").Value(shard->journal_pending_records());
-      w.Key("pager_resident_pages")
-          .Value(static_cast<uint64_t>(shard->pager()->cached_pages()));
-      w.Key("pager_dirty_pages").Value(static_cast<uint64_t>(shard->pager()->dirty_pages()));
-      w.Key("checkpointer_state").Value(static_cast<int64_t>(shard->checkpointer_state()));
-      w.Key("object_count").Value(shard->object_count());
-      w.Key("retained_records")
-          .Value(static_cast<uint64_t>(cluster_->retained_records(k)));
-      w.Key("volume_health").Value(static_cast<int64_t>(shard->health_state()));
-      w.EndObject();
-    }
-    w.EndArray();
+  w.Key("shards").BeginArray();
+  for (size_t k = 0; k < cluster_->shard_count(); k++) {
+    osd::Osd* shard = cluster_->shard(k);
+    w.BeginObject();
+    w.Key("shard").Value(static_cast<uint64_t>(k));
+    w.Key("journal_occupancy_pct").Value(shard->journal_occupancy() * 100.0);
+    w.Key("journal_reserved_pct").Value(shard->journal_reserved() * 100.0);
+    w.Key("journal_pending_records").Value(shard->journal_pending_records());
+    w.Key("pager_resident_pages")
+        .Value(static_cast<uint64_t>(shard->pager()->cached_pages()));
+    w.Key("pager_dirty_pages").Value(static_cast<uint64_t>(shard->pager()->dirty_pages()));
+    w.Key("checkpointer_state").Value(static_cast<int64_t>(shard->checkpointer_state()));
+    w.Key("object_count").Value(shard->object_count());
+    w.Key("retained_records")
+        .Value(static_cast<uint64_t>(cluster_->retained_records(k)));
+    w.Key("volume_health").Value(static_cast<int64_t>(shard->health_state()));
+    w.EndObject();
   }
+  w.EndArray();
 
   w.Key("locks").BeginObject();
   WriteLockStatsJson(&w, "tag_shards", tag_mu_);

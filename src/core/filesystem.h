@@ -63,12 +63,12 @@ struct FileSystemOptions {
   bool lazy_tag_indexing = false;
   // Bound on acknowledged-but-unapplied tag intents; mutators block past it.
   size_t tag_intent_queue_capacity = 4096;
-  // Number of OSD shards (ROADMAP item 1). 1 (the default) is today's single-volume
-  // behavior, byte-compatible with existing volumes; 0 means one shard per device
-  // passed to the multi-device Create/Open. Any other value must match the device
-  // count. Objects are hash-placed across shards; namespace metadata lives on shard 0;
-  // cross-shard NamespaceBatch commits use the cluster's prepare/commit protocol
-  // (src/osd/osd_cluster.h).
+  // Number of OSD shards (ROADMAP item 1). 1 (the default) is a one-shard cluster on
+  // the same code path as N; 0 means one shard per device passed to the multi-device
+  // Create/Open. Any other value must match the device count. Objects are hash-placed
+  // across shards; namespace metadata lives on shard 0; cross-shard NamespaceBatch
+  // commits use the cluster's prepare/commit protocol (src/osd/osd_cluster.h). Every
+  // volume is stamped with its shard index, and Open refuses an unstamped one.
   size_t shard_count = 1;
 };
 
@@ -92,6 +92,9 @@ class FileSystem {
   static Result<std::unique_ptr<FileSystem>> Open(
       std::vector<std::shared_ptr<BlockDevice>> devices, FileSystemOptions options = {});
 
+  // Drains the lazy tag indexer (unless a test holds it paused), then closes the
+  // cluster with the indexer's provider still installed, so each shard's close-time
+  // checkpoint persists the intents it has not applied; the next Open re-seeds them.
   ~FileSystem();
 
   FileSystem(const FileSystem&) = delete;

@@ -158,8 +158,6 @@ void Osd::InitStructures() {
     Scrubber::Options sopts;
     sopts.device_size = sb_.device_size;
     sopts.interval_ms = options_.scrub_interval_ms;
-    sopts.pages_per_batch = options_.scrub_pages_per_batch;
-    sopts.pause_us = options_.scrub_pause_us;
     sopts.retry = options_.retry;
     scrubber_ = std::make_unique<Scrubber>(device_.get(), pager_.get(), checksums_.get(),
                                            &health_, sopts);
@@ -227,6 +225,7 @@ Result<std::unique_ptr<Osd>> Osd::Create(std::shared_ptr<BlockDevice> device,
   osd->InitStructures();
   HFAD_RETURN_IF_ERROR(osd->journal_->Reset());
   HFAD_RETURN_IF_ERROR(osd->CheckpointLocked());
+  osd->closed_ = false;
   osd->StartCheckpointThread();
   if (osd->scrubber_) {
     osd->scrubber_->Start();
@@ -460,6 +459,7 @@ Result<std::unique_ptr<Osd>> Osd::Open(std::shared_ptr<BlockDevice> device,
   // An unreadable page surfaces on the first real access instead.
   (void)osd->object_table_->Height();
   (void)osd->named_roots_->Height();
+  osd->closed_ = false;
   osd->StartCheckpointThread();
   if (osd->scrubber_) {
     osd->scrubber_->Start();

@@ -105,12 +105,9 @@ struct OsdOptions {
   // count device writes sweep with it disabled).
   RetryPolicy retry;
   // Background scrub cadence; 0 disables the scrub thread (ScrubNow() still
-  // works). Each pass walks every checksummed page of the volume.
+  // works). Each pass walks every checksummed page of the volume, paced against live
+  // traffic (see Scrubber).
   uint64_t scrub_interval_ms = 0;
-  // Scrub pacing against live traffic: verify this many pages, then sleep
-  // scrub_pause_us before the next batch.
-  size_t scrub_pages_per_batch = 256;
-  uint64_t scrub_pause_us = 500;
 };
 
 class Osd {
@@ -257,9 +254,10 @@ class Osd {
   Status Checkpoint();
 
   // Quiesce the volume: stop the background checkpointer and take a final checkpoint.
-  // Idempotent; the destructor calls it when the caller has not. The outcome is kept in
-  // last_close_status() and a failure counts into stats (kOsdCloseErrors), so shutdown
-  // errors are never silently dropped.
+  // Idempotent; the destructor calls it when the caller has not. A no-op on a volume
+  // that Create or Open did not finish. The outcome is kept in last_close_status() and
+  // a failure counts into stats (kOsdCloseErrors), so shutdown errors are never
+  // silently dropped.
   Status Close();
 
   // Outcome of the last Close() (Ok before any close).
@@ -585,9 +583,11 @@ class Osd {
   // CheckpointerState, maintained by RequestCheckpoint/CheckpointThreadMain.
   std::atomic<int> ckpt_state_{0};
 
-  // Close() bookkeeping.
+  // Close() bookkeeping. Closed until Create or Open succeeds, so a volume Open refuses
+  // is not checkpointed on destruction: its journal keeps the records recovery had
+  // not replayed yet.
   mutable std::mutex close_mu_;
-  bool closed_ = false;
+  bool closed_ = true;
   Status last_close_status_;
 };
 

@@ -24,25 +24,17 @@ Result<std::unique_ptr<OsdCluster>> OsdCluster::Create(
   cluster->n_ = n;
   cluster->journaling_ = options.journaling;
   cluster->retained_.resize(n);
-  cluster->provider_installed_.assign(n, false);
   for (size_t k = 0; k < n; k++) {
     HFAD_ASSIGN_OR_RETURN(std::unique_ptr<Osd> osd,
                           Osd::Create(std::move(devices[k]), options));
+    // Stamp and checkpoint each shard so a crash right after Create still leaves an
+    // openable, correctly-identified cluster.
+    HFAD_RETURN_IF_ERROR(osd->SetNamedRoot(kShardStampRoot, ShardStamp(n, k)));
+    HFAD_RETURN_IF_ERROR(osd->Checkpoint());
+    cluster->InstallShardProvider(k, osd.get());
     cluster->osds_.push_back(std::move(osd));
   }
-  if (n > 1) {
-    OsdCluster* raw = cluster.get();
-    for (size_t k = 0; k < n; k++) {
-      // Stamp and checkpoint each shard so a crash right after Create still leaves an
-      // openable, correctly-identified cluster. Single-shard volumes are deliberately
-      // not stamped: they stay byte-compatible with pre-cluster volumes.
-      const uint64_t stamp = (static_cast<uint64_t>(n) << 32) | (k + 1);
-      HFAD_RETURN_IF_ERROR(cluster->osds_[k]->SetNamedRoot(kShardStampRoot, stamp));
-      HFAD_RETURN_IF_ERROR(cluster->osds_[k]->Checkpoint());
-      cluster->InstallShardProvider(k, cluster->osds_[k].get());
-    }
-    raw->InstallCheckpointHooks();
-  }
+  cluster->InstallCheckpointHooks();
   return cluster;
 }
 
@@ -58,41 +50,23 @@ Result<std::unique_ptr<OsdCluster>> OsdCluster::Open(
   cluster->journaling_ = options.journaling;
   cluster->hook_ = std::move(replay_foreign);
   cluster->retained_.resize(n);
-  cluster->provider_installed_.assign(n, false);
+  cluster->adopted_.assign(n, false);
   OsdCluster* raw = cluster.get();
   // Shards open in index order. The coordinator of any batch is its minimum
   // participant index, so a batch's verdict (commit record present or not) is always
   // established before a higher shard's prepare record replays.
   for (size_t k = 0; k < n; k++) {
-    auto opened = Osd::Open(std::move(devices[k]), options,
-                            [raw, k](Osd* volume, Slice payload) {
-                              return raw->ReplayShardRecord(k, volume, payload);
-                            });
-    raw->opening_ = nullptr;
-    HFAD_RETURN_IF_ERROR(opened.status());
-    cluster->osds_.push_back(std::move(opened).value());
+    HFAD_ASSIGN_OR_RETURN(std::unique_ptr<Osd> osd,
+                          Osd::Open(std::move(devices[k]), options,
+                                    [raw, k](Osd* volume, Slice payload) {
+                                      return raw->ReplayShardRecord(k, volume, payload);
+                                    }));
+    // A shard whose recovery replayed no cluster record is adopted here.
+    HFAD_RETURN_IF_ERROR(cluster->AdoptShard(k, osd.get()));
+    cluster->osds_.push_back(std::move(osd));
     // Coordinator-side prepares whose commit never appeared in this shard's stream:
     // the commit was never durable, so the batch is uncommitted — discard.
     cluster->open_deferred_.clear();
-    HFAD_ASSIGN_OR_RETURN(uint64_t stamp,
-                          cluster->osds_[k]->GetNamedRoot(kShardStampRoot));
-    if (n == 1) {
-      if (stamp != 0) {
-        return Status::InvalidArgument(
-            "volume is shard " + std::to_string((stamp & 0xffffffffu) - 1) + " of a " +
-            std::to_string(stamp >> 32) + "-shard cluster; open it with all its devices");
-      }
-    } else {
-      const uint64_t want = (static_cast<uint64_t>(n) << 32) | (k + 1);
-      if (stamp != want) {
-        return Status::InvalidArgument("device " + std::to_string(k) +
-                                       " is not shard " + std::to_string(k) + " of a " +
-                                       std::to_string(n) + "-shard cluster");
-      }
-      if (!cluster->provider_installed_[k]) {
-        cluster->InstallShardProvider(k, cluster->osds_[k].get());
-      }
-    }
   }
   uint64_t next = 1;
   for (const auto& osd : cluster->osds_) {
@@ -100,9 +74,7 @@ Result<std::unique_ptr<OsdCluster>> OsdCluster::Open(
   }
   cluster->next_oid_.store(next);
   cluster->next_batch_id_.store(cluster->max_batch_id_seen_ + 1);
-  if (n > 1) {
-    raw->InstallCheckpointHooks();
-  }
+  cluster->InstallCheckpointHooks();
   return cluster;
 }
 
@@ -125,9 +97,6 @@ Status OsdCluster::Close() {
 // ---------------------------------------------------------------- object ops
 
 Result<ObjectId> OsdCluster::CreateObject() {
-  if (n_ == 1) {
-    return osds_[0]->CreateObject();
-  }
   const ObjectId oid = next_oid_.fetch_add(1);
   return osds_[ShardOf(oid)]->CreateObjectAt(oid);
 }
@@ -286,10 +255,6 @@ Status OsdCluster::AppendForeign(ObjectId oid, Slice payload,
   if (token_out != nullptr) {
     *token_out = 0;
   }
-  if (n_ == 1) {
-    // Pass-through, bit-for-bit what a bare Osd would journal.
-    return osds_[0]->AppendForeign(payload, with_lock);
-  }
   const size_t k = ShardOf(oid);
   std::string rec;
   rec.reserve(payload.size() + 1);
@@ -319,9 +284,6 @@ Status OsdCluster::AppendForeign(ObjectId oid, Slice payload,
 
 Result<uint64_t> OsdCluster::CommitForeignBatch(const std::vector<ObjectId>& oids,
                                                 Slice payload) {
-  if (n_ == 1) {
-    return Status::InvalidArgument("cross-shard batch on a single-shard cluster");
-  }
   std::vector<size_t> parts;
   parts.reserve(oids.size());
   for (ObjectId oid : oids) {
@@ -377,7 +339,7 @@ Result<uint64_t> OsdCluster::CommitForeignBatch(const std::vector<ObjectId>& oid
 }
 
 void OsdCluster::MarkForeignApplied(uint64_t token) {
-  if (token == 0 || n_ == 1) {
+  if (token == 0) {
     return;
   }
   std::lock_guard<std::mutex> lock(retained_mu_);
@@ -385,37 +347,9 @@ void OsdCluster::MarkForeignApplied(uint64_t token) {
 }
 
 void OsdCluster::SetUnappliedForeignProvider(UnappliedProviderFn fn) {
-  {
-    std::lock_guard<std::mutex> lock(provider_mu_);
-    higher_provider_ = std::move(fn);
-  }
-  if (n_ != 1) {
-    return;  // Per-shard providers read higher_provider_ at call time.
-  }
-  // Single shard: mirror the higher layer's provider directly onto the volume,
-  // unframed — including during recovery, when the volume has not been handed over yet
-  // (the final checkpoint inside Osd::Open persists through this provider).
-  Osd* volume = !osds_.empty() ? osds_[0].get() : opening_;
-  if (volume == nullptr) {
-    return;
-  }
-  bool has;
-  {
-    std::lock_guard<std::mutex> lock(provider_mu_);
-    has = static_cast<bool>(higher_provider_);
-  }
-  if (!has) {
-    volume->SetUnappliedForeignProvider(nullptr);
-    return;
-  }
-  volume->SetUnappliedForeignProvider([this]() {
-    UnappliedProviderFn higher;
-    {
-      std::lock_guard<std::mutex> lock(provider_mu_);
-      higher = higher_provider_;
-    }
-    return higher ? higher(0) : std::vector<std::string>();
-  });
+  // Every shard's provider reads higher_provider_ when it is called.
+  std::lock_guard<std::mutex> lock(provider_mu_);
+  higher_provider_ = std::move(fn);
 }
 
 size_t OsdCluster::retained_records() const {
@@ -476,8 +410,28 @@ void OsdCluster::TrimRetained() {
 
 // ---------------------------------------------------------------- recovery
 
+Status OsdCluster::AdoptShard(size_t k, Osd* volume) {
+  if (adopted_[k]) {
+    return Status::Ok();
+  }
+  HFAD_ASSIGN_OR_RETURN(uint64_t stamp, volume->GetNamedRoot(kShardStampRoot));
+  if (stamp == 0) {
+    return Status::InvalidArgument(
+        "device " + std::to_string(k) + " has no cluster shard stamp (" +
+        kShardStampRoot + "): a bare Osd volume, or one written before every cluster "
+        "volume was stamped");
+  }
+  if (stamp != ShardStamp(n_, k)) {
+    return Status::InvalidArgument("device " + std::to_string(k) + " is not shard " +
+                                   std::to_string(k) + " of a " + std::to_string(n_) +
+                                   "-shard cluster");
+  }
+  InstallShardProvider(k, volume);
+  adopted_[k] = true;
+  return Status::Ok();
+}
+
 void OsdCluster::InstallShardProvider(size_t k, Osd* volume) {
-  provider_installed_[k] = true;
   volume->SetUnappliedForeignProvider([this, k]() {
     std::vector<std::string> out;
     {
@@ -516,19 +470,11 @@ void OsdCluster::InstallShardProvider(size_t k, Osd* volume) {
 }
 
 Status OsdCluster::ReplayShardRecord(size_t k, Osd* volume, Slice payload) {
-  opening_ = volume;
-  if (n_ == 1) {
-    if (!hook_) {
-      return Status::Corruption("foreign journal record but no replay hook");
-    }
-    return hook_(volume, volume, this, 0, false, payload);
-  }
-  // Install the shard's provider before any record applies: Osd::Open ends with a
-  // checkpoint that resets the journal, and by then the retention list must be what
-  // carries these records forward.
-  if (!provider_installed_[k]) {
-    InstallShardProvider(k, volume);
-  }
+  // Check the stamp before any record applies, so a volume that is not this shard is
+  // refused before a misread record can reach the hook; and install the shard's
+  // provider, since Osd::Open ends with a checkpoint that resets the journal, and by
+  // then the retention list must be what carries these records forward.
+  HFAD_RETURN_IF_ERROR(AdoptShard(k, volume));
   if (payload.empty()) {
     return Status::Corruption("empty cluster record");
   }

@@ -8,9 +8,12 @@
 // locks on the hot path.
 //
 // Shard 0 is the *metadata shard*: the FileSystem layer keeps its named roots, index
-// stores, reverse maps, and full-text state there, exactly as on a single volume. A
-// shard_count of 1 is a total pass-through — byte-compatible with volumes created before
-// clustering existed (no record framing, no stamps).
+// stores, reverse maps, and full-text state there. One device is a one-shard cluster on
+// the same path as N: every volume carries a (shard_count, shard_index) stamp written at
+// Create and checked at Open, and every higher-layer record is framed. A volume without
+// a stamp (a bare Osd volume, or one written before every cluster volume was stamped) is
+// refused. A one-shard cluster's volume still opens as a bare Osd: the stamp is one
+// named root.
 //
 // Cross-shard atomicity (NamespaceBatch spanning owners) is a prepare/commit journal
 // record pair inside the existing foreign-record envelope — no new OSD record types on
@@ -77,13 +80,14 @@ class OsdCluster {
   // queued intents, filtered to the shard whose checkpoint is asking).
   using UnappliedProviderFn = std::function<std::vector<std::string>(size_t shard)>;
 
-  // Format one fresh volume per device. More than one device stamps each volume with
-  // (shard_count, shard_index) so Open can reject reordered or mixed device sets.
+  // Format one fresh volume per device, each stamped with (shard_count, shard_index) so
+  // Open can reject unstamped volumes and reordered or mixed device sets.
   static Result<std::unique_ptr<OsdCluster>> Create(
       std::vector<std::shared_ptr<BlockDevice>> devices, const OsdOptions& options);
 
   // Open existing volumes, running per-shard crash recovery in shard order and
-  // resolving in-doubt cross-shard batches (see file comment).
+  // resolving in-doubt cross-shard batches (see file comment). Each volume's stamp is
+  // checked before its first cluster record replays.
   static Result<std::unique_ptr<OsdCluster>> Open(
       std::vector<std::shared_ptr<BlockDevice>> devices, const OsdOptions& options,
       ForeignReplayFn replay_foreign = nullptr);
@@ -190,9 +194,10 @@ class OsdCluster {
   // next metadata-shard checkpoint may drop their retained copies. No-op for token 0.
   void MarkForeignApplied(uint64_t token);
 
-  // Install (or clear) the higher layer's per-shard unapplied-payload provider. Each
-  // shard's checkpoint snapshot is the retention list plus this provider's payloads
-  // for that shard.
+  // Store the higher layer's per-shard unapplied-payload provider. Each shard's
+  // checkpoint snapshot is the retention list plus this provider's payloads for that
+  // shard, read when the checkpoint runs; a layer that defers application keeps it
+  // installed until Close, whose checkpoints are the last to persist its payloads.
   void SetUnappliedForeignProvider(UnappliedProviderFn fn);
 
   // Records kept until a metadata-shard checkpoint, on every shard together or on
@@ -219,15 +224,16 @@ class OsdCluster {
  private:
   OsdCluster() = default;
 
-  // Cluster record framing inside the Osd foreign-record envelope (multi-shard only;
-  // a single-shard cluster writes the higher layer's payload bytes unchanged).
+  // Cluster record framing inside the Osd foreign-record envelope.
   static constexpr uint8_t kCfPlain = 1;
   static constexpr uint8_t kCfPrepare = 2;
   static constexpr uint8_t kCfCommit = 3;
 
-  // Stamp named root recording (shard_count << 32) | (shard_index + 1) on every
-  // multi-shard volume.
+  // Stamp named root recording (shard_count << 32) | (shard_index + 1) on every volume.
   static constexpr char kShardStampRoot[] = "osd/cluster-shard";
+  static uint64_t ShardStamp(size_t n, size_t k) {
+    return (static_cast<uint64_t>(n) << 32) | (k + 1);
+  }
 
   struct Retained {
     std::string payload;  // Framed exactly as journaled; round-trips through replay.
@@ -249,6 +255,10 @@ class OsdCluster {
 
   // Per-shard Osd::Open replay adapter body: unframe, resolve 2PC, forward to hook_.
   Status ReplayShardRecord(size_t k, Osd* volume, Slice payload);
+
+  // Once per shard during Open, before its first record replays or when Osd::Open
+  // returns: refuse a volume whose stamp is not shard k's, then install its provider.
+  Status AdoptShard(size_t k, Osd* volume);
 
   // Install shard k's unapplied-foreign provider (retention list + higher layer).
   void InstallShardProvider(size_t k, Osd* volume);
@@ -288,8 +298,7 @@ class OsdCluster {
   UnappliedProviderFn higher_provider_;
 
   // Open-time state (single-threaded recovery).
-  Osd* opening_ = nullptr;              // Shard currently inside Osd::Open.
-  std::vector<bool> provider_installed_;
+  std::vector<bool> adopted_;                  // AdoptShard has run for shard k.
   std::unordered_set<uint64_t> committed_;     // Batch ids with a durable commit.
   std::vector<DeferredPrepare> open_deferred_; // Coordinator-side prepares awaiting
                                                // their commit in the same stream.

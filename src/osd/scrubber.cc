@@ -9,6 +9,14 @@
 namespace hfad {
 namespace osd {
 
+namespace {
+
+// Background-pass pacing against live traffic: verify this many pages, then sleep.
+constexpr size_t kPagesPerBatch = 256;
+constexpr auto kBatchPause = std::chrono::microseconds(500);
+
+}  // namespace
+
 Scrubber::Scrubber(BlockDevice* device, Pager* pager, PageChecksums* checksums,
                    VolumeHealth* health, Options options)
     : device_(device),
@@ -78,11 +86,9 @@ Status Scrubber::RunPass(ScrubReport* report, bool paced) {
         continue;  // Unstamped or quarantined: nothing to verify.
       }
       ScrubPage(offset, &local);
-      if (paced && ++in_batch >= options_.pages_per_batch) {
+      if (paced && ++in_batch >= kPagesPerBatch) {
         in_batch = 0;
-        if (options_.pause_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(options_.pause_us));
-        }
+        std::this_thread::sleep_for(kBatchPause);
       }
     }
     repaired_any = local.pages_repaired > 0;

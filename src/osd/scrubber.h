@@ -13,10 +13,10 @@
 // it is quarantined — every subsequent read fails loudly with Corruption until
 // a rewrite restamps it — and reported through fsck.
 //
-// Pacing: each batch of pages holds the pager's shared mutation hold per page
-// (flush_mu_ shared -> stripe lock, the established order; see
-// docs/CONCURRENCY.md), then sleeps, so a background pass bounds its drag on
-// checkpoints and foreground IO.
+// Pacing: a background pass verifies 256 pages at a time, holding the pager's shared
+// mutation hold per page (flush_mu_ shared -> stripe lock, the established order; see
+// docs/CONCURRENCY.md), then sleeps 500 us, so it bounds its drag on checkpoints and
+// foreground IO.
 #ifndef HFAD_SRC_OSD_SCRUBBER_H_
 #define HFAD_SRC_OSD_SCRUBBER_H_
 
@@ -51,8 +51,6 @@ class Scrubber {
   struct Options {
     uint64_t device_size = 0;
     uint64_t interval_ms = 0;        // 0: no background thread.
-    size_t pages_per_batch = 256;    // Pages verified between pacing sleeps.
-    uint64_t pause_us = 500;         // Sleep between batches.
     RetryPolicy retry;               // For the device reads.
   };
 

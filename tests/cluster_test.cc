@@ -179,36 +179,58 @@ TEST(ClusterTest, RoutesObjectsAcrossShardsAndMergesScans) {
   EXPECT_GT(*fresh, oids.back());
 }
 
-TEST(ClusterTest, SingleShardClusterIsByteCompatibleWithPlainOsd) {
-  // A volume created by the plain Osd opens as a 1-shard cluster...
+// Every cluster volume carries a shard stamp. A bare Osd volume has none, and neither
+// the cluster nor the FileSystem adopts it.
+TEST(ClusterTest, UnstampedVolumeIsRefused) {
   auto dev = std::make_shared<MemoryBlockDevice>(kDev);
-  ObjectId oid;
   {
     auto created = Osd::Create(dev, OsdOptions{});
     ASSERT_TRUE(created.ok());
-    auto r = (*created)->CreateObject();
-    ASSERT_TRUE(r.ok());
-    oid = *r;
-    ASSERT_TRUE((*created)->Write(oid, 0, "plain osd bytes").ok());
+    auto oid = (*created)->CreateObject();
+    ASSERT_TRUE(oid.ok());
+    ASSERT_TRUE((*created)->Write(*oid, 0, "plain osd bytes").ok());
     ASSERT_TRUE((*created)->Checkpoint().ok());
   }
   auto as_cluster = OsdCluster::Open({dev}, OsdOptions{});
-  ASSERT_TRUE(as_cluster.ok()) << as_cluster.status().ToString();
-  std::string out;
-  ASSERT_TRUE((*as_cluster)->Read(oid, 0, 64, &out).ok());
-  EXPECT_EQ(out, "plain osd bytes");
-  auto oid2 = (*as_cluster)->CreateObject();
-  ASSERT_TRUE(oid2.ok());
-  ASSERT_TRUE((*as_cluster)->Write(*oid2, 0, "cluster bytes").ok());
-  ASSERT_TRUE((*as_cluster)->Checkpoint().ok());
-  ASSERT_TRUE((*as_cluster)->Close().ok());
+  ASSERT_FALSE(as_cluster.ok());
+  EXPECT_TRUE(as_cluster.status().IsInvalidArgument()) << as_cluster.status().ToString();
+  EXPECT_NE(as_cluster.status().message().find("no cluster shard stamp"), std::string::npos)
+      << as_cluster.status().ToString();
+  auto as_fs = FileSystem::Open(dev);
+  ASSERT_FALSE(as_fs.ok());
+  EXPECT_TRUE(as_fs.status().IsInvalidArgument()) << as_fs.status().ToString();
+  EXPECT_NE(as_fs.status().message().find("no cluster shard stamp"), std::string::npos)
+      << as_fs.status().ToString();
+}
 
-  // ...and the other way around: a 1-shard cluster's volume opens as a plain Osd.
-  auto as_osd = Osd::Open(dev, OsdOptions{});
-  ASSERT_TRUE(as_osd.ok()) << as_osd.status().ToString();
-  ASSERT_TRUE((*as_osd)->Read(oid, 0, 64, &out).ok());
-  EXPECT_EQ(out, "plain osd bytes");
-  ASSERT_TRUE((*as_osd)->Read(*oid2, 0, 64, &out).ok());
+// A one-shard cluster's volume is a plain Osd volume plus its stamp, one named root: it
+// opens as a bare Osd, and the bare Osd's close keeps it a cluster volume.
+TEST(ClusterTest, OneShardClusterVolumeOpensAsAPlainOsd) {
+  auto dev = std::make_shared<MemoryBlockDevice>(kDev);
+  ObjectId oid;
+  {
+    auto cluster = OsdCluster::Create({dev}, OsdOptions{});
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    auto r = (*cluster)->CreateObject();
+    ASSERT_TRUE(r.ok());
+    oid = *r;
+    ASSERT_TRUE((*cluster)->Write(oid, 0, "cluster bytes").ok());
+    ASSERT_TRUE((*cluster)->Close().ok());
+  }
+  {
+    auto as_osd = Osd::Open(dev, OsdOptions{});
+    ASSERT_TRUE(as_osd.ok()) << as_osd.status().ToString();
+    std::string out;
+    ASSERT_TRUE((*as_osd)->Read(oid, 0, 64, &out).ok());
+    EXPECT_EQ(out, "cluster bytes");
+    auto stamp = (*as_osd)->GetNamedRoot("osd/cluster-shard");
+    ASSERT_TRUE(stamp.ok()) << stamp.status().ToString();
+    EXPECT_EQ(*stamp, (uint64_t{1} << 32) | 1);  // Shard 0 of a one-shard cluster.
+  }
+  auto again = OsdCluster::Open({dev}, OsdOptions{});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  std::string out;
+  ASSERT_TRUE((*again)->Read(oid, 0, 64, &out).ok());
   EXPECT_EQ(out, "cluster bytes");
 }
 
@@ -326,6 +348,94 @@ TEST(ShardedFileSystemTest, LazyIntentsOnEveryShardSurviveAHardCrash) {
   for (const auto& [oid, value] : acked) {
     EXPECT_EQ(StrictFind(reopened->get(), "UDEF:" + value), std::vector<ObjectId>{oid})
         << "lost acknowledged intent " << value;
+  }
+  auto report = CheckFileSystem(reopened->get());
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->clean()) << report->ToString();
+}
+
+// A clean close while tag intents are still unapplied (the indexer held paused, so the
+// destructor's drain returns at once): every shard's close-time checkpoint persists the
+// intents its objects own, on one shard as on several, and the reopen applies them.
+TEST(ShardedFileSystemTest, CleanCloseKeepsUnappliedIntents) {
+  constexpr size_t kObjects = 16;
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    auto devices = MakeDevices(shards);
+    FileSystemOptions opts = ShardedOptions(shards);
+    opts.lazy_tag_indexing = true;
+    std::vector<ObjectId> oids;
+    {
+      auto fs = FileSystem::Create(devices, opts);
+      ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+      for (size_t i = 0; i < kObjects; i++) {
+        auto oid = (*fs)->Create();
+        ASSERT_TRUE(oid.ok());
+        oids.push_back(*oid);
+      }
+      ASSERT_TRUE((*fs)->WaitForTagIndexing().ok());
+      (*fs)->tag_indexer_for_testing()->SetPausedForTesting(true);
+      for (size_t i = 0; i < kObjects; i++) {
+        ASSERT_TRUE((*fs)->AddTag(oids[i], {"UDEF", "pinned" + std::to_string(i)}).ok());
+      }
+      ASSERT_TRUE((*fs)->Sync().ok());
+    }
+    auto reopened = FileSystem::Open(devices, opts);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_TRUE((*reopened)->WaitForTagIndexing().ok());
+    for (size_t i = 0; i < kObjects; i++) {
+      EXPECT_EQ(StrictFind(reopened->get(), "UDEF:pinned" + std::to_string(i)),
+                std::vector<ObjectId>{oids[i]})
+          << "lost intent pinned" << i;
+    }
+    auto report = CheckFileSystem(reopened->get());
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->clean()) << report->ToString();
+  }
+}
+
+// Devices passed in the wrong order after a crash: the refused Open must leave every
+// volume as it found it, so the right order still recovers every acknowledged name.
+// (Recovering a data shard as shard 0, then resetting its journal, would lose the names
+// its journal held.)
+TEST(ShardedFileSystemTest, RefusedReorderedOpenLosesNothing) {
+  auto bases = MakeDevices(2);
+  std::vector<std::shared_ptr<FaultyBlockDevice>> faulty;
+  std::vector<std::shared_ptr<BlockDevice>> devices;
+  for (auto& b : bases) {
+    faulty.push_back(std::make_shared<FaultyBlockDevice>(b));
+    devices.push_back(faulty.back());
+  }
+  const FileSystemOptions opts = ShardedOptions(2);
+  std::vector<std::pair<ObjectId, std::string>> acked;
+  std::set<size_t> owners;
+  {
+    auto fs = FileSystem::Create(devices, opts);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    for (int i = 0; i < 16; i++) {
+      auto oid = (*fs)->Create();
+      ASSERT_TRUE(oid.ok());
+      const std::string value = "named" + std::to_string(i);
+      ASSERT_TRUE((*fs)->AddTag(*oid, {"UDEF", value}).ok());
+      acked.emplace_back(*oid, value);
+      owners.insert((*fs)->cluster()->ShardOf(*oid));
+    }
+    ASSERT_TRUE((*fs)->Sync().ok());
+    for (auto& f : faulty) {
+      f->SetWriteBudget(0);  // Crash: every name lives only in its owner's journal.
+    }
+  }
+  ASSERT_EQ(owners.size(), 2u);
+  auto reordered = FileSystem::Open({bases[1], bases[0]}, opts);
+  ASSERT_FALSE(reordered.ok());
+  EXPECT_NE(reordered.status().ToString().find("is not shard 0 of a 2-shard cluster"),
+            std::string::npos)
+      << reordered.status().ToString();
+  auto reopened = FileSystem::Open(bases, opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (const auto& [oid, value] : acked) {
+    EXPECT_EQ(StrictFind(reopened->get(), "UDEF:" + value), std::vector<ObjectId>{oid})
+        << "lost acknowledged name " << value;
   }
   auto report = CheckFileSystem(reopened->get());
   ASSERT_TRUE(report.ok());

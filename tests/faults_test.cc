@@ -533,14 +533,13 @@ TEST(FaultsTest, ReadOnlyMetadataShardRejectsTagMutationsOnHealthyOwners) {
 
 // ---------------------------------------------------------------- scrub vs. live load
 
-// TSan target: a background scrubber at full tilt under an 8-thread tag storm. Proves
-// the scrubber's lock discipline (flush_mu_ shared -> stripe Peek, no content-byte
-// reads from cached pages) against concurrent tag mutations, checkpoints, and reads.
+// TSan target: back-to-back background scrub passes and five unpaced foreground passes
+// under an 8-thread tag storm. Proves the scrubber's lock discipline (flush_mu_ shared
+// -> stripe Peek, no content-byte reads from cached pages) against concurrent tag
+// mutations, checkpoints, and reads.
 TEST(FaultsTest, ScrubUnderTagStormIsRaceFree) {
   core::FileSystemOptions opts;
   opts.osd.scrub_interval_ms = 1;  // Scrub continuously.
-  opts.osd.scrub_pages_per_batch = 64;
-  opts.osd.scrub_pause_us = 0;
   auto fs_r = core::FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev), opts);
   ASSERT_TRUE(fs_r.ok()) << fs_r.status().ToString();
   auto fs = std::move(fs_r).value();

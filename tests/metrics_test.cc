@@ -1,10 +1,13 @@
 // Observability: histogram bucketing and percentiles, concurrent recording, the trace
 // ring (nesting, sampling, wraparound, concurrent readers), query EXPLAIN annotation,
-// and DumpMetrics JSON emitted during a live multi-threaded tag storm.
+// and DumpMetrics JSON emitted during a live multi-threaded tag storm and on one and four
+// shards.
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -420,6 +423,73 @@ TEST(DumpMetricsTest, JsonDuringLiveTagStorm) {
   EXPECT_NE(osd_doc.find("\"scope\":\"osd\""), std::string::npos) << osd_doc;
   EXPECT_NE(osd_doc.find("\"object_mutex\""), std::string::npos) << osd_doc;
   EXPECT_NE(osd_doc.find("\"journal_reserved_pct\""), std::string::npos) << osd_doc;
+}
+
+// Every key path of a JSON document ("gauges.shard_count", "shards[].shard"). Elements
+// share their array's path, so documents whose arrays differ only in length agree.
+std::set<std::string> KeyPaths(const std::string& doc) {
+  std::set<std::string> paths;
+  std::vector<std::pair<std::string, bool>> open;  // Path of each open container; array?
+  std::string key_path;  // Path of the last key read in the innermost object.
+  for (size_t i = 0; i < doc.size(); i++) {
+    const char c = doc[i];
+    if (c == '"') {
+      std::string text;
+      for (i++; i < doc.size() && doc[i] != '"'; i++) {
+        if (doc[i] == '\\') {
+          i++;
+        }
+        text.push_back(doc[i]);
+      }
+      if (i + 1 < doc.size() && doc[i + 1] == ':' && !open.empty() && !open.back().second) {
+        key_path = open.back().first.empty() ? text : open.back().first + "." + text;
+        paths.insert(key_path);
+      }
+    } else if (c == '{' || c == '[') {
+      std::string path;
+      if (!open.empty()) {
+        path = open.back().second ? open.back().first + "[]" : key_path;
+      }
+      open.emplace_back(path, c == '[');
+    } else if (c == '}' || c == ']') {
+      open.pop_back();
+    }
+  }
+  return paths;
+}
+
+// One shard and four shards emit the same document shape: the per-shard array is
+// there on every shard count.
+TEST(DumpMetricsTest, OneAndFourShardDocumentsHaveTheSameKeys) {
+  auto dump = [](size_t shards) {
+    std::vector<std::shared_ptr<BlockDevice>> devices;
+    for (size_t k = 0; k < shards; k++) {
+      devices.push_back(std::make_shared<MemoryBlockDevice>(kDev));
+    }
+    FileSystemOptions options;
+    options.shard_count = shards;
+    auto fs = FileSystem::Create(devices, options);
+    EXPECT_TRUE(fs.ok()) << fs.status().ToString();
+    if (!fs.ok()) {
+      return std::string();
+    }
+    for (int i = 0; i < 8; i++) {
+      auto oid = (*fs)->Create({{"UDEF", "shape"}});
+      EXPECT_TRUE(oid.ok());
+      EXPECT_TRUE(oid.ok() && (*fs)->Write(*oid, 0, "bytes").ok());
+    }
+    EXPECT_TRUE((*fs)->Sync().ok());
+    return (*fs)->DumpMetrics();
+  };
+  const std::string one = dump(1);
+  const std::string four = dump(4);
+  ExpectBalancedJson(one);
+  ExpectBalancedJson(four);
+  const std::set<std::string> one_keys = KeyPaths(one);
+  EXPECT_EQ(one_keys, KeyPaths(four));
+  EXPECT_EQ(one_keys.count("shards[].retained_records"), 1u) << one;
+  EXPECT_NE(one.find("\"shards\":[{\"shard\":0,"), std::string::npos) << one;
+  EXPECT_NE(four.find("{\"shard\":3,"), std::string::npos) << four;
 }
 
 // ---------------------------------------------------------------- visibility options

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/coding.h"
 #include "src/core/filesystem.h"
 #include "src/index/index_store.h"
 #include "src/index/posting_iterator.h"
@@ -407,36 +406,6 @@ TEST_F(NamespaceBatchTest, CommittedBatchRecoversAsAUnit) {
   auto tags = fs->Tags(*a);
   ASSERT_TRUE(tags.ok());
   EXPECT_EQ(tags->size(), 6u);
-}
-
-// Volumes written before loose AddTag/RemoveTag became one-op batches journal them as
-// top-level single-tag records, [1|2][varint oid][length-prefixed tag][length-prefixed
-// value]. Replay still applies both kinds.
-TEST_F(NamespaceBatchTest, SingleTagRecordsFromOlderJournalsReplay) {
-  auto a = fs_->Create({{"UDEF", "old"}});
-  ASSERT_TRUE(a.ok());
-  auto single_tag = [&](uint8_t op, const TagValue& name) {
-    std::string rec(1, static_cast<char>(op));
-    PutVarint64(&rec, *a);
-    PutLengthPrefixed(&rec, name.tag);
-    PutLengthPrefixed(&rec, name.value);
-    return rec;
-  };
-  ASSERT_TRUE(fs_->volume()->AppendForeign(single_tag(1, {"UDEF", "added"})).ok());
-  ASSERT_TRUE(fs_->volume()->AppendForeign(single_tag(2, {"UDEF", "old"})).ok());
-  ASSERT_TRUE(fs_->Sync().ok());
-
-  auto fs = CrashAndRecover();
-  ASSERT_NE(fs, nullptr);
-  auto added = fs->Lookup({{"UDEF", "added"}});
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
-  EXPECT_EQ(*added, (std::vector<ObjectId>{*a}));
-  EXPECT_TRUE(fs->Lookup({{"UDEF", "old"}})->empty());
-  auto tags = fs->Tags(*a);
-  ASSERT_TRUE(tags.ok()) << tags.status().ToString();
-  ASSERT_EQ(tags->size(), 1u);
-  EXPECT_EQ((*tags)[0].tag, "UDEF");
-  EXPECT_EQ((*tags)[0].value, "added");
 }
 
 TEST(NamespaceBatchCrashTest, UnsyncedBatchVanishesAtomically) {

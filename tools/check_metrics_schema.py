@@ -4,9 +4,10 @@
 Usage: check_metrics_schema.py <metrics.json>
 
 Pins the schema described in docs/OBSERVABILITY.md: required top-level keys,
-the minimum histogram/gauge sets the acceptance criteria name, and the shape of
-every histogram entry and lock-stats block. Stdlib only (json) so it runs in
-any CI image with python3.
+the minimum histogram/gauge sets the acceptance criteria name, the shape of
+every histogram entry and lock-stats block, and the filesystem scope's
+per-shard array (one entry per shard, on one shard too). Stdlib only (json)
+so it runs in any CI image with python3.
 """
 import json
 import sys
@@ -100,6 +101,25 @@ def check_lock_block(name, block):
                 fail(f"locks.{name}.top_contended entry missing int '{field}'")
 
 
+def check_shards(doc, gauges):
+    """The filesystem scope lists every shard, one shard included, in index order."""
+    if "shards" not in doc:
+        fail("filesystem scope missing 'shards'")
+    shards = doc["shards"]
+    if not isinstance(shards, list):
+        fail("'shards' is not an array")
+    count = gauges.get("shard_count")
+    if not isinstance(count, int) or count < 1:
+        fail(f"gauge 'shard_count' must be a positive integer, got {count!r}")
+    if len(shards) != count:
+        fail(f"'shards' has {len(shards)} entries, gauge 'shard_count' is {count}")
+    for k, entry in enumerate(shards):
+        if not isinstance(entry, dict) or entry.get("shard") != k:
+            fail(f"shards entry {k} does not carry 'shard': {k}")
+        if not isinstance(entry.get("retained_records"), int):
+            fail(f"shards entry {k} missing int 'retained_records'")
+
+
 def main():
     if len(sys.argv) != 2:
         fail(f"usage: {sys.argv[0]} <metrics.json>")
@@ -153,11 +173,10 @@ def main():
                  "quarantined_pages"):
         if not isinstance(gauges[name], int):
             fail(f"gauge '{name}' must be an integer")
-    if doc["scope"] == "filesystem" and not isinstance(gauges["retained_records"], int):
-        fail("gauge 'retained_records' must be an integer")
-    for entry in doc.get("shards", []):
-        if not isinstance(entry.get("retained_records"), int):
-            fail(f"shards entry {entry.get('shard')} missing int 'retained_records'")
+    if doc["scope"] == "filesystem":
+        if not isinstance(gauges["retained_records"], int):
+            fail("gauge 'retained_records' must be an integer")
+        check_shards(doc, gauges)
     if not 0 <= gauges["volume_health"] <= 3:
         fail(f"gauge 'volume_health' out of range: {gauges['volume_health']}")
     if gauges["checksums_enabled"] not in (0, 1):

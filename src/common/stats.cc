@@ -67,6 +67,10 @@ std::string_view CounterName(Counter c) {
       return "checkpoints_inline";
     case Counter::kCheckpointEpilogueOverflows:
       return "checkpoint_epilogue_overflows";
+    case Counter::kExtentMapHits:
+      return "extent_map_hits";
+    case Counter::kExtentMapMisses:
+      return "extent_map_misses";
     case Counter::kNumCounters:
       break;
   }

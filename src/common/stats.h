@@ -49,6 +49,8 @@ enum class Counter : int {
                            // ops too large to journal) rather than the checkpointer's.
   kCheckpointEpilogueOverflows,  // Checkpoints whose epilogue did not fit the journal: a
                                  // journal-credit accounting bug, never appended.
+  kExtentMapHits,    // Osd reads served from a cached small-object extent map.
+  kExtentMapMisses,  // Osd reads that looked the map up and went to the object table.
   kNumCounters,  // Sentinel.
 };
 

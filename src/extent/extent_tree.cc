@@ -84,13 +84,52 @@ void InitPage(Page& p, uint8_t type) {
   p.MarkDirty();
 }
 
-// A contiguous run of device bytes backing part of a logical range.
-struct Piece {
-  uint64_t device_offset;
-  uint64_t length;
-};
+// The length of a read of up to n bytes at offset from an object of `size` bytes: short
+// at the end, OutOfRange past it.
+Result<uint64_t> ReadLength(uint64_t offset, size_t n, uint64_t size) {
+  if (offset > size) {
+    return Status::OutOfRange("read at " + std::to_string(offset) + " beyond size " +
+                              std::to_string(size));
+  }
+  return std::min<uint64_t>(n, size - offset);
+}
+
+// Append the bytes of `pieces`, in order, one raw read each.
+Status ReadPieces(const Pager* pager, const std::vector<Extent>& pieces, std::string* out) {
+  std::string buf;
+  for (const Extent& piece : pieces) {
+    HFAD_RETURN_IF_ERROR(
+        pager->ReadRaw(piece.device_offset, static_cast<size_t>(piece.length), &buf));
+    out->append(buf);
+  }
+  return Status::Ok();
+}
 
 }  // namespace
+
+Status ReadMapped(const Pager* pager, const Extent* map, size_t count, uint64_t offset,
+                  size_t n, std::string* out) {
+  out->clear();
+  uint64_t size = 0;
+  for (size_t i = 0; i < count; i++) {
+    size += map[i].length;
+  }
+  HFAD_ASSIGN_OR_RETURN(uint64_t want, ReadLength(offset, n, size));
+  std::vector<Extent> pieces;
+  uint64_t lo = 0;  // Logical offset of map[i].
+  for (size_t i = 0; i < count && want > 0; i++) {
+    const uint64_t hi = lo + map[i].length;
+    if (hi > offset) {
+      const uint64_t skip = offset - lo;  // 0 past the first piece.
+      const uint64_t len = std::min(map[i].length - skip, want);
+      pieces.push_back(Extent{map[i].device_offset + skip, len});
+      offset += len;
+      want -= len;
+    }
+    lo = hi;
+  }
+  return ReadPieces(pager, pieces, out);
+}
 
 class ExtentTree::Impl {
  public:
@@ -115,24 +154,14 @@ class ExtentTree::Impl {
   Status Read(uint64_t offset, size_t n, std::string* out) const {
     HFAD_RETURN_IF_ERROR(root_status_);
     out->clear();
-    if (offset > size_) {
-      return Status::OutOfRange("read at " + std::to_string(offset) + " beyond size " +
-                                std::to_string(size_));
-    }
-    uint64_t want = std::min<uint64_t>(n, size_ - offset);
+    HFAD_ASSIGN_OR_RETURN(uint64_t want, ReadLength(offset, n, size_));
     if (want == 0) {
       return Status::Ok();
     }
     stats::Add(stats::Counter::kIndexTraversals);
-    std::vector<Piece> pieces;
+    std::vector<Extent> pieces;
     HFAD_RETURN_IF_ERROR(CollectPieces(root_, offset, want, &pieces));
-    std::string buf;
-    for (const Piece& piece : pieces) {
-      HFAD_RETURN_IF_ERROR(
-          pager_->ReadRaw(piece.device_offset, static_cast<size_t>(piece.length), &buf));
-      out->append(buf);
-    }
-    return Status::Ok();
+    return ReadPieces(pager_, pieces, out);
   }
 
   Status Write(uint64_t offset, Slice data) {
@@ -147,10 +176,10 @@ class ExtentTree::Impl {
     // Overwrite the covered part in place, then append whatever extends past the end.
     uint64_t covered = std::min<uint64_t>(data.size(), size_ - offset);
     if (covered > 0) {
-      std::vector<Piece> pieces;
+      std::vector<Extent> pieces;
       HFAD_RETURN_IF_ERROR(CollectPieces(root_, offset, covered, &pieces));
       uint64_t done = 0;
-      for (const Piece& piece : pieces) {
+      for (const Extent& piece : pieces) {
         HFAD_RETURN_IF_ERROR(pager_->WriteRaw(
             piece.device_offset, Slice(data.data() + done, piece.length)));
         done += piece.length;
@@ -265,6 +294,24 @@ class ExtentTree::Impl {
     return CountExtentsRec(root_);
   }
 
+  Result<bool> SmallMap(size_t max_extents, std::vector<Extent>* out) const {
+    HFAD_RETURN_IF_ERROR(root_status_);
+    out->clear();
+    if (root_ == 0) {
+      return true;
+    }
+    HFAD_ASSIGN_OR_RETURN(PageRef page, pager_->Get(root_));
+    const uint16_t n = Count(*page);
+    if (PageType(*page) != kExtentLeaf || n > max_extents) {
+      return false;
+    }
+    for (int i = 0; i < n; i++) {
+      const Entry e = GetEntry(*page, i);
+      out->push_back(Extent{e.a, e.b});
+    }
+    return true;
+  }
+
   Result<int> Height() const {
     HFAD_RETURN_IF_ERROR(root_status_);
     int h = 0;
@@ -312,7 +359,7 @@ class ExtentTree::Impl {
 
   // Resolve logical [rel, rel+len) within the subtree at page_off into device pieces.
   Status CollectPieces(uint64_t page_off, uint64_t rel, uint64_t len,
-                       std::vector<Piece>* out) const {
+                       std::vector<Extent>* out) const {
     if (len == 0) {
       return Status::Ok();
     }
@@ -334,7 +381,7 @@ class ExtentTree::Impl {
       uint64_t in_lo = std::max(rel, lo) - lo;
       uint64_t in_len = std::min(rel + len, hi) - std::max(rel, lo);
       if (PageType(*page) == kExtentLeaf) {
-        out->push_back(Piece{e.a + in_lo, in_len});
+        out->push_back(Extent{e.a + in_lo, in_len});
       } else {
         HFAD_RETURN_IF_ERROR(CollectPieces(e.a, in_lo, in_len, out));
       }
@@ -743,6 +790,9 @@ Status ExtentTree::RemoveRange(uint64_t offset, uint64_t length) {
 }
 Status ExtentTree::Clear() { return impl_->Clear(); }
 Result<uint64_t> ExtentTree::CountExtents() const { return impl_->CountExtents(); }
+Result<bool> ExtentTree::SmallMap(size_t max_extents, std::vector<Extent>* out) const {
+  return impl_->SmallMap(max_extents, out);
+}
 Result<int> ExtentTree::Height() const { return impl_->Height(); }
 Status ExtentTree::CheckInvariants() const { return impl_->CheckInvariants(); }
 

@@ -24,9 +24,11 @@
 #ifndef HFAD_SRC_EXTENT_EXTENT_TREE_H_
 #define HFAD_SRC_EXTENT_EXTENT_TREE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/slice.h"
 #include "src/common/status.h"
@@ -38,6 +40,23 @@ namespace extent {
 
 // Largest single extent; larger writes are chunked. Bounds tail-copy cost on splits.
 constexpr uint64_t kMaxExtentSize = 64 * 1024;
+
+// A contiguous run of device bytes: one leaf entry of an extent map, or the part of one
+// that a read covers.
+struct Extent {
+  uint64_t device_offset = 0;
+  uint64_t length = 0;
+
+  bool operator==(const Extent& o) const {
+    return device_offset == o.device_offset && length == o.length;
+  }
+};
+
+// Read up to n bytes at offset of an object whose whole extent map, in logical order, is
+// map[0, count): ExtentTree::Read's contract and its raw-read loop, with no tree page.
+// The caller keeps the map current (the OSD's cached maps of small objects).
+Status ReadMapped(const Pager* pager, const Extent* map, size_t count, uint64_t offset,
+                  size_t n, std::string* out);
 
 class ExtentTree {
  public:
@@ -76,6 +95,11 @@ class ExtentTree {
 
   // Number of extents in the map (test/bench support).
   Result<uint64_t> CountExtents() const;
+
+  // The whole extent map, when the tree is empty or one leaf of at most `max_extents`
+  // entries: true with *out holding it in logical order; false (and *out empty) for a
+  // larger tree. Reads only the root page.
+  Result<bool> SmallMap(size_t max_extents, std::vector<Extent>* out) const;
 
   // Tree height (0 for empty, 1 for a single leaf), by one descent of the leftmost path;
   // also reported to the pager (Pager::NoteTreeHeight). The OSD asks before it splices

@@ -74,6 +74,17 @@ uint64_t ExtentsFor(uint64_t n) { return DivCeil(n, extent::kMaxExtentSize); }
 // checkpoint's journal reset (see SetUnappliedForeignProvider).
 constexpr char kPendingForeignRoot[] = "osd/pending-foreign";
 
+// A record recovery could not replay. A higher layer's refusal of the volume
+// (InvalidArgument from its replay hook, such as a cluster volume without its shard
+// stamp) keeps its code, so a caller tells a refused format from damage the same way
+// whether the volume closed cleanly or crashed; every other failure is Corruption.
+Status ReplayFailure(const std::string& where, const Status& s, bool from_hook) {
+  if (from_hook && s.IsInvalidArgument()) {
+    return Status::InvalidArgument(where + ": " + s.message());
+  }
+  return Status::Corruption(where + ": " + s.ToString());
+}
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::system_clock::now().time_since_epoch())
@@ -407,7 +418,7 @@ Result<std::unique_ptr<Osd>> Osd::Open(std::shared_ptr<BlockDevice> device,
           s = replay_foreign(osd.get(), Slice(p));
           if (!s.ok()) {
             osd->in_recovery_ = false;
-            return Status::Corruption("pending-foreign replay failed: " + s.ToString());
+            return ReplayFailure("pending-foreign replay failed", s, /*from_hook=*/true);
           }
         }
       }
@@ -422,17 +433,15 @@ Result<std::unique_ptr<Osd>> Osd::Open(std::shared_ptr<BlockDevice> device,
   // with the logical records already replayed).
   for (size_t i = replay_from; i < records.size(); i++) {
     const auto& [seq, payload] = records[i];
-    if (!payload.empty()) {
-      uint8_t type = static_cast<uint8_t>(payload[0]);
-      if (type == kRtPageImage || type == kRtAllocSnapshot) {
-        continue;
-      }
+    const uint8_t type = payload.empty() ? 0 : static_cast<uint8_t>(payload[0]);
+    if (type == kRtPageImage || type == kRtAllocSnapshot) {
+      continue;
     }
     Status s = osd->ReplayRecord(Slice(payload), replay_foreign);
     if (!s.ok()) {
       osd->in_recovery_ = false;
-      return Status::Corruption("journal replay failed at seq " + std::to_string(seq) +
-                                ": " + s.ToString());
+      return ReplayFailure("journal replay failed at seq " + std::to_string(seq), s,
+                           /*from_hook=*/type == kRtForeign);
     }
   }
   if (osd->checksums_) {
@@ -1271,6 +1280,7 @@ Status Osd::DeleteObject(ObjectId oid) {
 }
 
 Status Osd::DoDelete(ObjectId oid) {
+  extent_maps_.Erase(oid);
   std::string key = OidKey(oid);
   HFAD_ASSIGN_OR_RETURN(std::string raw, object_table_->Get(key));
   HFAD_ASSIGN_OR_RETURN(ObjectRecord rec, DecodeRecord(raw));
@@ -1430,10 +1440,27 @@ Status Osd::Read(ObjectId oid, uint64_t offset, size_t n, std::string* out) cons
   HFAD_RETURN_IF_ERROR(CheckReadable());
   std::shared_lock<std::shared_mutex> vlock(volume_mu_);
   auto olock = object_mu_.LockShared(oid);
+  if (!in_recovery_) {
+    ExtentMap map;
+    if (extent_maps_.Get(oid, &map)) {
+      stats::Add(stats::Counter::kExtentMapHits);
+      return extent::ReadMapped(pager_.get(), map.extents.data(), map.count, offset, n, out);
+    }
+    stats::Add(stats::Counter::kExtentMapMisses);
+  }
   HFAD_ASSIGN_OR_RETURN(std::string raw, object_table_->Get(OidKey(oid)));
   HFAD_ASSIGN_OR_RETURN(ObjectRecord rec, DecodeRecord(raw));
   extent::ExtentTree tree(pager_.get(), allocator_.get(), rec.extent_root);
-  return tree.Read(offset, n, out);
+  HFAD_RETURN_IF_ERROR(tree.Read(offset, n, out));
+  std::vector<extent::Extent> extents;
+  if (!in_recovery_ && tree.SmallMap(kMaxMappedExtents, &extents).value_or(false)) {
+    ExtentMap map;
+    std::copy(extents.begin(), extents.end(), map.extents.begin());
+    map.count = extents.size();
+    extent_maps_.PutWithEvict(oid, map,
+                              kExtentMapCacheMaxEntries / decltype(extent_maps_)::kNumStripes);
+  }
+  return Status::Ok();
 }
 
 namespace {
@@ -1541,60 +1568,48 @@ Result<uint64_t> Osd::Size(ObjectId oid) const {
   return rec.meta.size;
 }
 
-// Shared read-modify-write on an object's extent tree + record.
-namespace {
-
-template <typename Fn>
-Status MutateObject(btree::BTree* table, Pager* pager, BuddyAllocator* alloc, ObjectId oid,
-                    uint64_t now_ns, const Fn& fn) {
+Status Osd::MutateObject(ObjectId oid, uint64_t now_ns,
+                         const std::function<Status(extent::ExtentTree*)>& fn) {
+  extent_maps_.Erase(oid);
   std::string key = OidKey(oid);
-  auto raw = table->Get(key);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  auto rec = DecodeRecord(*raw);
-  if (!rec.ok()) {
-    return rec.status();
-  }
-  extent::ExtentTree tree(pager, alloc, rec->extent_root);
+  HFAD_ASSIGN_OR_RETURN(std::string raw, object_table_->Get(key));
+  HFAD_ASSIGN_OR_RETURN(ObjectRecord rec, DecodeRecord(raw));
+  extent::ExtentTree tree(pager_.get(), allocator_.get(), rec.extent_root);
   HFAD_RETURN_IF_ERROR(fn(&tree));
-  rec->extent_root = tree.root();
-  rec->meta.size = tree.Size();
-  rec->meta.mtime_ns = now_ns;
-  return table->Put(key, EncodeRecord(*rec));
+  rec.extent_root = tree.root();
+  rec.meta.size = tree.Size();
+  rec.meta.mtime_ns = now_ns;
+  return object_table_->Put(key, EncodeRecord(rec));
 }
 
-}  // namespace
-
 Status Osd::DoWrite(ObjectId oid, uint64_t offset, Slice data, uint64_t now_ns) {
-  return MutateObject(object_table_.get(), pager_.get(), allocator_.get(), oid, now_ns,
+  return MutateObject(oid, now_ns,
                       [&](extent::ExtentTree* tree) { return tree->Write(offset, data); });
 }
 
 Status Osd::DoInsert(ObjectId oid, uint64_t offset, Slice data, uint64_t now_ns) {
-  return MutateObject(object_table_.get(), pager_.get(), allocator_.get(), oid, now_ns,
+  return MutateObject(oid, now_ns,
                       [&](extent::ExtentTree* tree) { return tree->Insert(offset, data); });
 }
 
 Status Osd::DoRemoveRange(ObjectId oid, uint64_t offset, uint64_t length, uint64_t now_ns) {
-  return MutateObject(
-      object_table_.get(), pager_.get(), allocator_.get(), oid, now_ns,
-      [&](extent::ExtentTree* tree) { return tree->RemoveRange(offset, length); });
+  return MutateObject(oid, now_ns, [&](extent::ExtentTree* tree) {
+    return tree->RemoveRange(offset, length);
+  });
 }
 
 Status Osd::DoTruncate(ObjectId oid, uint64_t new_size, uint64_t now_ns) {
-  return MutateObject(object_table_.get(), pager_.get(), allocator_.get(), oid, now_ns,
-                      [&](extent::ExtentTree* tree) -> Status {
-                        uint64_t size = tree->Size();
-                        if (new_size < size) {
-                          return tree->RemoveRange(new_size, size - new_size);
-                        }
-                        if (new_size > size) {
-                          std::string zeros(new_size - size, '\0');
-                          return tree->Write(size, zeros);
-                        }
-                        return Status::Ok();
-                      });
+  return MutateObject(oid, now_ns, [&](extent::ExtentTree* tree) -> Status {
+    uint64_t size = tree->Size();
+    if (new_size < size) {
+      return tree->RemoveRange(new_size, size - new_size);
+    }
+    if (new_size > size) {
+      std::string zeros(new_size - size, '\0');
+      return tree->Write(size, zeros);
+    }
+    return Status::Ok();
+  });
 }
 
 Status Osd::CheckObject(ObjectId oid) const {
@@ -1608,6 +1623,16 @@ Status Osd::CheckObject(ObjectId oid) const {
     return Status::Corruption("object " + std::to_string(oid) + " records size " +
                               std::to_string(rec.meta.size) + " but extent tree holds " +
                               std::to_string(tree.Size()));
+  }
+  ExtentMap cached;
+  if (extent_maps_.Get(oid, &cached)) {
+    std::vector<extent::Extent> extents;
+    HFAD_ASSIGN_OR_RETURN(bool small, tree.SmallMap(kMaxMappedExtents, &extents));
+    if (!small || extents.size() != cached.count ||
+        !std::equal(extents.begin(), extents.end(), cached.extents.begin())) {
+      return Status::Corruption("object " + std::to_string(oid) +
+                                ": cached extent map differs from its extent tree");
+    }
   }
   return Status::Ok();
 }

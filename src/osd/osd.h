@@ -34,6 +34,7 @@
 #ifndef HFAD_SRC_OSD_OSD_H_
 #define HFAD_SRC_OSD_OSD_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -51,6 +52,7 @@
 #include "src/common/sharded_lock.h"
 #include "src/common/slice.h"
 #include "src/common/status.h"
+#include "src/extent/extent_tree.h"
 #include "src/io/io_engine.h"
 #include "src/journal/journal.h"
 #include "src/storage/block_device.h"
@@ -167,7 +169,9 @@ class Osd {
                                              const OsdOptions& options);
 
   // Open an existing volume, running crash recovery. `replay_foreign` may be null when no
-  // higher layer journals through this OSD.
+  // higher layer journals through this OSD. A record that fails to replay fails the open
+  // with Corruption, except an InvalidArgument from `replay_foreign` (the higher layer
+  // refusing the volume), which keeps its code; both name the record's position.
   static Result<std::unique_ptr<Osd>> Open(std::shared_ptr<BlockDevice> device,
                                            const OsdOptions& options,
                                            ForeignReplayFn replay_foreign = nullptr);
@@ -217,7 +221,9 @@ class Osd {
 
   // ---- Byte access (§3.1.2) ----
 
-  // Read up to n bytes at offset; short reads at end of object.
+  // Read up to n bytes at offset; short reads at end of object. A small object's read
+  // keeps its extent map in memory, and the next read of it makes only its data reads:
+  // no object-table descent and no extent-tree page.
   Status Read(ObjectId oid, uint64_t offset, size_t n, std::string* out) const;
 
   // Overwrite (POSIX pwrite); writing at the end extends the object.
@@ -384,8 +390,9 @@ class Osd {
   // compare batched vs. per-tag mutation on records written.
   uint64_t journal_records_appended() const;
 
-  // Structural self-check of one object: its extent tree's invariants hold and the
-  // recorded size matches the tree. Expensive; used by fsck.
+  // Structural self-check of one object: its extent tree's invariants hold, the
+  // recorded size matches the tree, and a cached extent map (see Read) equals the tree's.
+  // Expensive; used by fsck.
   Status CheckObject(ObjectId oid) const;
 
   // ---- Fault-domain hardening ----
@@ -517,6 +524,10 @@ class Osd {
   Status ReplayRecord(Slice payload, const ForeignReplayFn& replay_foreign);
 
   // Op internals (no journaling, no global lock) shared by public ops and replay.
+  // MutateObject is the read-modify-write of an object's extent tree and record that
+  // every data op below runs; it and DoDelete drop the object's cached extent map.
+  Status MutateObject(ObjectId oid, uint64_t now_ns,
+                      const std::function<Status(extent::ExtentTree*)>& fn);
   Result<ObjectId> DoCreate(ObjectId oid, uint64_t now_ns);
   Status DoDelete(ObjectId oid);
   Status DoWrite(ObjectId oid, uint64_t offset, Slice data, uint64_t now_ns);
@@ -563,6 +574,21 @@ class Osd {
   // callback).
   uint64_t pending_foreign_pages_ = 0;
   uint64_t deferred_foreign_bytes_ = 0;
+
+  // Extent maps of small objects: the whole map of an object whose extent tree is empty
+  // or one leaf of at most kMaxMappedExtents extents, filled by Read (object lock shared)
+  // and erased by MutateObject and DoDelete (object lock exclusive), which every live and
+  // replayed extent change passes through. Never filled during recovery, which reads
+  // objects that later replayed records still change, with checksum verification off.
+  // Bounded per stripe (StripedMap::PutWithEvict), no global flushes. A stripe lock is a
+  // leaf lock, taken under the object lock.
+  static constexpr size_t kMaxMappedExtents = 4;
+  static constexpr size_t kExtentMapCacheMaxEntries = 1 << 14;
+  struct ExtentMap {
+    std::array<extent::Extent, kMaxMappedExtents> extents;
+    size_t count = 0;
+  };
+  mutable StripedMap<ObjectId, ExtentMap> extent_maps_;
 
   std::atomic<uint64_t> next_oid_{1};
   bool in_recovery_ = false;

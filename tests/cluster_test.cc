@@ -203,6 +203,29 @@ TEST(ClusterTest, UnstampedVolumeIsRefused) {
       << as_fs.status().ToString();
 }
 
+// The same refusal when the unstamped volume crashed with a higher-layer record still in
+// its journal: the record's replay reaches the stamp check, and the refusal keeps its
+// InvalidArgument code (with the record's position in its message) instead of reading as
+// a corrupt journal.
+TEST(ClusterTest, CrashedUnstampedVolumeIsRefusedAsInvalidArgument) {
+  auto base = std::make_shared<MemoryBlockDevice>(kDev);
+  auto faulty = std::make_shared<FaultyBlockDevice>(base);
+  {
+    auto created = Osd::Create(faulty, OsdOptions{});
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE((*created)->AppendForeign("an unframed higher-layer record").ok());
+    ASSERT_TRUE((*created)->Sync().ok());
+    faulty->SetWriteBudget(0);  // Power cut: the record stays in the journal.
+  }
+  auto as_fs = FileSystem::Open(base);
+  ASSERT_FALSE(as_fs.ok());
+  EXPECT_TRUE(as_fs.status().IsInvalidArgument()) << as_fs.status().ToString();
+  EXPECT_NE(as_fs.status().message().find("no cluster shard stamp"), std::string::npos)
+      << as_fs.status().ToString();
+  EXPECT_NE(as_fs.status().message().find("journal replay failed at seq"), std::string::npos)
+      << as_fs.status().ToString();
+}
+
 // A one-shard cluster's volume is a plain Osd volume plus its stamp, one named root: it
 // opens as a bare Osd, and the bare Osd's close keeps it a cluster volume.
 TEST(ClusterTest, OneShardClusterVolumeOpensAsAPlainOsd) {

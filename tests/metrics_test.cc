@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/metrics.h"
+#include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/core/filesystem.h"
 #include "src/query/query.h"
@@ -490,6 +491,28 @@ TEST(DumpMetricsTest, OneAndFourShardDocumentsHaveTheSameKeys) {
   EXPECT_EQ(one_keys.count("shards[].retained_records"), 1u) << one;
   EXPECT_NE(one.find("\"shards\":[{\"shard\":0,"), std::string::npos) << one;
   EXPECT_NE(four.find("{\"shard\":3,"), std::string::npos) << four;
+}
+
+// A small object's first read misses the extent-map cache and fills it, its second is a
+// hit, and both counters are in the filesystem and the osd documents.
+TEST(DumpMetricsTest, ExtentMapCountersInBothScopes) {
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  auto oid = (*fs)->Create();
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE((*fs)->Write(*oid, 0, "small object").ok());
+  const stats::Snapshot before = stats::Snapshot::Take();
+  std::string out;
+  ASSERT_TRUE((*fs)->Read(*oid, 0, 64, &out).ok());
+  ASSERT_TRUE((*fs)->Read(*oid, 0, 64, &out).ok());
+  EXPECT_EQ(out, "small object");
+  const stats::Snapshot d = stats::Snapshot::Take().Delta(before);
+  EXPECT_EQ(d[stats::Counter::kExtentMapMisses], 1u);
+  EXPECT_EQ(d[stats::Counter::kExtentMapHits], 1u);
+  for (const std::string& doc : {(*fs)->DumpMetrics(), (*fs)->volume()->DumpMetrics()}) {
+    EXPECT_NE(doc.find("\"extent_map_hits\":"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"extent_map_misses\":"), std::string::npos) << doc;
+  }
 }
 
 // ---------------------------------------------------------------- visibility options

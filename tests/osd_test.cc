@@ -1,4 +1,6 @@
 // Unit, integration, and crash-recovery tests for the object-based storage device.
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -10,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/stats.h"
+#include "src/core/filesystem.h"
+#include "src/core/fsck.h"
 #include "src/osd/osd.h"
 #include "src/storage/block_device.h"
 #include "tests/crash_harness.h"
@@ -960,6 +965,341 @@ TEST(OsdFaultSweepTest, TransientReadBurstsAtEveryOffsetAreAbsorbed) {
                             }
                           });
   EXPECT_EQ(osd->health_state(), HealthState::kHealthy);
+}
+
+// The same burst swept over cold first reads: a fresh Osd per fault position, so every
+// read descends the object table and misses its extent tree's root page before its data
+// read, and the burst lands on each kind of read in turn. (Above, the first round fills
+// every object's cached extent map, and later rounds' faults land on data reads only.)
+TEST(OsdFaultSweepTest, TransientReadBurstsOnColdFirstReadsAreAbsorbed) {
+  auto base = std::make_shared<MemoryBlockDevice>(kDev);
+  auto faulty = std::make_shared<FaultyBlockDevice>(base);
+  OsdOptions opts;
+  opts.pager_capacity_pages = 16;
+  std::vector<ObjectId> oids;
+  std::vector<std::string> payloads;
+  {
+    auto osd = MakeOsd(faulty, opts);
+    ASSERT_NE(osd, nullptr);
+    for (int i = 0; i < 24; i++) {
+      auto oid = osd->CreateObject();
+      ASSERT_TRUE(oid.ok());
+      payloads.push_back("cold-payload-" + std::to_string(i) +
+                         std::string(6000, static_cast<char>('a' + i % 26)));
+      ASSERT_TRUE(osd->Write(*oid, 0, payloads.back()).ok());
+      oids.push_back(*oid);
+    }
+    ASSERT_TRUE(osd->Close().ok());
+  }
+  // A fault-free round (after = -1) counts a cold round's device reads; the burst then
+  // starts at each of them in turn.
+  int64_t round_reads = 0;
+  for (int64_t after = -1; after < round_reads; after++) {
+    auto opened = Osd::Open(faulty, opts);
+    ASSERT_TRUE(opened.ok()) << "after=" << after << ": " << opened.status().ToString();
+    Osd* osd = opened->get();
+    const uint64_t reads_before = faulty->reads_attempted();
+    if (after >= 0) {
+      faulty->SetReadFaults(after, /*fail_count=*/2);
+    }
+    std::string out;
+    for (size_t i = 0; i < oids.size(); i++) {
+      Status s = osd->Read(oids[i], 0, payloads[i].size(), &out);
+      ASSERT_TRUE(s.ok()) << "after=" << after << " oid#" << i << ": " << s.ToString();
+      ASSERT_EQ(out, payloads[i]) << "after=" << after;
+    }
+    faulty->SetReadFaults(-1, 0);
+    if (after < 0) {
+      round_reads = static_cast<int64_t>(faulty->reads_attempted() - reads_before);
+      // Every object's extent-tree root page and its data, at least.
+      ASSERT_GE(round_reads, 2 * static_cast<int64_t>(oids.size()));
+    }
+    EXPECT_EQ(osd->health_state(), HealthState::kHealthy) << "after=" << after;
+    ASSERT_TRUE(osd->Close().ok());
+  }
+}
+
+// ---------------------------------------------------------------- extent-map cache
+
+// Reads all of `oid` into *out; true when the read was served from a cached extent map.
+bool ReadWholeCounted(Osd* osd, ObjectId oid, std::string* out) {
+  const uint64_t hits = stats::Get(stats::Counter::kExtentMapHits);
+  Status s = osd->Read(oid, 0, 1 << 20, out);
+  EXPECT_TRUE(s.ok()) << "oid " << oid << ": " << s.ToString();
+  return stats::Get(stats::Counter::kExtentMapHits) > hits;
+}
+
+// The IO-count guard: once a small object has been read, reading it again makes one
+// device read, its data, however cold its extent tree has gone. Checksums are on, so
+// that read still verifies its pages; the volume is reopened with a 16-page cache,
+// which reads of 64 other objects then cycle, so without the cached map the read would
+// miss the extent tree's root page first.
+TEST(ExtentMapCacheTest, WarmSmallObjectReadMakesOneDeviceRead) {
+  auto counting = std::make_shared<FaultyBlockDevice>(std::make_shared<MemoryBlockDevice>(kDev));
+  OsdOptions opts;
+  opts.pager_capacity_pages = 16;
+  ASSERT_TRUE(opts.page_checksums);
+  const std::string body = "small object " + std::string(3000, 's');
+  ObjectId target = 0;
+  std::vector<ObjectId> others;
+  {
+    auto osd = MakeOsd(counting, opts);
+    ASSERT_NE(osd, nullptr);
+    auto oid = osd->CreateObject();
+    ASSERT_TRUE(oid.ok());
+    target = *oid;
+    ASSERT_TRUE(osd->Write(target, 0, body).ok());
+    for (int i = 0; i < 64; i++) {
+      oid = osd->CreateObject();
+      ASSERT_TRUE(oid.ok());
+      ASSERT_TRUE(osd->Write(*oid, 0, std::string(2000, static_cast<char>('a' + i % 26))).ok());
+      others.push_back(*oid);
+    }
+    ASSERT_TRUE(osd->Close().ok());
+  }
+  auto opened = Osd::Open(counting, opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Osd* osd = opened->get();
+  std::string out;
+  ASSERT_TRUE(osd->Read(target, 0, 4096, &out).ok());
+  ASSERT_EQ(out, body);
+  for (ObjectId oid : others) {  // 64 extent-tree root pages through 16 cache slots.
+    ASSERT_TRUE(osd->Read(oid, 0, 4096, &out).ok());
+  }
+  const uint64_t before = counting->reads_attempted();
+  ASSERT_TRUE(osd->Read(target, 0, 4096, &out).ok());
+  EXPECT_EQ(counting->reads_attempted() - before, 1u);
+  EXPECT_EQ(out, body);
+}
+
+// Random Write (overwrites and appends), Insert, RemoveRange, Truncate, SetAttributes
+// and DeleteObject on a handful of small objects, each followed by reads checked
+// against a string model: a stale cached map would return bytes of extents the op cut,
+// moved or freed. Short appends push objects past four extents, where their maps are no
+// longer cached, and cuts, truncates and deletes bring them back under; both crossings
+// must happen.
+TEST(ExtentMapCacheTest, ReadsMatchAModelAcrossTheFourExtentLine) {
+  auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev));
+  ASSERT_NE(osd, nullptr);
+  Random rng(2027);
+  std::map<ObjectId, std::string> model;
+  std::map<ObjectId, bool> cached;  // Whether the object's last re-read was a hit.
+  int grew_past = 0;
+  int shrank_under = 0;
+  for (int i = 0; i < 6; i++) {
+    auto oid = osd->CreateObject();
+    ASSERT_TRUE(oid.ok());
+    model[*oid] = "";
+  }
+  auto check = [&](ObjectId oid) {
+    const std::string& m = model[oid];
+    std::string out;
+    ReadWholeCounted(osd.get(), oid, &out);  // Fills the map when the object is small.
+    ASSERT_EQ(out, m) << "oid " << oid;
+    const bool hit = ReadWholeCounted(osd.get(), oid, &out);
+    ASSERT_EQ(out, m) << "oid " << oid;
+    if (!m.empty()) {
+      const uint64_t off = rng.Uniform(m.size());
+      const uint64_t len = rng.Range(1, m.size() - off + 8);
+      ASSERT_TRUE(osd->Read(oid, off, len, &out).ok());
+      ASSERT_EQ(out, m.substr(off, len)) << "oid " << oid << " [" << off << ", +" << len << ")";
+    }
+    ASSERT_EQ(osd->Read(oid, m.size() + 1, 1, &out).code(), StatusCode::kOutOfRange);
+    auto it = cached.find(oid);
+    if (it != cached.end() && it->second != hit) {
+      (hit ? shrank_under : grew_past)++;
+    }
+    cached[oid] = hit;
+    Status s = osd->CheckObject(oid);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  };
+
+  for (int op = 0; op < 1500; op++) {
+    auto it = model.begin();
+    std::advance(it, rng.Uniform(model.size()));
+    const ObjectId oid = it->first;
+    std::string& m = it->second;
+    const uint64_t action = rng.Uniform(10);
+    if (action < 3) {  // Write: an append two times in three, else an overwrite.
+      const uint64_t off = rng.OneIn(3) ? rng.Uniform(m.size() + 1) : m.size();
+      const std::string data = rng.NextString(rng.Range(1, 300));
+      ASSERT_TRUE(osd->Write(oid, off, data).ok());
+      m.resize(std::max<size_t>(m.size(), off + data.size()));
+      m.replace(off, data.size(), data);
+    } else if (action < 4) {
+      const uint64_t off = rng.Uniform(m.size() + 1);
+      const std::string data = rng.NextString(rng.Range(1, 100));
+      ASSERT_TRUE(osd->Insert(oid, off, data).ok());
+      m.insert(off, data);
+    } else if (action < 5 && !m.empty()) {
+      const uint64_t off = rng.Uniform(m.size());
+      const uint64_t len = rng.Range(1, m.size() - off);
+      ASSERT_TRUE(osd->RemoveRange(oid, off, len).ok());
+      m.erase(off, len);
+    } else if (action < 6) {  // Truncate: shrinks, and zero-filling grows.
+      const uint64_t new_size = rng.Uniform(m.size() + 64);
+      ASSERT_TRUE(osd->Truncate(oid, new_size).ok());
+      m.resize(new_size, '\0');
+    } else if (action < 7) {
+      ASSERT_TRUE(osd->SetAttributes(oid, 0640, static_cast<uint32_t>(op), 7).ok());
+    } else if (action < 8 && rng.OneIn(4)) {  // Delete, and a fresh object in its place.
+      ASSERT_TRUE(osd->DeleteObject(oid).ok());
+      std::string out;
+      ASSERT_TRUE(osd->Read(oid, 0, 1, &out).IsNotFound());
+      model.erase(it);
+      cached.erase(oid);
+      auto fresh = osd->CreateObject();
+      ASSERT_TRUE(fresh.ok());
+      model[*fresh] = "";
+      continue;
+    }
+    check(oid);
+  }
+  EXPECT_GT(grew_past, 0);
+  EXPECT_GT(shrank_under, 0);
+}
+
+// Recovery reads objects partway through their history: an object's content-index record
+// replays between its Write and a later Insert and reads the object as the Write left
+// it. After the power cut and reopen, reads return the object as the Insert left it, and
+// fsck, which compares every cached map with its tree, is clean.
+TEST(ExtentMapCacheTest, ContentReplayBetweenAWriteAndAnInsertReadsTheModel) {
+  auto base = std::make_shared<MemoryBlockDevice>(kDev);
+  auto faulty = std::make_shared<FaultyBlockDevice>(base);
+  ObjectId oid = 0;
+  std::string model = "replayed bytes of one small object";
+  {
+    auto fs = core::FileSystem::Create(faulty);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    auto created = (*fs)->Create();
+    ASSERT_TRUE(created.ok());
+    oid = *created;
+    ASSERT_TRUE((*fs)->Write(oid, 0, model).ok());
+    ASSERT_TRUE((*fs)->IndexContent(oid).ok());
+    std::string out;
+    ASSERT_TRUE((*fs)->Read(oid, 0, 4096, &out).ok());  // A live map, dropped below.
+    ASSERT_TRUE((*fs)->Insert(oid, 9, "<inserted> ").ok());
+    model.insert(9, "<inserted> ");
+    ASSERT_TRUE((*fs)->Sync().ok());
+    faulty->SetWriteBudget(0);  // Power cut: the journal holds all three records.
+  }
+  auto fs = core::FileSystem::Open(base);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  for (int i = 0; i < 2; i++) {  // The second read is served from the cached map.
+    std::string out;
+    ASSERT_TRUE((*fs)->Read(oid, 0, 4096, &out).ok());
+    EXPECT_EQ(out, model);
+  }
+  auto hits = (*fs)->Lookup({{"FULLTEXT", "replayed"}});
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, std::vector<ObjectId>{oid});
+  auto report = core::CheckFileSystem(fs->get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->problems.empty()) << report->problems.front();
+}
+
+// Readers race mutators on the same small objects. Every object is a run of 8-byte
+// tokens, and every mutation keeps it one (token-aligned appends, overwrites, inserts,
+// cuts and shrinks), so any read a stale map served would show as a misaligned size or a
+// broken token. One mutator owns each object, so its final bytes are known exactly.
+TEST(ExtentMapCacheTest, ReadersRaceMutatorsOnSmallObjects) {
+  auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev));
+  ASSERT_NE(osd, nullptr);
+  constexpr int kMutators = 2;
+  constexpr int kObjectsPerMutator = 3;
+  constexpr int kReaders = 3;
+  constexpr int kOps = 300;
+  constexpr size_t kToken = 8;
+  std::vector<ObjectId> oids;
+  for (int i = 0; i < kMutators * kObjectsPerMutator; i++) {
+    auto oid = osd->CreateObject();
+    ASSERT_TRUE(oid.ok());
+    oids.push_back(*oid);
+  }
+  auto token = [](int m, int op) {  // "<m" + op in five digits + ">".
+    const std::string digits = std::to_string(op % 100000);
+    return "<" + std::to_string(m) + std::string(5 - digits.size(), '0') + digits + ">";
+  };
+  std::vector<std::map<ObjectId, std::string>> models(kMutators);
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> threads;
+  for (int m = 0; m < kMutators; m++) {
+    threads.emplace_back([&, m] {
+      Random rng(100 + m);
+      std::map<ObjectId, std::string>& model = models[m];
+      for (int i = 0; i < kObjectsPerMutator; i++) {
+        model[oids[m * kObjectsPerMutator + i]] = "";
+      }
+      for (int op = 0; op < kOps; op++) {
+        auto it = model.begin();
+        std::advance(it, rng.Uniform(model.size()));
+        const ObjectId oid = it->first;
+        std::string& s = it->second;
+        const uint64_t tokens = s.size() / kToken;
+        const std::string t = token(m, op);
+        const uint64_t action = rng.Uniform(5);
+        if (tokens >= 10) {  // Shrink back under the line.
+          ASSERT_TRUE(osd->Truncate(oid, 2 * kToken).ok());
+          s.resize(2 * kToken);
+        } else if (action == 0 || tokens == 0) {
+          ASSERT_TRUE(osd->Write(oid, s.size(), t).ok());
+          s += t;
+        } else if (action == 1) {
+          const uint64_t at = rng.Uniform(tokens) * kToken;
+          ASSERT_TRUE(osd->Write(oid, at, t).ok());
+          s.replace(at, kToken, t);
+        } else if (action == 2) {
+          const uint64_t at = rng.Uniform(tokens + 1) * kToken;
+          ASSERT_TRUE(osd->Insert(oid, at, t).ok());
+          s.insert(at, t);
+        } else {
+          const uint64_t at = rng.Uniform(tokens) * kToken;
+          ASSERT_TRUE(osd->RemoveRange(oid, at, kToken).ok());
+          s.erase(at, kToken);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; r++) {
+    threads.emplace_back([&, r] {
+      Random rng(200 + r);
+      while (!done.load()) {
+        const ObjectId oid = oids[rng.Uniform(oids.size())];
+        std::string out;
+        if (r == 0 && rng.OneIn(8)) {
+          Status s = osd->CheckObject(oid);
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          continue;
+        }
+        ASSERT_TRUE(osd->Read(oid, 0, 1 << 16, &out).ok());
+        bool well_formed = out.size() % kToken == 0;
+        for (size_t at = 0; well_formed && at < out.size(); at += kToken) {
+          well_formed = out[at] == '<' && out[at + kToken - 1] == '>';
+        }
+        if (!well_formed) {
+          bad_reads++;
+        }
+      }
+    });
+  }
+  for (int m = 0; m < kMutators; m++) {
+    threads[m].join();
+  }
+  done.store(true);
+  for (size_t i = kMutators; i < threads.size(); i++) {
+    threads[i].join();
+  }
+  EXPECT_EQ(bad_reads.load(), 0);
+  for (const auto& model : models) {
+    for (const auto& [oid, want] : model) {
+      std::string out;
+      ASSERT_TRUE(osd->Read(oid, 0, 1 << 16, &out).ok());
+      EXPECT_EQ(out, want) << "oid " << oid;
+      Status s = osd->CheckObject(oid);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -388,7 +388,7 @@ class BTree::Impl {
     uint64_t new_ov_offset = 0;
     if (value.size() > kMaxInlineValue) {
       HFAD_ASSIGN_OR_RETURN(BuddyAllocator::Extent ext, alloc_->Allocate(value.size()));
-      HFAD_RETURN_IF_ERROR(pager_->WriteRaw(ext.offset, value));
+      HFAD_RETURN_IF_ERROR(pager_->WriteFresh(ext.offset, value));
       new_ov_offset = ext.offset;
       cell = EncodeLeafCell(key, kValueOverflow, Slice(), ext.offset, value.size());
     } else {
@@ -497,7 +497,7 @@ class BTree::Impl {
       uint64_t new_ov_offset = 0;
       if (value.size() > kMaxInlineValue) {
         HFAD_ASSIGN_OR_RETURN(BuddyAllocator::Extent ext, alloc_->Allocate(value.size()));
-        HFAD_RETURN_IF_ERROR(pager_->WriteRaw(ext.offset, value));
+        HFAD_RETURN_IF_ERROR(pager_->WriteFresh(ext.offset, value));
         new_ov_offset = ext.offset;
         cell = EncodeLeafCell(key, kValueOverflow, Slice(), ext.offset, value.size());
       } else {

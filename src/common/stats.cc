@@ -71,6 +71,8 @@ std::string_view CounterName(Counter c) {
       return "extent_map_hits";
     case Counter::kExtentMapMisses:
       return "extent_map_misses";
+    case Counter::kRawWriteReadbacks:
+      return "raw_write_readbacks";
     case Counter::kNumCounters:
       break;
   }

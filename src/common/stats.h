@@ -51,6 +51,7 @@ enum class Counter : int {
                                  // journal-credit accounting bug, never appended.
   kExtentMapHits,    // Osd reads served from a cached small-object extent map.
   kExtentMapMisses,  // Osd reads that looked the map up and went to the object table.
+  kRawWriteReadbacks,  // Device reads Pager::WriteRaw made to stamp a partly written page.
   kNumCounters,  // Sentinel.
 };
 

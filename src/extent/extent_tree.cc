@@ -490,7 +490,7 @@ class ExtentTree::Impl {
       Status s = ext.status();
       if (s.ok()) {
         out->push_back(Entry{ext->offset, chunk});
-        s = pager_->WriteRaw(ext->offset, Slice(data.data() + done, chunk));
+        s = pager_->WriteFresh(ext->offset, Slice(data.data() + done, chunk));
       }
       if (!s.ok()) {
         for (const Entry& e : *out) {

@@ -538,18 +538,29 @@ void Osd::StopCheckpointThread() {
 
 void Osd::CheckpointThreadMain() {
   for (;;) {
+    bool recheck = false;
     {
       std::unique_lock<std::mutex> lock(ckpt_mu_);
-      ckpt_state_.store(static_cast<int>(ckpt_requested_ ? CheckpointerState::kKicked
-                                                         : CheckpointerState::kIdle),
+      // A kick already here arrived while the previous checkpoint ran.
+      const bool queued = ckpt_requested_;
+      ckpt_state_.store(static_cast<int>(queued ? CheckpointerState::kKicked
+                                                : CheckpointerState::kIdle),
                         std::memory_order_relaxed);
       ckpt_cv_.wait(lock, [&] { return ckpt_requested_ || ckpt_shutdown_; });
       if (ckpt_shutdown_) {
         return;
       }
+      recheck = queued && !ckpt_forced_;
       ckpt_requested_ = false;
+      ckpt_forced_ = false;
       ckpt_state_.store(static_cast<int>(CheckpointerState::kRunning),
                         std::memory_order_relaxed);
+    }
+    if (recheck) {
+      std::lock_guard<std::mutex> lock(journal_mu_);
+      if (FillLocked().total < KickBytes()) {
+        continue;  // The checkpoint that ran meanwhile already made the room.
+      }
     }
     // An IO error here is not fatal to ops: the journal simply keeps filling and the
     // synchronous backstop in Reserve reports it on the op path.
@@ -688,8 +699,7 @@ Result<Osd::JournalCredit> Osd::Reserve(uint64_t logical, uint64_t epilogue,
   if (need + beside + kEpilogueFraming > capacity) {
     return never_fits();
   }
-  const uint64_t kick_bytes =
-      static_cast<uint64_t>(options_.checkpoint_kick_occupancy * sb_.journal_size);
+  const uint64_t kick_bytes = KickBytes();
   bool kick = false;
   std::unique_lock<std::mutex> lock(journal_mu_);
   // The naming cap: a quarter of what a checkpoint leaves beside its floor, so a
@@ -767,7 +777,7 @@ Result<Osd::JournalCredit> Osd::Reserve(uint64_t logical, uint64_t epilogue,
   }
   lock.unlock();
   if (kick) {
-    RequestCheckpoint();
+    Kick(/*on_fill=*/true);
   }
   return credit;
 }
@@ -1130,13 +1140,19 @@ void Osd::SetKickCallback(std::function<void()> fn) {
   kick_callback_ = std::move(fn);
 }
 
-void Osd::RequestCheckpoint() {
+void Osd::RequestCheckpoint() { Kick(/*on_fill=*/false); }
+
+void Osd::Kick(bool on_fill) {
   if (!checkpoint_thread_.joinable()) {
     return;
   }
   {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
-    if (ckpt_requested_ || ckpt_shutdown_) {
+    if (ckpt_shutdown_) {
+      return;
+    }
+    ckpt_forced_ = ckpt_forced_ || !on_fill;
+    if (ckpt_requested_) {
       return;
     }
     ckpt_requested_ = true;

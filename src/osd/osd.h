@@ -337,16 +337,18 @@ class Osd {
   // must not call back into this Osd (the volume lock is held) and must not block.
   void SetCheckpointCallback(std::function<void()> fn);
 
-  // Invoked each time RequestCheckpoint delivers a kick to this volume's background
-  // checkpointer (not on explicit checkpoints). OsdCluster gives every data shard the
-  // metadata shard's kick: a data shard's journal fills partly with records it retains
-  // until a metadata checkpoint, and only that checkpoint lets its next snapshot drop
-  // them. Runs on the kicking thread with no volume lock held; must not block.
+  // Invoked each time a kick is delivered to this volume's background checkpointer,
+  // from the reservation path or RequestCheckpoint (not on explicit checkpoints).
+  // OsdCluster gives every data shard the metadata shard's kick: a data shard's journal
+  // fills partly with records it retains until a metadata checkpoint, and only that
+  // checkpoint lets its next snapshot drop them. Runs on the kicking thread with no
+  // volume lock held; must not block.
   void SetKickCallback(std::function<void()> fn);
 
   // Wake the background checkpointer (no-op when the thread is not running or already
-  // kicked). The reservation path calls it once the accounted fill crosses the kick, a
-  // scrub repair calls it, and a data shard's kick callback calls the metadata shard's.
+  // kicked). A scrub repair calls it, and a data shard's kick callback calls the
+  // metadata shard's; such a kick always runs a checkpoint, also when it arrives while
+  // one is running. The reservation path kicks through Kick(on_fill = true) instead.
   void RequestCheckpoint();
 
   // True while Open() is replaying the journal. Higher layers use this to suppress
@@ -425,10 +427,20 @@ class Osd {
   void InitStructures();
 
   // Background checkpointer (see OsdOptions::checkpoint_kick_occupancy). Started once
-  // construction is complete; the reservation path wakes it via RequestCheckpoint().
+  // construction is complete; the reservation path wakes it via Kick().
   void StartCheckpointThread();
   void StopCheckpointThread();
   void CheckpointThreadMain();
+  // Deliver a kick to the background checkpointer. on_fill marks the reservation
+  // path's kick, sent once the accounted fill crosses the kick line: if it arrives while
+  // a checkpoint runs, it stays queued and the checkpointer re-checks the fill before
+  // acting on it, since the running checkpoint has usually brought the fill back under
+  // the line. Every other kick (RequestCheckpoint) runs a checkpoint.
+  void Kick(bool on_fill);
+  // The accounted fill at which the reservation path kicks the checkpointer.
+  uint64_t KickBytes() const {
+    return static_cast<uint64_t>(options_.checkpoint_kick_occupancy * sb_.journal_size);
+  }
 
   // What a mutating op asks of the journal: a bound on its redo record and the tree
   // changes its apply makes besides its one object-table Put or Delete.
@@ -605,8 +617,9 @@ class Osd {
   std::mutex ckpt_mu_;
   std::condition_variable ckpt_cv_;
   bool ckpt_requested_ = false;
+  bool ckpt_forced_ = false;  // A kick queued by RequestCheckpoint: runs unconditionally.
   bool ckpt_shutdown_ = false;
-  // CheckpointerState, maintained by RequestCheckpoint/CheckpointThreadMain.
+  // CheckpointerState, maintained by Kick/CheckpointThreadMain.
   std::atomic<int> ckpt_state_{0};
 
   // Close() bookkeeping. Closed until Create or Open succeeds, so a volume Open refuses

@@ -1,5 +1,7 @@
 #include "src/storage/checksums.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "src/common/coding.h"
@@ -10,21 +12,31 @@ namespace hfad {
 
 namespace {
 constexpr uint32_t kChecksumMagic = 0x484b5343;  // "HKSC"
-constexpr uint32_t kChecksumVersion = 1;
+// Version 2 added covered lengths; version 1 tables still load (see checksums.h).
+constexpr uint32_t kChecksumVersion = 2;
+constexpr uint32_t kChecksumVersionNoCoveredLength = 1;
 // magic + version + generation + page_count.
 constexpr uint64_t kHeaderSize = 4 + 4 + 8 + 8;
 }  // namespace
 
 PageChecksums::PageChecksums(uint64_t device_size, uint64_t page_size)
     : page_size_(page_size),
-      entries_((device_size + page_size - 1) / page_size) {}
+      entries_((device_size + page_size - 1) / page_size) {
+  assert(page_size > 0 && page_size - 1 <= kCoveredMask);
+}
 
 void PageChecksums::Stamp(uint64_t offset, Slice data) {
   uint64_t idx = offset / page_size_;
   if (idx >= entries_.size()) {
     return;
   }
-  uint64_t entry = kValidBit | Crc32c(data);
+  if (data.empty()) {
+    entries_[idx].store(0, std::memory_order_release);
+    return;
+  }
+  const size_t n = static_cast<size_t>(std::min<uint64_t>(data.size(), page_size_));
+  const uint64_t covered = n < page_size_ ? n : 0;
+  uint64_t entry = kValidBit | (covered << kCoveredShift) | Crc32c(Slice(data.data(), n));
   entries_[idx].store(entry, std::memory_order_release);
 }
 
@@ -43,9 +55,10 @@ Status PageChecksums::Verify(uint64_t offset, Slice data) const {
     return Status::Ok();
   }
   stats::Add(stats::Counter::kChecksumVerifies);
+  const uint64_t covered = (entry >> kCoveredShift) & kCoveredMask;
+  const uint64_t n = covered != 0 ? covered : page_size_;
   uint32_t expect = static_cast<uint32_t>(entry);
-  uint32_t actual = Crc32c(data);
-  if (actual != expect) {
+  if (n > data.size() || Crc32c(Slice(data.data(), static_cast<size_t>(n))) != expect) {
     stats::Add(stats::Counter::kChecksumFailures);
     return Status::Corruption("page checksum mismatch at offset " + std::to_string(offset));
   }
@@ -138,7 +151,8 @@ Status PageChecksums::Deserialize(Slice in, uint64_t expected_generation) {
       !GetFixed64(&cursor, &generation) || !GetFixed64(&cursor, &page_count)) {
     return Status::Corruption("checksum region header truncated");
   }
-  if (magic != kChecksumMagic || version != kChecksumVersion) {
+  if (magic != kChecksumMagic ||
+      (version != kChecksumVersion && version != kChecksumVersionNoCoveredLength)) {
     return Status::Corruption("checksum region bad magic/version");
   }
   if (generation != expected_generation) {
@@ -149,9 +163,22 @@ Status PageChecksums::Deserialize(Slice in, uint64_t expected_generation) {
   if (page_count != entries_.size() || cursor.size() != page_count * 8) {
     return Status::Corruption("checksum region page count mismatch");
   }
+  auto entry_at = [&](uint64_t i) {
+    return DecodeFixed64(reinterpret_cast<const uint8_t*>(cursor.data() + i * 8));
+  };
+  if (version == kChecksumVersion) {
+    // Only bits 0..46 are defined, and a covered length names a proper prefix.
+    constexpr uint64_t kDefinedBits = ((kCoveredMask + 1) << kCoveredShift) - 1;
+    for (uint64_t i = 0; i < page_count; i++) {
+      const uint64_t e = entry_at(i);
+      if ((e & ~kDefinedBits) != 0 || ((e >> kCoveredShift) & kCoveredMask) >= page_size_) {
+        return Status::Corruption("checksum region entry " + std::to_string(i) +
+                                  " is malformed");
+      }
+    }
+  }
   for (uint64_t i = 0; i < page_count; i++) {
-    entries_[i].store(DecodeFixed64(reinterpret_cast<const uint8_t*>(cursor.data() + i * 8)),
-                      std::memory_order_release);
+    entries_[i].store(entry_at(i), std::memory_order_release);
   }
   return Status::Ok();
 }

@@ -10,12 +10,23 @@
 // verify, without any lock.
 //
 // Entry encoding (in memory and on disk):
-//   bits  0..31  CRC32C of the page's bytes
+//   bits  0..31  CRC32C of the covered bytes
 //   bit   32     valid — a checksum has been stamped since the last invalidate
 //   bit   33     quarantined — scrub confirmed corruption with no clean source;
 //                reads must fail loudly until the page is rewritten
+//   bits 34..46  covered length: how many leading bytes of the page the CRC covers,
+//                1..page_size-1; 0 means the whole page. A raw write into a freshly
+//                allocated block stamps its partly written last page over the written
+//                prefix only (Pager::WriteFresh), so the bytes past it, which no extent
+//                owns, are neither read back nor verified.
+//   bits 47..63  zero
 //   0            absent — page never stamped (fresh volume, or invalidated by a
 //                recovery redo); Verify passes it.
+//
+// On-disk versions: version 2 tables may hold covered lengths; version 1 tables (which
+// never set bits 34..46) load unchanged, every entry covering its whole page. A binary
+// that knows only version 1 rejects a version-2 table as it rejects any unreadable
+// region: it drops the table, and every page reads as absent until its next stamp.
 //
 // Crash consistency: the table is serialized into the checksum region during
 // checkpoint, *before* the superblock commit, and its validity is gated by a
@@ -47,8 +58,10 @@ class PageChecksums {
   uint64_t page_size() const { return page_size_; }
   uint64_t page_count() const { return entries_.size(); }
 
-  // Record the CRC of the page at `offset` (page-aligned) whose full content is
-  // `data` (exactly page_size bytes). Clears any quarantine.
+  // Record the CRC of the page at `offset` (page-aligned) whose leading bytes are
+  // `data`: a whole page (page_size bytes) or a prefix of 1..page_size-1 bytes, of which
+  // the entry records the length. Clears any quarantine. An empty `data` leaves the page
+  // absent.
   void Stamp(uint64_t offset, Slice data);
 
   // Gate verification while journal replay rewrites pages whose entries are
@@ -60,7 +73,8 @@ class PageChecksums {
   bool verify_enabled() const { return verify_enabled_.load(std::memory_order_acquire); }
 
   // Verify `data` (the full page at page-aligned `offset`) against the stamped
-  // CRC. Ok when no checksum is present; Corruption (and kChecksumFailures)
+  // CRC, over exactly the bytes the stamp covers: the whole page, or its stamped
+  // prefix. Ok when no checksum is present; Corruption (and kChecksumFailures)
   // on mismatch or when the page is quarantined.
   Status Verify(uint64_t offset, Slice data) const;
 
@@ -85,14 +99,17 @@ class PageChecksums {
   // Byte size Serialize() produces for a device of device_size bytes.
   static uint64_t SerializedSize(uint64_t device_size, uint64_t page_size);
 
-  // Load a table previously produced by Serialize(). Fails with Corruption on
-  // bad magic/CRC and with InvalidArgument when expected_generation does not
-  // match the stored one (stale region after a crash mid-checkpoint).
+  // Load a table previously produced by Serialize(), of version 1 or 2. Fails with
+  // Corruption on bad magic/version/CRC or a malformed entry, and with InvalidArgument
+  // when expected_generation does not match the stored one (stale region after a crash
+  // mid-checkpoint). A failed load leaves the table as it was.
   Status Deserialize(Slice in, uint64_t expected_generation);
 
  private:
   static constexpr uint64_t kValidBit = 1ull << 32;
   static constexpr uint64_t kQuarantineBit = 1ull << 33;
+  static constexpr int kCoveredShift = 34;
+  static constexpr uint64_t kCoveredMask = (1ull << 13) - 1;  // Bits 34..46.
 
   uint64_t page_size_;
   std::atomic<bool> verify_enabled_{true};

@@ -395,14 +395,32 @@ Status Pager::WriteRaw(uint64_t offset, Slice data) {
       checksums_->Stamp(page, Slice(data.data() + (page - offset), kPageSize));
       continue;
     }
+    stats::Add(stats::Counter::kRawWriteReadbacks);
     std::string merged;
     Status read =
         retry_.RunWithRetry([&] { return device_->Read(page, kPageSize, &merged); });
     if (read.ok()) {
       checksums_->Stamp(page, Slice(merged));
     } else {
-      checksums_->Invalidate(page);  // Unverifiable now; the scrubber restamps later.
+      // Unverifiable now. The scrubber skips unstamped pages, so the page stays
+      // unverified until a later write stamps it.
+      checksums_->Invalidate(page);
     }
+  }
+  return Status::Ok();
+}
+
+Status Pager::WriteFresh(uint64_t offset, Slice data) {
+  if (offset % kPageSize != 0) {
+    return Status::InvalidArgument("unaligned fresh write at " + std::to_string(offset));
+  }
+  Status wrote = retry_.RunWithRetry([&] { return device_->Write(offset, data); });
+  if (!wrote.ok() || checksums_ == nullptr) {
+    return wrote;
+  }
+  for (size_t done = 0; done < data.size(); done += kPageSize) {
+    checksums_->Stamp(offset + done,
+                      Slice(data.data() + done, std::min(kPageSize, data.size() - done)));
   }
   return Status::Ok();
 }

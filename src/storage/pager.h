@@ -112,8 +112,8 @@ class Pager {
 
   // Attach the volume's per-page CRC table (null disables, the default). Every miss
   // read and raw read verifies against it; every successful device write of page
-  // content (Flush, eviction write-back, WriteRaw) stamps it. Call before the pager
-  // is shared across threads; the table must outlive the pager.
+  // content (Flush, eviction write-back, WriteRaw, WriteFresh) stamps it. Call before the
+  // pager is shared across threads; the table must outlive the pager.
   void SetChecksums(PageChecksums* checksums) { checksums_ = checksums; }
   PageChecksums* checksums() const { return checksums_; }
 
@@ -179,11 +179,19 @@ class Pager {
   // requested bytes. The cover never reads another owner's bytes: raw ranges lie inside
   // one buddy allocation, and allocations are page-aligned and at least one page.
   //
-  // WriteRaw writes the payload in one device call and stamps every page it fully
-  // covers from the payload; a partially covered head or tail page is read back whole
-  // from the device and stamped (one extra read per such page).
+  // WriteRaw overwrites bytes inside a range its caller already owns. It writes the
+  // payload in one device call and stamps every page it fully covers from the payload;
+  // a partially covered head or tail page is read back whole from the device and
+  // stamped whole (one extra read per such page, counted in raw_write_readbacks).
+  //
+  // WriteFresh writes a payload that starts a buddy block its caller has just
+  // allocated (page-aligned `offset`; InvalidArgument otherwise). It makes one device
+  // write and reads nothing: every full page is stamped from the payload, and a partly
+  // written last page is stamped over the written prefix only, since no extent owns the
+  // block's bytes past the payload.
   Status ReadRaw(uint64_t offset, size_t size, std::string* out) const;
   Status WriteRaw(uint64_t offset, Slice data);
+  Status WriteFresh(uint64_t offset, Slice data);
 
   // Multi-page mutation vs. snapshot coordination. Structure mutators (btree writers)
   // hold this shared for the duration of a mutation that spans page boundaries; Flush /

@@ -12,6 +12,7 @@
 #include "src/common/random.h"
 #include "src/storage/block_device.h"
 #include "src/storage/buddy_allocator.h"
+#include "src/storage/checksums.h"
 #include "src/storage/pager.h"
 
 namespace hfad {
@@ -451,6 +452,33 @@ TEST_F(BTreeTest, BulkLoadOverflowValuesAndScanOrder) {
   ASSERT_TRUE(tree_.BulkLoad(overwrite).ok());
   EXPECT_EQ(*tree_.Get("ov000000"), "short now");
   ASSERT_TRUE(tree_.CheckInvariants().ok());
+}
+
+// A value past kMaxInlineValue goes to a freshly allocated overflow extent: with
+// checksums on, its partly written last page is stamped over the value's bytes, so the
+// Put reads nothing from the device, and the value still reads back verified.
+TEST(BTreeOverflowIoTest, OverflowPutReadsNothing) {
+  constexpr uint64_t kSmallHeap = 4 * 1024 * 1024;
+  auto base = std::make_shared<MemoryBlockDevice>(kPageSize + kSmallHeap);
+  FaultyBlockDevice dev(base);
+  PageChecksums checksums(kPageSize + kSmallHeap, kPageSize);
+  Pager pager(&dev, 256);
+  pager.SetChecksums(&checksums);
+  BuddyAllocator alloc(kPageSize, kSmallHeap);
+  BTree tree(&pager, &alloc, 0);
+  ASSERT_TRUE(tree.Put("inline", "v").ok());  // The root page is resident from here on.
+  const std::string values[] = {std::string(kMaxInlineValue + 1, 'o'),
+                                std::string(3 * kPageSize + 100, 'p')};
+  for (const std::string& value : values) {
+    const uint64_t reads = dev.reads_attempted();
+    ASSERT_TRUE(tree.Put("big" + std::to_string(value.size()), value).ok());
+    EXPECT_EQ(dev.reads_attempted() - reads, 0u) << value.size() << "-byte value";
+  }
+  for (const std::string& value : values) {
+    auto got = tree.Get("big" + std::to_string(value.size()));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, value);
+  }
 }
 
 }  // namespace

@@ -702,6 +702,65 @@ TEST(ShardedFileSystemTest, RetainedRecordsWaitForDataShardJournalPressure) {
   EXPECT_TRUE(report->clean()) << report->ToString();
 }
 
+// A data shard's kick reaches the metadata shard while that shard runs a checkpoint. It
+// is not the metadata shard's own fill crossing its line, so it is not re-checked: the
+// metadata shard runs exactly one more checkpoint, though its journal is nearly empty.
+TEST(ShardedCheckpointKickTest, DataShardKickDuringAMetadataCheckpointRunsOneMore) {
+  test::SyncGate gate;  // Outlives the cluster, whose Close syncs.
+  std::vector<std::shared_ptr<FaultyBlockDevice>> faulty;
+  std::vector<std::shared_ptr<BlockDevice>> devices;
+  for (auto& b : MakeDevices(2)) {
+    faulty.push_back(std::make_shared<FaultyBlockDevice>(b));
+    devices.push_back(faulty.back());
+  }
+  OsdOptions opts;
+  opts.journal_size = 1024 * 1024;
+  auto created = OsdCluster::Create(devices, opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OsdCluster> cluster = std::move(created).value();
+  struct Ungate {
+    test::SyncGate* gate;
+    ~Ungate() { gate->ReleaseAll(); }
+  } ungate{&gate};
+  Osd* meta = cluster->shard(0);
+  Osd* data = cluster->shard(1);
+  auto wait_idle = [](Osd* osd) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (osd->checkpointer_state() != Osd::CheckpointerState::kIdle &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return osd->checkpointer_state() == Osd::CheckpointerState::kIdle;
+  };
+  auto checkpoints = [] { return metrics::HistSnapshot::Take(metrics::Hist::kCheckpoint).count; };
+  ASSERT_TRUE(wait_idle(meta) && wait_idle(data));
+
+  gate.Install(faulty[0].get());
+  meta->RequestCheckpoint();
+  ASSERT_TRUE(gate.WaitParked(1, kParkWait));
+  ASSERT_EQ(meta->checkpointer_state(), Osd::CheckpointerState::kRunning);
+  // The data shard's reservations cross its kick line; its kick wakes its own
+  // checkpointer and the metadata shard's.
+  std::vector<Osd::JournalCredit> held;
+  while (data->journal_reserved() < 0.75) {
+    auto credit = data->ReserveApplyCredit(Osd::CreditUse::kApply, 1);
+    ASSERT_TRUE(credit.ok()) << credit.status().ToString();
+    held.push_back(std::move(credit).value());
+  }
+  held.clear();
+  ASSERT_TRUE(wait_idle(data));
+  ASSERT_LT(meta->journal_reserved(), 0.7);
+
+  const uint64_t before = checkpoints();
+  gate.ReleaseAll();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((checkpoints() < before + 2 || !wait_idle(meta)) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(checkpoints(), before + 2) << "the held checkpoint, then exactly one more";
+}
+
 // ------------------------------------------------------- cross-shard commit overlap
 
 // A cluster-wide Sync starts every dirty shard's journal commit before it waits for

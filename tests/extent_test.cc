@@ -394,7 +394,9 @@ TEST_F(ExtentIoTest, InsertInsideAnExtentWritesOneExtentCarryingTheTail) {
   const std::string data(1000, 'I');
   ASSERT_TRUE(tree_.Insert(5000, data).ok());
   EXPECT_EQ(Allocated(), 1u);
-  EXPECT_EQ(Reads(), 2u);  // The tail read and the new extent's tail-page read-back.
+  // The tail read only: the new extent's partly written last page is stamped over the
+  // bytes it owns, with no read-back.
+  EXPECT_EQ(Reads(), 1u);
   EXPECT_EQ(dev_.sizes, std::vector<size_t>{data.size() + kBase - 5000});
   model_.insert(5000, data);
   EXPECT_EQ(ReadWhole(tree_), model_);
@@ -406,10 +408,29 @@ TEST_F(ExtentIoTest, RemoveRangeInsideAnExtentWritesOnlyTheBytesAfterIt) {
   ASSERT_TRUE(tree_.RemoveRange(3000, 2000).ok());
   EXPECT_EQ(Allocated(), 1u);
   EXPECT_EQ(dev_.sizes, std::vector<size_t>{kBase - 5000});
+  EXPECT_EQ(Reads(), 1u);  // The surviving tail's read; its fresh extent reads nothing back.
   model_.erase(3000, 2000);
   EXPECT_EQ(ReadWhole(tree_), model_);
   EXPECT_EQ(*tree_.CountExtents(), 2u);
   ASSERT_TRUE(tree_.CheckInvariants().ok());
+}
+
+// An object's first bytes (a create with a body) go to a fresh extent: one device write
+// and no read, whatever the length.
+TEST_F(ExtentIoTest, AppendIntoAnEmptyObjectReadsNothing) {
+  const uint64_t readbacks = stats::Get(stats::Counter::kRawWriteReadbacks);
+  for (size_t n : {size_t{1000}, kPageSize, 3 * kPageSize + 100}) {
+    ExtentTree fresh(&pager_, &alloc_, 0);
+    const std::string body = Pattern(n);
+    reads_ = dev_.reads_attempted();
+    dev_.sizes.clear();
+    ASSERT_TRUE(fresh.Write(0, body).ok());
+    EXPECT_EQ(Reads(), 0u) << n << " bytes";
+    EXPECT_EQ(dev_.sizes, std::vector<size_t>{n});
+    EXPECT_EQ(ReadWhole(fresh), body);
+    ASSERT_TRUE(fresh.Clear().ok());
+  }
+  EXPECT_EQ(stats::Get(stats::Counter::kRawWriteReadbacks), readbacks);
 }
 
 TEST_F(ExtentIoTest, ShrinkingTruncateDoesNoDataIo) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/stats.h"
 #include "src/core/filesystem.h"
 #include "src/core/fsck.h"
 #include "src/osd/osd.h"
@@ -676,6 +677,134 @@ TEST(FaultsTest, ChecksumTablePersistsAcrossReopen) {
   std::string out;
   ASSERT_TRUE(osd->Read(oid_v, 0, Payload(6).size(), &out).ok());
   EXPECT_EQ(out, Payload(6));
+}
+
+// ---------------------------------------------------------------- partly written pages
+
+// A checksummed volume holding one object whose only extent ends part-way into its last
+// page: a fresh extent stamps that page over the bytes it owns, and no further.
+struct PartlyWrittenObject {
+  std::shared_ptr<MemoryBlockDevice> base;
+  std::shared_ptr<FaultyBlockDevice> faulty;
+  std::unique_ptr<Osd> osd;
+  ObjectId oid = 0;
+  std::string body;
+  uint64_t last_page = 0;  // Device offset of the body's last page.
+  size_t covered = 0;      // Bytes of that page the object owns.
+
+  void Make(size_t size) {
+    base = std::make_shared<MemoryBlockDevice>(kDev);
+    faulty = std::make_shared<FaultyBlockDevice>(base);
+    auto created = Osd::Create(faulty, OsdOptions{});
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    osd = std::move(created).value();
+    auto id = osd->CreateObject();
+    ASSERT_TRUE(id.ok());
+    oid = *id;
+    body = Payload(static_cast<int>(size), size);
+    ASSERT_TRUE(osd->Write(oid, 0, body).ok());
+    const size_t last_start = (size - 1) / kPageSize * kPageSize;
+    covered = size - last_start;
+    // The one stamped page that starts with the body's last bytes.
+    int found = 0;
+    for (uint64_t off = 0; off + kPageSize <= kDev; off += kPageSize) {
+      std::string page;
+      ASSERT_TRUE(base->Read(off, kPageSize, &page).ok());
+      if (osd->checksums()->HasChecksum(off) &&
+          page.compare(0, covered, body, last_start, covered) == 0) {
+        last_page = off;
+        found++;
+      }
+    }
+    ASSERT_EQ(found, 1);
+  }
+
+  Status ReadBody(std::string* out) const { return osd->Read(oid, 0, body.size(), out); }
+
+  ScrubReport Scrub() const {
+    ScrubReport rep;
+    EXPECT_TRUE(osd->ScrubNow(&rep).ok());
+    return rep;
+  }
+};
+
+constexpr size_t kPartlyWrittenSizes[] = {1000, 3 * kPageSize + 100};
+
+TEST(PartlyWrittenPageTest, FlipInACoveredByteFailsTheReadAndTheScrub) {
+  for (size_t size : kPartlyWrittenSizes) {
+    for (size_t at : {size_t{0}, size % kPageSize - 1}) {
+      SCOPED_TRACE(std::to_string(size) + "-byte object, flip at byte " + std::to_string(at));
+      PartlyWrittenObject o;
+      o.Make(size);
+      if (HasFatalFailure()) {
+        return;
+      }
+      ASSERT_TRUE(o.faulty->FlipBit(o.last_page + at, 4).ok());
+      std::string out;
+      EXPECT_TRUE(o.ReadBody(&out).IsCorruption());
+      const ScrubReport rep = o.Scrub();
+      EXPECT_EQ(rep.errors_found, 1u);
+      EXPECT_TRUE(o.osd->checksums()->IsQuarantined(o.last_page));
+    }
+  }
+}
+
+// Bytes past the covered prefix belong to no extent: a flip there changes nothing a
+// reader gets, and the scrub, which checks what the stamp covers, stays silent. So it
+// does after a checkpoint and a reopen, which load the covered length from disk.
+TEST(PartlyWrittenPageTest, FlipPastTheCoveredBytesIsNeitherReadNorReported) {
+  for (size_t size : kPartlyWrittenSizes) {
+    SCOPED_TRACE(std::to_string(size) + "-byte object");
+    PartlyWrittenObject o;
+    o.Make(size);
+    if (HasFatalFailure()) {
+      return;
+    }
+    ASSERT_TRUE(o.faulty->FlipBit(o.last_page + o.covered, 1).ok());
+    ASSERT_TRUE(o.faulty->FlipBit(o.last_page + kPageSize - 1, 6).ok());
+    std::string out;
+    ASSERT_TRUE(o.ReadBody(&out).ok());
+    EXPECT_EQ(out, o.body);
+    EXPECT_EQ(o.Scrub().errors_found, 0u);
+
+    ASSERT_TRUE(o.osd->Close().ok());
+    o.osd.reset();
+    ASSERT_TRUE(o.faulty->FlipBit(o.last_page + o.covered + 7, 2).ok());
+    auto reopened = Osd::Open(o.faulty, OsdOptions{});
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    o.osd = std::move(reopened).value();
+    ASSERT_TRUE(o.osd->checksums()->HasChecksum(o.last_page));
+    ASSERT_TRUE(o.ReadBody(&out).ok());
+    EXPECT_EQ(out, o.body);
+    EXPECT_EQ(o.Scrub().errors_found, 0u);
+    ASSERT_TRUE(o.faulty->FlipBit(o.last_page + o.covered - 1, 2).ok());
+    EXPECT_TRUE(o.ReadBody(&out).IsCorruption());
+    EXPECT_EQ(o.Scrub().errors_found, 1u);
+  }
+}
+
+// An in-place write over part of the page goes through WriteRaw: it reads the page back
+// and stamps it whole, so from then on a flip past the old prefix is caught as well.
+TEST(PartlyWrittenPageTest, InPlaceWriteReadsThePageBackAndStampsItWhole) {
+  for (size_t size : kPartlyWrittenSizes) {
+    SCOPED_TRACE(std::to_string(size) + "-byte object");
+    PartlyWrittenObject o;
+    o.Make(size);
+    if (HasFatalFailure()) {
+      return;
+    }
+    const uint64_t at = (size - 1) / kPageSize * kPageSize + 10;
+    const uint64_t readbacks = stats::Get(stats::Counter::kRawWriteReadbacks);
+    ASSERT_TRUE(o.osd->Write(o.oid, at, "overwritten").ok());
+    EXPECT_EQ(stats::Get(stats::Counter::kRawWriteReadbacks) - readbacks, 1u);
+    o.body.replace(at, 11, "overwritten");
+    std::string out;
+    ASSERT_TRUE(o.ReadBody(&out).ok());
+    EXPECT_EQ(out, o.body);
+    EXPECT_EQ(o.Scrub().errors_found, 0u);
+    ASSERT_TRUE(o.faulty->FlipBit(o.last_page + kPageSize - 1, 3).ok());
+    EXPECT_EQ(o.Scrub().errors_found, 1u);
+  }
 }
 
 }  // namespace

@@ -515,6 +515,24 @@ TEST(DumpMetricsTest, ExtentMapCountersInBothScopes) {
   }
 }
 
+// A body written into a fresh extent is stamped without a read-back; an in-place write
+// over part of a page reads that page back once. The counter is in both documents.
+TEST(DumpMetricsTest, RawWriteReadbacksCountOnlyInPlacePartialWrites) {
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  const uint64_t before = stats::Get(stats::Counter::kRawWriteReadbacks);
+  auto oid = (*fs)->Create();
+  ASSERT_TRUE(oid.ok());
+  ASSERT_TRUE((*fs)->Write(*oid, 0, std::string(5000, 'b')).ok());
+  ASSERT_TRUE((*fs)->Insert(*oid, 2500, "middle").ok());
+  EXPECT_EQ(stats::Get(stats::Counter::kRawWriteReadbacks) - before, 0u);
+  ASSERT_TRUE((*fs)->Write(*oid, 10, "in place").ok());
+  EXPECT_EQ(stats::Get(stats::Counter::kRawWriteReadbacks) - before, 1u);
+  for (const std::string& doc : {(*fs)->DumpMetrics(), (*fs)->volume()->DumpMetrics()}) {
+    EXPECT_NE(doc.find("\"raw_write_readbacks\":"), std::string::npos) << doc;
+  }
+}
+
 // ---------------------------------------------------------------- visibility options
 
 TEST(VisibilityOptions, SearchTextAndCursorExposeVisibility) {

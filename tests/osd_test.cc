@@ -1,6 +1,7 @@
 // Unit, integration, and crash-recovery tests for the object-based storage device.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -350,6 +351,98 @@ TEST(OsdCheckpointTest, FailedOpsGiveBackTheirReservations) {
   Status s = osd->Write(*oid, 0, "valid");
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(stats::Get(stats::Counter::kCheckpointsInline) - base, 0u);
+}
+
+// ---- Kicks that arrive while a background checkpoint runs ----
+
+// A volume on a FaultyBlockDevice whose checkpoints are counted, and a gate that holds a
+// background checkpoint at its first device sync, before it resets the journal.
+class CheckpointKickTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kJournal = 1024 * 1024;
+
+  void SetUp() override {
+    faulty_ = std::make_shared<FaultyBlockDevice>(std::make_shared<MemoryBlockDevice>(kDev));
+    OsdOptions opts;
+    opts.journal_size = kJournal;
+    osd_ = MakeOsd(faulty_, opts);
+    ASSERT_NE(osd_, nullptr);
+    osd_->SetCheckpointCallback([this] { checkpoints_++; });
+  }
+
+  // The gate goes first: Close syncs.
+  void TearDown() override {
+    gate_.ReleaseAll();
+    faulty_->SetSyncHook(nullptr);
+  }
+
+  // Starts a background checkpoint and holds it at its first device sync.
+  void HoldACheckpoint() {
+    gate_.Install(faulty_.get());
+    osd_->RequestCheckpoint();
+    ASSERT_TRUE(gate_.WaitParked(1, std::chrono::seconds(5)));
+    ASSERT_EQ(osd_->checkpointer_state(), Osd::CheckpointerState::kRunning);
+  }
+
+  // Takes apply credits until the accounted fill reaches `fraction` of the journal.
+  void ReserveUntil(double fraction, std::vector<Osd::JournalCredit>* held) {
+    while (osd_->journal_reserved() < fraction) {
+      auto credit = osd_->ReserveApplyCredit(Osd::CreditUse::kApply, 1);
+      ASSERT_TRUE(credit.ok()) << credit.status().ToString();
+      held->push_back(std::move(credit).value());
+    }
+  }
+
+  // Lets the held checkpoint finish, waits until the checkpointer has acted on every
+  // kick it holds, and returns the checkpoints counted so far.
+  int ReleaseAndSettle() {
+    gate_.ReleaseAll();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((checkpoints_ == 0 ||
+            osd_->checkpointer_state() != Osd::CheckpointerState::kIdle) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return checkpoints_;
+  }
+
+  std::shared_ptr<FaultyBlockDevice> faulty_;
+  test::SyncGate gate_;
+  std::atomic<int> checkpoints_{0};
+  std::unique_ptr<Osd> osd_;
+};
+
+// Half the journal holds appended records when a checkpoint starts. A reservation made
+// while it runs crosses the kick line, so its kick queues. The checkpoint resets the
+// journal, which brings the fill, that reservation's credit included, back under the
+// line: the queued kick adds no checkpoint.
+TEST_F(CheckpointKickTest, QueuedKickUnderTheLineAfterTheCheckpointRunsNone) {
+  auto oid = osd_->CreateObject();
+  ASSERT_TRUE(oid.ok());
+  const std::string payload(4000, 'k');
+  while (osd_->journal_reserved() < 0.5) {
+    ASSERT_TRUE(osd_->Write(*oid, 0, payload).ok());
+  }
+  ASSERT_EQ(checkpoints_, 0);
+  HoldACheckpoint();
+  std::vector<Osd::JournalCredit> held;
+  ReserveUntil(0.72, &held);
+  EXPECT_EQ(ReleaseAndSettle(), 1) << "the queued kick ran a second checkpoint";
+  EXPECT_LT(osd_->journal_reserved(), 0.7);
+  held.clear();
+  EXPECT_EQ(ReleaseAndSettle(), 1);
+}
+
+// Credits held past the checkpoint keep the fill over the line: the queued kick runs
+// exactly one more checkpoint.
+TEST_F(CheckpointKickTest, QueuedKickStillOverTheLineRunsOneMore) {
+  HoldACheckpoint();
+  std::vector<Osd::JournalCredit> held;
+  ReserveUntil(0.75, &held);
+  EXPECT_EQ(ReleaseAndSettle(), 2);
+  EXPECT_GE(osd_->journal_reserved(), 0.7);
+  held.clear();
+  EXPECT_EQ(ReleaseAndSettle(), 2);
 }
 
 // The allocator snapshot every checkpoint must journal grows with the volume. Once it

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/coding.h"
 #include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/common/stats.h"
@@ -723,6 +724,131 @@ TEST_F(RawReadTest, BitFlipInTheUnreadPartOfABoundaryPageFailsTheRead) {
   // Tail page, after the requested range.
   ASSERT_TRUE(dev_.FlipBit(kReadOffset + kReadSize + 1000, 5).ok());
   EXPECT_TRUE(pager_.ReadRaw(kReadOffset, kReadSize, &out).IsCorruption());
+}
+
+// ---------------------------------------------------------------- PageChecksums
+
+// A page of distinct bytes for checksum cases.
+std::string ChecksumPage(uint32_t seed) {
+  Random rng(seed);
+  return rng.NextString(kPageSize);
+}
+
+// A prefix stamp covers exactly its bytes: whatever follows them verifies, and a flip in
+// any covered byte is rejected.
+TEST(PageChecksumsTest, PrefixStampVerifiesExactlyTheCoveredBytes) {
+  PageChecksums table(kMiB, kPageSize);
+  for (size_t covered : {size_t{1}, size_t{1000}, kPageSize - 1}) {
+    SCOPED_TRACE(covered);
+    std::string page = ChecksumPage(static_cast<uint32_t>(covered));
+    table.Stamp(kPageSize, Slice(page.data(), covered));
+    ASSERT_TRUE(table.HasChecksum(kPageSize));
+    EXPECT_TRUE(table.Verify(kPageSize, page).ok());
+    for (size_t i = covered; i < kPageSize; i++) {
+      page[i] = static_cast<char>(~page[i]);
+    }
+    EXPECT_TRUE(table.Verify(kPageSize, page).ok()) << "bytes past the prefix were checked";
+    size_t caught = 0;
+    for (size_t i = 0; i < covered; i++) {
+      page[i] = static_cast<char>(page[i] ^ (1 << (i % 8)));
+      caught += table.Verify(kPageSize, page).IsCorruption() ? 1 : 0;
+      page[i] = static_cast<char>(page[i] ^ (1 << (i % 8)));
+    }
+    EXPECT_EQ(caught, covered);
+  }
+}
+
+// Stamping the whole page over a prefix stamp makes every byte covered again.
+TEST(PageChecksumsTest, FullStampClearsTheCoveredLength) {
+  PageChecksums table(kMiB, kPageSize);
+  std::string page = ChecksumPage(7);
+  table.Stamp(0, Slice(page.data(), 1000));
+  table.Stamp(0, page);
+  ASSERT_TRUE(table.Verify(0, page).ok());
+  page[kPageSize - 1] = static_cast<char>(page[kPageSize - 1] ^ 0x10);
+  EXPECT_TRUE(table.Verify(0, page).IsCorruption());
+}
+
+// The serialized table keeps each page's covered length.
+TEST(PageChecksumsTest, SerializeKeepsTheCoveredLength) {
+  PageChecksums table(kMiB, kPageSize);
+  const std::string whole = ChecksumPage(1);
+  std::string prefix = ChecksumPage(2);
+  table.Stamp(0, whole);
+  table.Stamp(kPageSize, Slice(prefix.data(), 1000));
+  const std::string blob = table.Serialize(5);
+
+  PageChecksums restored(kMiB, kPageSize);
+  ASSERT_TRUE(restored.Deserialize(blob, 5).ok());
+  EXPECT_EQ(restored.Serialize(5), blob);
+  EXPECT_TRUE(restored.Verify(0, whole).ok());
+  EXPECT_FALSE(restored.HasChecksum(2 * kPageSize));
+  prefix[2000] = static_cast<char>(~prefix[2000]);
+  EXPECT_TRUE(restored.Verify(kPageSize, prefix).ok());
+  prefix[999] = static_cast<char>(~prefix[999]);
+  EXPECT_TRUE(restored.Verify(kPageSize, prefix).IsCorruption());
+}
+
+// A table of the version before covered lengths loads unchanged: every stamped entry
+// covers its whole page, and unstamped ones stay absent. A version this build does not
+// know is refused, and the table is left as it was.
+TEST(PageChecksumsTest, VersionOneTableLoadsWithEveryEntryIntact) {
+  constexpr uint64_t kPages = kMiB / kPageSize;
+  const std::string page0 = ChecksumPage(3);
+  const std::string page2 = ChecksumPage(4);
+  std::vector<uint64_t> entries(kPages, 0);
+  entries[0] = (1ull << 32) | Crc32c(page0);
+  entries[2] = (1ull << 32) | Crc32c(page2);
+  auto encode = [&](uint32_t version) {
+    std::string out;
+    PutFixed32(&out, 0x484b5343);  // "HKSC"
+    PutFixed32(&out, version);
+    PutFixed64(&out, 9);  // Generation.
+    PutFixed64(&out, kPages);
+    for (uint64_t e : entries) {
+      PutFixed64(&out, e);
+    }
+    PutFixed32(&out, MaskCrc(Crc32c(Slice(out))));
+    return out;
+  };
+
+  PageChecksums table(kMiB, kPageSize);
+  ASSERT_TRUE(table.Deserialize(encode(1), 9).ok());
+  EXPECT_TRUE(table.Verify(0, page0).ok());
+  EXPECT_FALSE(table.HasChecksum(kPageSize));
+  EXPECT_TRUE(table.Verify(2 * kPageSize, page2).ok());
+  std::string flipped = page2;
+  flipped[kPageSize - 1] = static_cast<char>(~flipped[kPageSize - 1]);
+  EXPECT_TRUE(table.Verify(2 * kPageSize, flipped).IsCorruption());
+  // Rewritten as version 2, every entry keeps its bits.
+  const std::string v2 = table.Serialize(9);
+  EXPECT_EQ(DecodeFixed32(reinterpret_cast<const uint8_t*>(v2.data() + 4)), 2u);
+  EXPECT_EQ(v2.substr(24, kPages * 8), encode(1).substr(24, kPages * 8));
+
+  PageChecksums unknown(kMiB, kPageSize);
+  EXPECT_TRUE(unknown.Deserialize(encode(3), 9).IsCorruption());
+  EXPECT_FALSE(unknown.HasChecksum(0));
+}
+
+// Version 2 defines bits 0..46 of an entry, and a covered length below the page size;
+// an entry outside that is refused like any malformed region.
+TEST(PageChecksumsTest, MalformedVersionTwoEntryIsRejected) {
+  PageChecksums table(kMiB, kPageSize);
+  table.Stamp(0, Slice(ChecksumPage(5).data(), 100));
+  const std::string good = table.Serialize(3);
+  auto with_entry0 = [&](uint64_t entry) {
+    std::string blob = good.substr(0, good.size() - 4);
+    std::string encoded;
+    PutFixed64(&encoded, entry);
+    blob.replace(24, 8, encoded);
+    PutFixed32(&blob, MaskCrc(Crc32c(Slice(blob))));
+    return blob;
+  };
+  PageChecksums restored(kMiB, kPageSize);
+  EXPECT_TRUE(restored.Deserialize(with_entry0((1ull << 32) | (uint64_t{kPageSize} << 34)), 3)
+                  .IsCorruption());
+  EXPECT_TRUE(restored.Deserialize(with_entry0((1ull << 32) | (1ull << 50)), 3).IsCorruption());
+  EXPECT_TRUE(restored.Deserialize(good, 3).ok());
 }
 
 TEST(PagerTest, DropCacheForcesReRead) {

@@ -4,7 +4,7 @@
 Usage: check_metrics_schema.py <metrics.json>
 
 Pins the schema described in docs/OBSERVABILITY.md: required top-level keys,
-the minimum histogram/gauge sets the acceptance criteria name, the shape of
+the minimum counter/histogram/gauge sets the acceptance criteria name, the shape of
 every histogram entry and lock-stats block, and the filesystem scope's
 per-shard array (one entry per shard, on one shard too). Stdlib only (json)
 so it runs in any CI image with python3.
@@ -27,6 +27,14 @@ REQUIRED_HISTOGRAMS = [
 ]
 
 HIST_FIELDS = ["count", "sum_ns", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"]
+
+# Counters both scopes must emit (every counter is process-wide, so both scopes carry
+# the same set).
+REQUIRED_COUNTERS = [
+    # Device reads Pager::WriteRaw makes to stamp a partly written page; writes into
+    # fresh extents make none.
+    "raw_write_readbacks",
+]
 
 REQUIRED_GAUGES = [
     "journal_occupancy_pct",
@@ -137,6 +145,9 @@ def main():
     counters = doc["counters"]
     if not counters or not all(isinstance(v, int) for v in counters.values()):
         fail("counters must be a non-empty object of integers")
+    for name in REQUIRED_COUNTERS:
+        if name not in counters:
+            fail(f"missing counter '{name}'")
 
     hists = doc["histograms"]
     for name in REQUIRED_HISTOGRAMS:

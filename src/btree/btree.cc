@@ -429,7 +429,7 @@ class BTree::Impl {
         return Status::Corruption("unparseable leaf cell on update");
       }
       if (old.kind == kValueOverflow) {
-        HFAD_RETURN_IF_ERROR(alloc_->Free(old.overflow_offset));
+        HFAD_RETURN_IF_ERROR(FreeOverflow(old));
       }
       EraseSlotAt(*leaf, pos);
     } else {
@@ -443,7 +443,7 @@ class BTree::Impl {
 
     Status s = InsertIntoLeaf(leaf, pos, cell, key, path);
     if (!s.ok() && new_ov_offset != 0) {
-      (void)alloc_->Free(new_ov_offset);
+      (void)FreeOverflow(new_ov_offset, value.size());
     }
     if (s.ok() && Link0(*leaf) == 0 && PageType(*leaf) == kLeafPage) {
       // This leaf is (still) the rightmost: remember it for the append fastpath. A
@@ -540,7 +540,7 @@ class BTree::Impl {
           return Status::Corruption("unparseable leaf cell on bulk update");
         }
         if (old.kind == kValueOverflow) {
-          HFAD_RETURN_IF_ERROR(alloc_->Free(old.overflow_offset));
+          HFAD_RETURN_IF_ERROR(FreeOverflow(old));
         }
         EraseSlotAt(*leaf, pos);
       } else {
@@ -554,7 +554,7 @@ class BTree::Impl {
       Status s = InsertIntoLeaf(leaf, pos, cell, key, hint_path, &split);
       if (!s.ok()) {
         if (new_ov_offset != 0) {
-          (void)alloc_->Free(new_ov_offset);
+          (void)FreeOverflow(new_ov_offset, value.size());
         }
         return s;
       }
@@ -595,7 +595,7 @@ class BTree::Impl {
       return Status::Corruption("unparseable leaf cell on delete");
     }
     if (c.kind == kValueOverflow) {
-      HFAD_RETURN_IF_ERROR(alloc_->Free(c.overflow_offset));
+      HFAD_RETURN_IF_ERROR(FreeOverflow(c));
     }
     EraseSlotAt(*leaf, pos);
     if (count_valid_ && count_ > 0) {
@@ -708,6 +708,16 @@ class BTree::Impl {
     }
     pager_->Invalidate(off);
     return alloc_->Free(off);
+  }
+
+  // Give an overflow value's block back, its resident pages first (WriteFresh left them
+  // there), so the allocator never hands out a block with another owner's bytes cached.
+  Status FreeOverflow(uint64_t offset, uint64_t length) {
+    pager_->InvalidateRange(offset, length);
+    return alloc_->Free(offset);
+  }
+  Status FreeOverflow(const Cell& c) {
+    return FreeOverflow(c.overflow_offset, c.overflow_length);
   }
 
   Result<std::string> ReadCellValue(const Cell& c) const {
@@ -1047,7 +1057,7 @@ class BTree::Impl {
       for (int i = 0; i < n; i++) {
         Cell c;
         if (ParseCell(*page, i, &c) && c.kind == kValueOverflow) {
-          HFAD_RETURN_IF_ERROR(alloc_->Free(c.overflow_offset));
+          HFAD_RETURN_IF_ERROR(FreeOverflow(c));
         }
       }
     }

@@ -73,6 +73,10 @@ std::string_view CounterName(Counter c) {
       return "extent_map_misses";
     case Counter::kRawWriteReadbacks:
       return "raw_write_readbacks";
+    case Counter::kRawCacheHits:
+      return "raw_cache_hits";
+    case Counter::kRawCacheMisses:
+      return "raw_cache_misses";
     case Counter::kNumCounters:
       break;
   }

@@ -52,6 +52,8 @@ enum class Counter : int {
   kExtentMapHits,    // Osd reads served from a cached small-object extent map.
   kExtentMapMisses,  // Osd reads that looked the map up and went to the object table.
   kRawWriteReadbacks,  // Device reads Pager::WriteRaw made to stamp a partly written page.
+  kRawCacheHits,       // Pager::ReadRaw calls copied from resident pages.
+  kRawCacheMisses,     // Pager::ReadRaw calls that read the device.
   kNumCounters,  // Sentinel.
 };
 

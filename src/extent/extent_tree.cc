@@ -357,6 +357,14 @@ class ExtentTree::Impl {
     return alloc_->Free(off);
   }
 
+  // Give an extent's block back. Its resident pages go first: they all lie inside the
+  // extent (a shrink drops those past its new end), and once the block is free another
+  // owner may be handed it.
+  Status FreeExtent(const Entry& e) {
+    pager_->InvalidateRange(e.a, e.b);
+    return alloc_->Free(e.a);
+  }
+
   // Resolve logical [rel, rel+len) within the subtree at page_off into device pieces.
   Status CollectPieces(uint64_t page_off, uint64_t rel, uint64_t len,
                        std::vector<Extent>* out) const {
@@ -431,10 +439,15 @@ class ExtentTree::Impl {
   }
 
   // Shrink the slot's extent in place to its first slot.rel bytes; the device bytes past
-  // that stay inside its allocation, unreferenced. Returns the number of bytes cut.
+  // that stay inside its allocation, unreferenced, and the pages wholly past it leave
+  // the cache. Returns the number of bytes cut.
   uint64_t ShrinkInPlace(const LeafSlot& slot) {
     Entry e = GetEntry(*slot.leaf, slot.idx);
     uint64_t cut = e.b - slot.rel;
+    const uint64_t kept_end = (e.a + slot.rel + kPageSize - 1) / kPageSize * kPageSize;
+    if (kept_end < e.a + e.b) {
+      pager_->InvalidateRange(kept_end, e.a + e.b - kept_end);
+    }
     SetEntry(*slot.leaf, slot.idx, Entry{e.a, slot.rel});
     for (const auto& [page, i] : slot.path) {
       Entry pe = GetEntry(*page, i);
@@ -494,7 +507,7 @@ class ExtentTree::Impl {
       }
       if (!s.ok()) {
         for (const Entry& e : *out) {
-          (void)alloc_->Free(e.a);
+          (void)FreeExtent(e);
         }
         out->clear();
         return s;
@@ -651,7 +664,7 @@ class ExtentTree::Impl {
         if (acc + e.b > rel + len) {
           return Status::Internal("remove end is not an extent boundary");
         }
-        HFAD_RETURN_IF_ERROR(alloc_->Free(e.a));
+        HFAD_RETURN_IF_ERROR(FreeExtent(e));
         *removed += e.b;
         acc += e.b;
         RemoveEntryAt(*page, i);  // Entry i disappears; successor shifts into i.
@@ -715,7 +728,7 @@ class ExtentTree::Impl {
       }
     } else {
       for (int i = 0; i < n; i++) {
-        HFAD_RETURN_IF_ERROR(alloc_->Free(GetEntry(*page, i).a));
+        HFAD_RETURN_IF_ERROR(FreeExtent(GetEntry(*page, i)));
       }
     }
     return FreePage(off);

@@ -17,8 +17,10 @@
 // place to end at the insert offset. RemoveRange copies only the bytes after the range
 // (when its end falls inside an extent), cuts the extent holding its start in place, and
 // drops the whole extents between, so removed bytes are never read or written. Copy cost
-// stays bounded by kMaxExtentSize. Payload IO bypasses the page cache (raw device IO);
-// only the tree pages themselves go through the pager.
+// stays bounded by kMaxExtentSize. Payload IO is the pager's raw IO, cached write-through:
+// the pages a fresh extent writes stay resident, so carrying a tail or reading bytes a
+// recent edit wrote costs no device read. A cut drops the pages wholly past the new end,
+// and a freed extent drops all of its pages before its block goes back to the allocator.
 //
 // Not thread-safe: the OSD serializes access per object.
 #ifndef HFAD_SRC_EXTENT_EXTENT_TREE_H_

@@ -138,10 +138,12 @@ void Scrubber::ScrubPage(uint64_t offset, ScrubReport* report) {
   report->errors_found++;
   stats::Add(stats::Counter::kScrubErrorsFound);
   if (PageRef page = pager_->Peek(offset)) {
-    // A cached copy exists: under no-steal it is the last checkpoint's content
-    // (or newer, if dirty). Re-dirty it so the next checkpoint rewrites the
-    // device from the cache and restamps — no content bytes are read here, so
-    // this cannot race the structure that owns the page.
+    // A cached copy exists. A metadata page's is, under no-steal, the last
+    // checkpoint's content (or newer, if dirty); a data page's is what the last raw
+    // write put on the device (Pager::WriteFresh leaves it resident). Re-dirty it so
+    // the next checkpoint rewrites the device from the cache and restamps — no
+    // content bytes are read here, so this cannot race the structure that owns the
+    // page.
     page->MarkDirty();
     report->pages_repaired++;
     stats::Add(stats::Counter::kScrubPagesRepaired);

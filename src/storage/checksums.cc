@@ -71,6 +71,19 @@ bool PageChecksums::HasChecksum(uint64_t offset) const {
          (entries_[idx].load(std::memory_order_acquire) & kValidBit) != 0;
 }
 
+size_t PageChecksums::CoveredLength(uint64_t offset) const {
+  uint64_t idx = offset / page_size_;
+  if (idx >= entries_.size()) {
+    return 0;
+  }
+  uint64_t entry = entries_[idx].load(std::memory_order_acquire);
+  if (!(entry & kValidBit)) {
+    return 0;
+  }
+  const uint64_t covered = (entry >> kCoveredShift) & kCoveredMask;
+  return static_cast<size_t>(covered != 0 ? covered : page_size_);
+}
+
 void PageChecksums::Invalidate(uint64_t offset) {
   uint64_t idx = offset / page_size_;
   if (idx < entries_.size()) {

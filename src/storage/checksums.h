@@ -81,6 +81,10 @@ class PageChecksums {
   // True iff a checksum is stamped for the page at `offset`.
   bool HasChecksum(uint64_t offset) const;
 
+  // How many leading bytes of the page at `offset` its checksum covers: page_size() for
+  // a whole-page stamp, 0 when none is stamped (absent or quarantined).
+  size_t CoveredLength(uint64_t offset) const;
+
   // Drop the entry for one page / every page overlapping [offset, offset+len).
   // Used when raw writes partially touch a page and when recovery redoes page
   // images outside the pager.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_set>
 
 #include "src/common/metrics.h"
 #include "src/common/stats.h"
@@ -144,7 +145,7 @@ Result<PageRef> Pager::Get(uint64_t offset) {
     memcpy(page->data(), buf.data(), kPageSize);
     EvictLocked(s, &writeback);
     s.map.emplace(offset, page);
-    s.ring.push_back(offset);
+    PushRingLocked(s, offset);
   }
   HFAD_RETURN_IF_ERROR(FlushWriteback(s, &writeback));
   return page;
@@ -181,10 +182,49 @@ Result<PageRef> Pager::GetZeroed(uint64_t offset) {
     page->MarkDirty();
     EvictLocked(s, &writeback);
     s.map.emplace(offset, page);
-    s.ring.push_back(offset);
+    PushRingLocked(s, offset);
   }
   HFAD_RETURN_IF_ERROR(FlushWriteback(s, &writeback));
   return page;
+}
+
+Status Pager::InstallClean(uint64_t offset, Slice bytes) {
+  auto page = std::make_shared<Page>(offset, &dirty_count_);  // Zero-filled.
+  memcpy(page->data(), bytes.data(), bytes.size());
+  Stripe& s = StripeFor(offset);
+  std::vector<Writeback> writeback;
+  {
+    std::unique_lock<std::shared_mutex> lock = LockStripeExclusive(s);
+    auto it = s.map.find(offset);
+    if (it != s.map.end()) {
+      // Its ring entry stays; a holder of the old buffer keeps a detached copy.
+      it->second->ClearDirty();
+      it->second = std::move(page);
+      return Status::Ok();
+    }
+    EvictLocked(s, &writeback);
+    s.map.emplace(offset, std::move(page));
+    PushRingLocked(s, offset);
+  }
+  return FlushWriteback(s, &writeback);
+}
+
+void Pager::PushRingLocked(Stripe& s, uint64_t offset) {
+  // The sweep only runs at capacity, so under it a stripe whose pages keep being dropped
+  // and installed again would grow its ring without bound. Once stale or repeated
+  // entries could outnumber the live pages, rebuild the ring from the live ones, each at
+  // its latest position: O(1) per push, amortized.
+  if (s.ring.size() >= 2 * std::max(s.map.size(), stripe_capacity_)) {
+    std::unordered_set<uint64_t> seen;
+    std::deque<uint64_t> live;
+    for (auto it = s.ring.rbegin(); it != s.ring.rend(); ++it) {
+      if (s.map.count(*it) != 0 && seen.insert(*it).second) {
+        live.push_front(*it);
+      }
+    }
+    s.ring.swap(live);
+  }
+  s.ring.push_back(offset);
 }
 
 void Pager::EvictLocked(Stripe& s, std::vector<Writeback>* writeback) {
@@ -347,7 +387,33 @@ void Pager::CollectDirty(std::vector<std::pair<uint64_t, std::string>>* out) con
   }
 }
 
+bool Pager::CopyResident(uint64_t offset, size_t size, std::string* out) const {
+  out->clear();
+  for (uint64_t pos = offset, end = offset + size; pos < end;) {
+    const uint64_t page = pos / kPageSize * kPageSize;
+    const size_t n = static_cast<size_t>(std::min(end, page + kPageSize) - pos);
+    const Stripe& s = StripeFor(page);
+    std::shared_lock<std::shared_mutex> lock = LockStripeShared(s);
+    auto it = s.map.find(page);
+    if (it == s.map.end()) {
+      return false;
+    }
+    // Sized at the first hit, so a miss there leaves the buffer to the device read,
+    // which assigns it whole; a no-op after that.
+    out->resize(size);
+    it->second->Touch();
+    memcpy(out->data() + (pos - offset), it->second->cdata() + (pos - page), n);
+    pos += n;
+  }
+  return true;
+}
+
 Status Pager::ReadRaw(uint64_t offset, size_t size, std::string* out) const {
+  if (CopyResident(offset, size, out)) {
+    stats::Add(stats::Counter::kRawCacheHits);
+    return Status::Ok();
+  }
+  stats::Add(stats::Counter::kRawCacheMisses);
   // Read the page cover [floor(offset), ceil(offset + size)) in one device call, so
   // every page the range touches can be verified whole — a bit flip in the unrequested
   // part of a boundary page still fails the read.
@@ -380,6 +446,7 @@ Status Pager::ReadRaw(uint64_t offset, size_t size, std::string* out) const {
 }
 
 Status Pager::WriteRaw(uint64_t offset, Slice data) {
+  InvalidateRange(offset, data.size());
   Status wrote = retry_.RunWithRetry([&] { return device_->Write(offset, data); });
   if (!wrote.ok() || checksums_ == nullptr || data.empty()) {
     return wrote;
@@ -415,14 +482,28 @@ Status Pager::WriteFresh(uint64_t offset, Slice data) {
     return Status::InvalidArgument("unaligned fresh write at " + std::to_string(offset));
   }
   Status wrote = retry_.RunWithRetry([&] { return device_->Write(offset, data); });
-  if (!wrote.ok() || checksums_ == nullptr) {
+  if (!wrote.ok()) {
+    InvalidateRange(offset, data.size());
     return wrote;
   }
-  for (size_t done = 0; done < data.size(); done += kPageSize) {
+  for (size_t done = 0; checksums_ != nullptr && done < data.size(); done += kPageSize) {
     checksums_->Stamp(offset + done,
                       Slice(data.data() + done, std::min(kPageSize, data.size() - done)));
   }
+  // Every page is stamped before any is installed: a failed install (an eviction's
+  // write-back of another page) leaves the rest uncached, which is always safe.
+  for (size_t done = 0; done < data.size(); done += kPageSize) {
+    HFAD_RETURN_IF_ERROR(InstallClean(
+        offset + done, Slice(data.data() + done, std::min(kPageSize, data.size() - done))));
+  }
   return Status::Ok();
+}
+
+void Pager::InvalidateRange(uint64_t offset, uint64_t length) {
+  for (uint64_t page = offset / kPageSize * kPageSize; page < offset + length;
+       page += kPageSize) {
+    Invalidate(page);
+  }
 }
 
 void Pager::Invalidate(uint64_t offset) {

@@ -6,10 +6,10 @@
 // common/sharded_lock.h — see docs/CONCURRENCY.md): a cache hit takes its stripe's lock
 // *shared* and sets a second-chance reference bit, so concurrent readers of disjoint —
 // or even the same — pages never serialize on a global cache mutex. Only misses,
-// zero-fills, and eviction take a stripe exclusively. Eviction is per-stripe
-// second-chance FIFO (CLOCK): approximate LRU that needs no list splice on the hit
-// path. The stripe count adapts to capacity (one stripe per 64 pages, at most 16) so
-// small caches keep strict global capacity behavior.
+// zero-fills, fresh raw writes, drops, and eviction take a stripe exclusively.
+// Eviction is per-stripe second-chance FIFO (CLOCK): approximate LRU that needs no list
+// splice on the hit path. The stripe count adapts to capacity (one stripe per 64 pages,
+// at most 16) so small caches keep strict global capacity behavior.
 //
 // No device IO ever happens under a stripe lock. Flush and CollectDirty snapshot the
 // dirty set per stripe, drop the lock, and issue ONE sorted WriteBatch (adjacent pages
@@ -20,6 +20,15 @@
 // written again later. Every write-back runs on the calling thread: journaled volumes
 // run no-steal, so eviction write-back never happens there, and Flush blocks its caller
 // by contract.
+//
+// Extent payloads and large btree values go through the raw calls (ReadRaw, WriteRaw,
+// WriteFresh), which the cache holds write-through: a fresh write leaves each page it
+// wrote resident and clean, a raw read whose pages are all resident copies them without
+// touching the device, and any other raw read makes one device read and fills nothing,
+// so a cold scan cannot push the working set out. A resident payload page always equals
+// what its owner last wrote: the owner drops a block's pages before freeing it, an
+// in-place WriteRaw drops the pages it writes, and an extent cut short drops the pages
+// wholly past its new end, so only pages holding owned bytes are ever resident.
 //
 // Hits/misses/write-backs are counted in hfad::stats so benchmarks can report IO
 // amplification. Page *content* synchronization remains the responsibility of the
@@ -155,8 +164,10 @@ class Pager {
     return n > 0 ? static_cast<size_t>(n) : 0;
   }
 
-  // Drop a page from the cache (after its extent is freed). Discards dirty data.
+  // Drop a page / every page overlapping [offset, offset + length) from the cache. The
+  // owner of a block calls this before freeing it. Discards dirty data.
   void Invalidate(uint64_t offset);
+  void InvalidateRange(uint64_t offset, uint64_t length);
 
   // Tallest tree whose pages this cache holds, as the trees report it: btrees on every
   // descent and root split, extent trees when the OSD asks their height. Monotonic, so
@@ -169,26 +180,29 @@ class Pager {
   }
   int tree_height_bound() const { return tree_height_bound_.load(std::memory_order_relaxed); }
 
-  // Uncached device IO for extent payloads and large btree values. Callers guarantee
-  // these ranges are never simultaneously cached as pages (freed pages are
-  // Invalidate()d).
+  // Write-through IO for extent payloads and large btree values (see the header
+  // comment). A raw range lies inside one buddy allocation, and allocations are
+  // page-aligned and at least one page, so no page holds two owners' bytes.
   //
-  // ReadRaw makes exactly one device read: the page cover [floor(offset),
-  // ceil(offset + size)). With checksums attached it verifies every page of the cover
-  // whole (unstamped pages pass, quarantined pages fail), then returns only the
-  // requested bytes. The cover never reads another owner's bytes: raw ranges lie inside
-  // one buddy allocation, and allocations are page-aligned and at least one page.
+  // ReadRaw copies the bytes from memory when every page of the cover [floor(offset),
+  // ceil(offset + size)) is resident (raw_cache_hits). Otherwise it makes exactly one
+  // device read of the cover (raw_cache_misses), caches none of it, and with checksums
+  // attached verifies every page of the cover whole (unstamped pages pass, quarantined
+  // pages fail) before returning only the requested bytes.
   //
-  // WriteRaw overwrites bytes inside a range its caller already owns. It writes the
-  // payload in one device call and stamps every page it fully covers from the payload;
-  // a partially covered head or tail page is read back whole from the device and
-  // stamped whole (one extra read per such page, counted in raw_write_readbacks).
+  // WriteRaw overwrites bytes inside a range its caller already owns, and drops the
+  // resident pages it writes. It writes the payload in one device call and stamps every
+  // page it fully covers from the payload; a partially covered head or tail page is
+  // read back whole from the device and stamped whole (one extra read per such page,
+  // counted in raw_write_readbacks).
   //
   // WriteFresh writes a payload that starts a buddy block its caller has just
   // allocated (page-aligned `offset`; InvalidArgument otherwise). It makes one device
   // write and reads nothing: every full page is stamped from the payload, and a partly
   // written last page is stamped over the written prefix only, since no extent owns the
-  // block's bytes past the payload.
+  // block's bytes past the payload. Each written page then becomes the clean resident
+  // copy, replacing any other, with a partly written last page zero-filled past the
+  // payload. A failed write drops the range's pages.
   Status ReadRaw(uint64_t offset, size_t size, std::string* out) const;
   Status WriteRaw(uint64_t offset, Slice data);
   Status WriteFresh(uint64_t offset, Slice data);
@@ -229,7 +243,8 @@ class Pager {
  private:
   // One independently locked cache stripe: hash map of resident pages plus the
   // second-chance FIFO ring the evictor sweeps. Ring entries are lazily deleted
-  // (Invalidate leaves a stale offset behind; the sweep skips it).
+  // (Invalidate leaves a stale offset behind; the sweep skips it, and PushRingLocked
+  // drops stale entries once they could outnumber the live ones).
   struct Stripe {
     mutable std::shared_mutex mu;
     mutable std::atomic<uint64_t> acquisitions{0};
@@ -256,6 +271,17 @@ class Pager {
   Stripe& StripeFor(uint64_t offset) const {
     return stripes_[(offset / kPageSize) % stripe_count_];
   }
+
+  // Append a newly resident page to the stripe's ring. Caller holds s.mu exclusively.
+  void PushRingLocked(Stripe& s, uint64_t offset);
+
+  // Make `bytes` (at most one page, zero-filled past its end) the clean resident copy of
+  // the page at `offset`, replacing any resident copy (WriteFresh).
+  Status InstallClean(uint64_t offset, Slice bytes);
+
+  // Copy [offset, offset + size) into *out when every page it touches is resident,
+  // touching each; false at the first page that is not (ReadRaw's hit path).
+  bool CopyResident(uint64_t offset, size_t size, std::string* out) const;
 
   // Evict from `s` until it is under its per-stripe budget (or nothing is evictable:
   // capacity is a target, not a hard bound — pinned and no-steal-dirty pages stay).

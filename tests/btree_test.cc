@@ -481,6 +481,63 @@ TEST(BTreeOverflowIoTest, OverflowPutReadsNothing) {
   }
 }
 
+// An overflow value's pages stay resident after its Put, so reading it back reads
+// nothing. Deleting it drops them before its block goes back to the allocator; the
+// block's next owners, another value and then tree pages made with GetZeroed, read back
+// only their own bytes, from memory and after the cache is dropped.
+TEST(BTreeOverflowIoTest, FreedOverflowBlockKeepsNoResidentPage) {
+  constexpr uint64_t kSmallHeap = 4 * 1024 * 1024;
+  FaultyBlockDevice dev(std::make_shared<MemoryBlockDevice>(kPageSize + kSmallHeap));
+  Pager pager(&dev, 256);
+  BuddyAllocator alloc(kPageSize, kSmallHeap);
+  BTree tree(&pager, &alloc, 0);
+  ASSERT_TRUE(tree.Put("inline", "v").ok());
+  // The block a Put of `value` under `key` spills to: the one live extent it added.
+  auto put_overflow = [&](const std::string& key, const std::string& value) -> uint64_t {
+    const std::vector<BuddyAllocator::Extent> before = alloc.LiveExtents();
+    EXPECT_TRUE(tree.Put(key, value).ok());
+    for (const BuddyAllocator::Extent& e : alloc.LiveExtents()) {
+      const auto same = [&](const BuddyAllocator::Extent& b) { return b.offset == e.offset; };
+      if (std::none_of(before.begin(), before.end(), same)) {
+        return e.offset;
+      }
+    }
+    ADD_FAILURE() << "no overflow block for " << key;
+    return 0;
+  };
+  const std::string first(3 * kPageSize + 100, 'p');
+  const uint64_t block = put_overflow("big", first);
+  const uint64_t reads = dev.reads_attempted();
+  EXPECT_EQ(tree.Get("big").value_or(""), first);
+  EXPECT_EQ(dev.reads_attempted() - reads, 0u);
+
+  ASSERT_TRUE(tree.Delete("big").ok());
+  for (uint64_t page = 0; page < 4; page++) {
+    EXPECT_EQ(pager.Peek(block + page * kPageSize), nullptr) << page;
+  }
+  const std::string second(2 * kPageSize + 10, 'q');  // Same block size, one page fewer.
+  ASSERT_EQ(put_overflow("other", second), block) << "the block was not re-used";
+  EXPECT_EQ(tree.Get("other").value_or(""), second);
+  EXPECT_EQ(pager.Peek(block + 3 * kPageSize), nullptr);
+
+  // Free the block again, then grow the tree until its pages take it over.
+  ASSERT_TRUE(tree.Delete("other").ok());
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 2000 && pager.Peek(block) == nullptr; i++) {
+    const std::string key = "key" + std::to_string(1000000 + i);
+    model[key] = std::string(100, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(tree.Put(key, model[key]).ok());
+  }
+  ASSERT_NE(pager.Peek(block), nullptr) << "no tree page took the block over";
+  for (int pass = 0; pass < 2; pass++) {
+    for (const auto& [key, value] : model) {
+      ASSERT_EQ(tree.Get(key).value_or(""), value) << key << " pass " << pass;
+    }
+    ASSERT_TRUE(tree.CheckInvariants().ok());
+    ASSERT_TRUE(pager.DropCacheForTesting().ok());
+  }
+}
+
 }  // namespace
 }  // namespace btree
 }  // namespace hfad

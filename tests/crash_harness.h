@@ -179,11 +179,22 @@ inline void RunReadFaultSweep(FaultyBlockDevice* dev, int64_t max_after, int64_t
   }
 }
 
+// The bit RunBitFlipSweep flips in the page at `page_offset`: its position varies
+// deterministically per page so the corruption lands in headers, payloads, and CRC
+// fields alike.
+struct BitFlip {
+  uint64_t byte;  // Within the page.
+  int bit;
+};
+inline BitFlip BitFlipFor(uint64_t page_offset, uint64_t page_size) {
+  const uint64_t page_index = page_offset / page_size;
+  return BitFlip{(page_index * 131) % page_size, static_cast<int>(page_index % 8)};
+}
+
 // Bit-flip sweep: for every page of `device_bytes`, save the pristine page, flip one
-// bit (position varied deterministically per page so the corruption lands in headers,
-// payloads, and CRC fields alike), run `check(page_offset)` with the corruption
-// present, then restore the saved bytes — each page's round is independent even when
-// the check repairs or rewrites the page.
+// bit (BitFlipFor), run `check(page_offset)` with the corruption present, then restore
+// the saved bytes — each page's round is independent even when the check repairs or
+// rewrites the page.
 inline void RunBitFlipSweep(const std::shared_ptr<MemoryBlockDevice>& base,
                             FaultyBlockDevice* dev, uint64_t device_bytes,
                             uint64_t page_size,
@@ -193,10 +204,8 @@ inline void RunBitFlipSweep(const std::shared_ptr<MemoryBlockDevice>& base,
     if (!base->Read(off, page_size, &saved).ok()) {
       continue;
     }
-    uint64_t page_index = off / page_size;
-    uint64_t byte = (page_index * 131) % page_size;
-    int bit = static_cast<int>(page_index % 8);
-    if (!dev->FlipBit(off + byte, bit).ok()) {
+    const BitFlip flip = BitFlipFor(off, page_size);
+    if (!dev->FlipBit(off + flip.byte, flip.bit).ok()) {
       continue;
     }
     check(off);

@@ -34,6 +34,13 @@ std::string ReadWhole(const ExtentTree& tree) {
   return out;
 }
 
+// Device offset of the first extent of a tree of at most four extents.
+uint64_t FirstExtent(const ExtentTree& tree) {
+  std::vector<Extent> map;
+  EXPECT_TRUE(tree.SmallMap(4, &map).value_or(false));
+  return map.empty() ? 0 : map[0].device_offset;
+}
+
 class ExtentTreeTest : public ::testing::Test {
  protected:
   ExtentTreeTest()
@@ -373,6 +380,16 @@ class ExtentIoTest : public ::testing::Test {
     allocated_ = stats::Get(stats::Counter::kExtentsAllocated);
   }
 
+  // Drops every resident page and reads the tree's page back in: the payload alone is
+  // cold, as a payload written long ago and since evicted would be.
+  void DropPayloadPages() {
+    ASSERT_TRUE(pager_.DropCacheForTesting().ok());
+    ASSERT_TRUE(tree_.CountExtents().ok());
+    reads_ = dev_.reads_attempted();
+    writes_ = dev_.writes_attempted();
+    dev_.sizes.clear();
+  }
+
   uint64_t Reads() const { return dev_.reads_attempted() - reads_; }
   uint64_t Writes() const { return dev_.writes_attempted() - writes_; }
   uint64_t Allocated() const {
@@ -391,6 +408,7 @@ class ExtentIoTest : public ::testing::Test {
 };
 
 TEST_F(ExtentIoTest, InsertInsideAnExtentWritesOneExtentCarryingTheTail) {
+  DropPayloadPages();
   const std::string data(1000, 'I');
   ASSERT_TRUE(tree_.Insert(5000, data).ok());
   EXPECT_EQ(Allocated(), 1u);
@@ -405,6 +423,7 @@ TEST_F(ExtentIoTest, InsertInsideAnExtentWritesOneExtentCarryingTheTail) {
 }
 
 TEST_F(ExtentIoTest, RemoveRangeInsideAnExtentWritesOnlyTheBytesAfterIt) {
+  DropPayloadPages();
   ASSERT_TRUE(tree_.RemoveRange(3000, 2000).ok());
   EXPECT_EQ(Allocated(), 1u);
   EXPECT_EQ(dev_.sizes, std::vector<size_t>{kBase - 5000});
@@ -413,6 +432,62 @@ TEST_F(ExtentIoTest, RemoveRangeInsideAnExtentWritesOnlyTheBytesAfterIt) {
   EXPECT_EQ(ReadWhole(tree_), model_);
   EXPECT_EQ(*tree_.CountExtents(), 2u);
   ASSERT_TRUE(tree_.CheckInvariants().ok());
+}
+
+// The same two edits right after the extent was written: the tail they carry is still
+// resident from that write, so they read nothing, and neither do the reads after them.
+TEST_F(ExtentIoTest, InsertInsideAFreshlyWrittenExtentReadsNothing) {
+  const std::string data(1000, 'I');
+  ASSERT_TRUE(tree_.Insert(5000, data).ok());
+  EXPECT_EQ(dev_.sizes, std::vector<size_t>{data.size() + kBase - 5000});
+  model_.insert(5000, data);
+  EXPECT_EQ(ReadWhole(tree_), model_);
+  EXPECT_EQ(Reads(), 0u);
+}
+
+TEST_F(ExtentIoTest, RemoveRangeInsideAFreshlyWrittenExtentReadsNothing) {
+  ASSERT_TRUE(tree_.RemoveRange(3000, 2000).ok());
+  EXPECT_EQ(dev_.sizes, std::vector<size_t>{kBase - 5000});
+  model_.erase(3000, 2000);
+  EXPECT_EQ(ReadWhole(tree_), model_);
+  EXPECT_EQ(Reads(), 0u);
+}
+
+// A middle insert cuts the extent in place: the page holding the cut keeps the bytes
+// before it resident, and the pages wholly past it, which the extent no longer owns,
+// leave the cache.
+TEST_F(ExtentIoTest, MiddleInsertDropsThePagesPastTheCut) {
+  const uint64_t first = FirstExtent(tree_);
+  for (uint64_t page = 0; page < 3; page++) {
+    ASSERT_NE(pager_.Peek(first + page * kPageSize), nullptr) << page;
+  }
+  ASSERT_TRUE(tree_.Insert(3000, "inserted").ok());
+  EXPECT_NE(pager_.Peek(first), nullptr);
+  EXPECT_EQ(pager_.Peek(first + kPageSize), nullptr);
+  EXPECT_EQ(pager_.Peek(first + 2 * kPageSize), nullptr);
+  model_.insert(3000, "inserted");
+  EXPECT_EQ(ReadWhole(tree_), model_);
+  EXPECT_EQ(Reads(), 0u);
+}
+
+// A freed extent leaves no page in the cache, and the next owner of its block, a
+// shorter extent of another object, reads back its own bytes.
+TEST_F(ExtentIoTest, FreedExtentKeepsNoResidentPageForItsNextOwner) {
+  ExtentTree old(&pager_, &alloc_, 0);
+  ASSERT_TRUE(old.Write(0, Pattern(4 * kPageSize - 100)).ok());
+  const uint64_t block = FirstExtent(old);
+  ASSERT_TRUE(old.Clear().ok());
+  for (uint64_t page = 0; page < 4; page++) {
+    EXPECT_EQ(pager_.Peek(block + page * kPageSize), nullptr) << page;
+  }
+  ExtentTree next(&pager_, &alloc_, 0);
+  const std::string body(2 * kPageSize + 1000, 'N');
+  ASSERT_TRUE(next.Write(0, body).ok());
+  ASSERT_EQ(FirstExtent(next), block) << "the block was not re-used";
+  EXPECT_EQ(ReadWhole(next), body);
+  EXPECT_EQ(pager_.Peek(block + 3 * kPageSize), nullptr);
+  ASSERT_TRUE(pager_.DropCacheForTesting().ok());
+  EXPECT_EQ(ReadWhole(next), body);
 }
 
 // An object's first bytes (a create with a body) go to a fresh extent: one device write

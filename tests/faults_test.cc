@@ -44,9 +44,11 @@ std::string Payload(int i, size_t len = 8000) {
 
 // ---------------------------------------------------------------- corruption sweep
 
-// Flip one bit in every page of the device in turn. For each flip: scrub must flag
-// the page whenever it carries a checksum, and every object read must return either
-// the exact expected bytes or a non-OK status — never silently wrong data.
+// Flip one bit in every page of the device in turn. For each flip: scrub must flag the
+// page, repairing it from a resident copy or quarantining it, exactly when the flip lies
+// in the bytes its checksum covers, and every object read must return either the exact
+// expected bytes or a non-OK status — never silently wrong data — and fail only for a
+// flip the checksums can detect.
 TEST(FaultsTest, BitFlipSweepNeverServesCorruptDataSilently) {
   auto base = std::make_shared<MemoryBlockDevice>(kSmallDev);
   auto faulty = std::make_shared<FaultyBlockDevice>(base);
@@ -74,16 +76,34 @@ TEST(FaultsTest, BitFlipSweepNeverServesCorruptDataSilently) {
   }
   ASSERT_GT(stamped.size(), 20u) << "checkpoint should have stamped data pages";
 
-  uint64_t stamped_caught = 0, stamped_seen = 0;
+  uint64_t stamped_seen = 0, stamped_caught = 0, past_prefix = 0;
   test::RunBitFlipSweep(base, faulty.get(), kSmallDev, kPageSize, [&](uint64_t off) {
-    const bool was_stamped = osd->checksums()->HasChecksum(off);
+    // Taken before the scrub, which drops the covered length when it quarantines.
+    const size_t covered = osd->checksums()->CoveredLength(off);
+    const test::BitFlip flip = test::BitFlipFor(off, kPageSize);
+    const bool detectable = flip.byte < covered;
+    std::string pristine;
+    ASSERT_TRUE(base->Read(off, kPageSize, &pristine).ok());
+    pristine[flip.byte] = static_cast<char>(pristine[flip.byte] ^ (1 << flip.bit));
+
     ScrubReport rep;
     ASSERT_TRUE(osd->ScrubNow(&rep).ok());
-    if (was_stamped) {
+    const bool quarantined = osd->checksums()->IsQuarantined(off);
+    if (detectable) {
+      EXPECT_EQ(rep.errors_found, 1u)
+          << "scrub missed a bit flip in covered byte " << flip.byte << " of page " << off;
+      EXPECT_EQ(rep.pages_repaired + rep.pages_quarantined, 1u) << "page " << off;
+      EXPECT_EQ(rep.pages_quarantined, quarantined ? 1u : 0u) << "page " << off;
+    } else {
+      EXPECT_EQ(rep.errors_found, 0u)
+          << "scrub flagged page " << off << " for a flip at byte " << flip.byte
+          << " past the " << covered << " bytes its checksum covers";
+    }
+    if (covered > 0) {
       stamped_seen++;
-      EXPECT_GE(rep.errors_found, 1u)
-          << "scrub missed a bit flip in stamped page at offset " << off;
-      if (rep.errors_found >= 1) {
+      if (!detectable) {
+        past_prefix++;
+      } else if (rep.errors_found == 1) {
         stamped_caught++;
       }
     }
@@ -94,19 +114,21 @@ TEST(FaultsTest, BitFlipSweepNeverServesCorruptDataSilently) {
         ASSERT_EQ(out, Payload(i))
             << "corrupt bytes served silently for object " << oids[i]
             << " with flip at offset " << off;
+      } else {
+        EXPECT_TRUE(detectable) << "read of object " << oids[i] << " failed for a flip at "
+                                << off << " no checksum covers: " << s.ToString();
       }
     }
-    // Restore iteration independence: RunBitFlipSweep puts the pristine bytes back;
-    // we refresh the CRC entry (a quarantined entry stays quarantined otherwise) and
-    // clear the health escalation the detection rightfully made.
-    std::string pristine;
-    ASSERT_TRUE(base->Read(off, kPageSize, &pristine).ok());
-    if (was_stamped) {
-      osd->checksums()->Stamp(off, Slice(pristine));
+    // Restore iteration independence: RunBitFlipSweep puts the pristine bytes back; a
+    // quarantined entry is stamped again from them, over the bytes it covered (a
+    // repaired page keeps its entry), and the health escalation the detection
+    // rightfully made is cleared.
+    if (quarantined) {
+      osd->checksums()->Stamp(off, Slice(pristine.data(), covered));
     }
     osd->health().Reset();
   });
-  EXPECT_EQ(stamped_caught, stamped_seen);
+  EXPECT_EQ(stamped_caught + past_prefix, stamped_seen);
   EXPECT_GE(stamped_seen, stamped.size());
 }
 
@@ -730,6 +752,8 @@ struct PartlyWrittenObject {
 
 constexpr size_t kPartlyWrittenSizes[] = {1000, 3 * kPageSize + 100};
 
+// The cache is dropped first: with no resident copy of the page, the read goes to the
+// device and the scrub has nothing to repair from.
 TEST(PartlyWrittenPageTest, FlipInACoveredByteFailsTheReadAndTheScrub) {
   for (size_t size : kPartlyWrittenSizes) {
     for (size_t at : {size_t{0}, size % kPageSize - 1}) {
@@ -739,12 +763,49 @@ TEST(PartlyWrittenPageTest, FlipInACoveredByteFailsTheReadAndTheScrub) {
       if (HasFatalFailure()) {
         return;
       }
+      ASSERT_TRUE(o.osd->pager()->DropCacheForTesting().ok());
       ASSERT_TRUE(o.faulty->FlipBit(o.last_page + at, 4).ok());
       std::string out;
       EXPECT_TRUE(o.ReadBody(&out).IsCorruption());
       const ScrubReport rep = o.Scrub();
       EXPECT_EQ(rep.errors_found, 1u);
       EXPECT_TRUE(o.osd->checksums()->IsQuarantined(o.last_page));
+    }
+  }
+}
+
+// The same flips under the resident copy the write left in the cache: reads are served
+// from that copy, the scrub repairs the device page from it instead of quarantining it,
+// and the next checkpoint writes it back, so the page then verifies from the device.
+TEST(PartlyWrittenPageTest, FlipUnderAResidentCopyIsRepairedFromIt) {
+  for (size_t size : kPartlyWrittenSizes) {
+    for (size_t at : {size_t{0}, size % kPageSize - 1}) {
+      SCOPED_TRACE(std::to_string(size) + "-byte object, flip at byte " + std::to_string(at));
+      PartlyWrittenObject o;
+      o.Make(size);
+      if (HasFatalFailure()) {
+        return;
+      }
+      ASSERT_NE(o.osd->pager()->Peek(o.last_page), nullptr);
+      ASSERT_TRUE(o.faulty->FlipBit(o.last_page + at, 4).ok());
+      std::string out;
+      ASSERT_TRUE(o.ReadBody(&out).ok());
+      EXPECT_EQ(out, o.body);
+      const ScrubReport rep = o.Scrub();
+      EXPECT_EQ(rep.errors_found, 1u);
+      EXPECT_EQ(rep.pages_repaired, 1u);
+      EXPECT_EQ(rep.pages_quarantined, 0u);
+      EXPECT_FALSE(o.osd->checksums()->IsQuarantined(o.last_page));
+
+      ASSERT_TRUE(o.osd->Checkpoint().ok());
+      std::string page;
+      ASSERT_TRUE(o.base->Read(o.last_page, kPageSize, &page).ok());
+      EXPECT_TRUE(o.osd->checksums()->Verify(o.last_page, page).ok());
+      EXPECT_EQ(page.compare(0, o.covered, o.body, o.body.size() - o.covered, o.covered), 0);
+      ASSERT_TRUE(o.osd->pager()->DropCacheForTesting().ok());
+      ASSERT_TRUE(o.ReadBody(&out).ok());
+      EXPECT_EQ(out, o.body);
+      EXPECT_EQ(o.Scrub().errors_found, 0u);
     }
   }
 }

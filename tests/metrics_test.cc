@@ -533,6 +533,37 @@ TEST(DumpMetricsTest, RawWriteReadbacksCountOnlyInPlacePartialWrites) {
   }
 }
 
+// A read of bytes a write just put in a fresh extent is served from the pages the write
+// left resident; once the cache is dropped the same read goes to the device. Both
+// counters are in the filesystem and the osd documents.
+TEST(DumpMetricsTest, RawCacheCountersSplitResidentAndDeviceReads) {
+  auto fs = FileSystem::Create(std::make_shared<MemoryBlockDevice>(kDev));
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  auto oid = (*fs)->Create();
+  ASSERT_TRUE(oid.ok());
+  const std::string body(6000, 'r');
+  ASSERT_TRUE((*fs)->Write(*oid, 0, body).ok());
+  std::string out;
+  stats::Snapshot before = stats::Snapshot::Take();
+  ASSERT_TRUE((*fs)->Read(*oid, 0, body.size(), &out).ok());
+  EXPECT_EQ(out, body);
+  stats::Snapshot d = stats::Snapshot::Take().Delta(before);
+  EXPECT_EQ(d[stats::Counter::kRawCacheHits], 1u);
+  EXPECT_EQ(d[stats::Counter::kRawCacheMisses], 0u);
+
+  ASSERT_TRUE((*fs)->volume()->pager()->DropCacheForTesting().ok());
+  before = stats::Snapshot::Take();
+  ASSERT_TRUE((*fs)->Read(*oid, 0, body.size(), &out).ok());
+  EXPECT_EQ(out, body);
+  d = stats::Snapshot::Take().Delta(before);
+  EXPECT_EQ(d[stats::Counter::kRawCacheHits], 0u);
+  EXPECT_EQ(d[stats::Counter::kRawCacheMisses], 1u);
+  for (const std::string& doc : {(*fs)->DumpMetrics(), (*fs)->volume()->DumpMetrics()}) {
+    EXPECT_NE(doc.find("\"raw_cache_hits\":"), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"raw_cache_misses\":"), std::string::npos) << doc;
+  }
+}
+
 // ---------------------------------------------------------------- visibility options
 
 TEST(VisibilityOptions, SearchTextAndCursorExposeVisibility) {

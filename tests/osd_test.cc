@@ -1395,6 +1395,122 @@ TEST(ExtentMapCacheTest, ReadersRaceMutatorsOnSmallObjects) {
   }
 }
 
+// ---------------------------------------------------------------- resident payload pages
+
+// Readers race mutators on multi-extent objects whose edits free blocks that later edits
+// re-use: inserts carry tails into fresh extents and cut the old ones short, cuts and
+// truncates free whole extents, and deletes free every extent of an object that a fresh
+// one replaces. Each slot's object is a run of 8-byte tokens naming the slot, so a read
+// served from a page another extent left resident would show a foreign or broken token.
+// One mutator owns each slot, so its final bytes are known exactly.
+TEST(ResidentPageTest, ReadersRaceMutatorsThatFreeAndReuseBlocks) {
+  auto osd = MakeOsd(std::make_shared<MemoryBlockDevice>(kDev));
+  ASSERT_NE(osd, nullptr);
+  constexpr int kMutators = 2;
+  constexpr int kSlotsPerMutator = 3;
+  constexpr int kReaders = 3;
+  constexpr int kOps = 200;
+  constexpr size_t kToken = 8;
+  constexpr size_t kMaxTokens = 3000;  // About 24 KiB: several extents, several pages each.
+  std::vector<std::atomic<ObjectId>> slots(kMutators * kSlotsPerMutator);
+  for (auto& slot : slots) {
+    auto oid = osd->CreateObject();
+    ASSERT_TRUE(oid.ok());
+    slot.store(*oid);
+  }
+  auto tokens = [](size_t slot, int op, uint64_t n) {  // n x "<" slot letter, 5 digits ">".
+    const std::string digits = std::to_string(op % 100000);
+    const std::string one = "<" + std::string(1, static_cast<char>('a' + slot)) +
+                            std::string(5 - digits.size(), '0') + digits + ">";
+    std::string out;
+    for (uint64_t i = 0; i < n; i++) {
+      out += one;
+    }
+    return out;
+  };
+  const uint64_t freed = stats::Get(stats::Counter::kExtentsFreed);
+  std::vector<std::vector<std::string>> models(kMutators,
+                                               std::vector<std::string>(kSlotsPerMutator));
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> threads;
+  for (int m = 0; m < kMutators; m++) {
+    threads.emplace_back([&, m] {
+      Random rng(300 + m);
+      for (int op = 0; op < kOps; op++) {
+        const size_t i = rng.Uniform(kSlotsPerMutator);
+        const size_t slot = m * kSlotsPerMutator + i;
+        const ObjectId oid = slots[slot].load();
+        std::string& s = models[m][i];
+        const uint64_t n = s.size() / kToken;
+        const uint64_t action = rng.Uniform(8);
+        if (n > kMaxTokens || (action == 0 && n > 0)) {  // Truncate, freeing extents.
+          const uint64_t keep = rng.Uniform(std::min<uint64_t>(n, kMaxTokens / 2));
+          ASSERT_TRUE(osd->Truncate(oid, keep * kToken).ok());
+          s.resize(keep * kToken);
+        } else if (action == 1 && rng.OneIn(3)) {  // Delete; a fresh object takes the slot.
+          ASSERT_TRUE(osd->DeleteObject(oid).ok());
+          auto fresh = osd->CreateObject();
+          ASSERT_TRUE(fresh.ok());
+          slots[slot].store(*fresh);
+          s.clear();
+        } else if (action < 5 || n == 0) {  // Insert several pages' worth anywhere.
+          const uint64_t at = rng.Uniform(n + 1) * kToken;
+          const std::string run = tokens(slot, op, rng.Range(1, 1200));
+          ASSERT_TRUE(osd->Insert(oid, at, run).ok());
+          s.insert(at, run);
+        } else {  // Cut a range out of the middle.
+          const uint64_t at = rng.Uniform(n);
+          const uint64_t len = rng.Range(1, n - at);
+          ASSERT_TRUE(osd->RemoveRange(oid, at * kToken, len * kToken).ok());
+          s.erase(at * kToken, len * kToken);
+        }
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; r++) {
+    threads.emplace_back([&, r] {
+      Random rng(400 + r);
+      while (!done.load()) {
+        const size_t slot = rng.Uniform(slots.size());
+        std::string out;
+        Status s = osd->Read(slots[slot].load(), 0, 1 << 20, &out);
+        if (s.IsNotFound()) {
+          continue;  // Deleted between the load and the read.
+        }
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        bool well_formed = out.size() % kToken == 0;
+        for (size_t at = 0; well_formed && at < out.size(); at += kToken) {
+          well_formed = out[at] == '<' && out[at + 1] == static_cast<char>('a' + slot) &&
+                        out[at + kToken - 1] == '>';
+        }
+        if (!well_formed) {
+          bad_reads++;
+        }
+      }
+    });
+  }
+  for (int m = 0; m < kMutators; m++) {
+    threads[m].join();
+  }
+  done.store(true);
+  for (size_t i = kMutators; i < threads.size(); i++) {
+    threads[i].join();
+  }
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_GT(stats::Get(stats::Counter::kExtentsFreed), freed);
+  for (int m = 0; m < kMutators; m++) {
+    for (int i = 0; i < kSlotsPerMutator; i++) {
+      const ObjectId oid = slots[m * kSlotsPerMutator + i].load();
+      std::string out;
+      ASSERT_TRUE(osd->Read(oid, 0, 1 << 20, &out).ok());
+      EXPECT_EQ(out, models[m][i]) << "oid " << oid;
+      Status s = osd->CheckObject(oid);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace osd
 }  // namespace hfad

@@ -726,6 +726,146 @@ TEST_F(RawReadTest, BitFlipInTheUnreadPartOfABoundaryPageFailsTheRead) {
   EXPECT_TRUE(pager_.ReadRaw(kReadOffset, kReadSize, &out).IsCorruption());
 }
 
+// ---------------------------------------------------------------- resident raw pages
+
+// A checksummed pager over a counting device, and a payload of two pages and a bit that
+// WriteFresh puts at the start of a block at kRaw.
+class RawCacheTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kRaw = 64 * 1024;
+
+  RawCacheTest()
+      : dev_(std::make_shared<MemoryBlockDevice>(kMiB)),
+        checksums_(kMiB, kPageSize),
+        pager_(&dev_, 16) {
+    pager_.SetChecksums(&checksums_);
+    Random rng(29);
+    payload_ = rng.NextString(2 * kPageSize + 300);
+  }
+
+  // Device reads and raw-cache hits and misses since the last call.
+  struct Counts {
+    uint64_t reads, hits, misses;
+  };
+  Counts Take() {
+    const Counts now{dev_.reads_attempted(), stats::Get(stats::Counter::kRawCacheHits),
+                     stats::Get(stats::Counter::kRawCacheMisses)};
+    const Counts delta{now.reads - last_.reads, now.hits - last_.hits,
+                       now.misses - last_.misses};
+    last_ = now;
+    return delta;
+  }
+
+  FaultyBlockDevice dev_;
+  PageChecksums checksums_;
+  Pager pager_;
+  std::string payload_;
+  Counts last_{0, 0, 0};
+};
+
+TEST_F(RawCacheTest, ReadOfAFreshWriteIsServedFromMemoryUntilTheCacheIsDropped) {
+  ASSERT_TRUE(pager_.WriteFresh(kRaw, payload_).ok());
+  EXPECT_EQ(pager_.cached_pages(), 3u);
+  Take();
+  std::string out;
+  ASSERT_TRUE(pager_.ReadRaw(kRaw + 100, payload_.size() - 100, &out).ok());
+  EXPECT_EQ(out, payload_.substr(100));
+  Counts d = Take();
+  EXPECT_EQ(d.reads, 0u);
+  EXPECT_EQ(d.hits, 1u);
+  EXPECT_EQ(d.misses, 0u);
+
+  ASSERT_TRUE(pager_.DropCacheForTesting().ok());
+  Take();
+  ASSERT_TRUE(pager_.ReadRaw(kRaw + 100, payload_.size() - 100, &out).ok());
+  EXPECT_EQ(out, payload_.substr(100));
+  d = Take();
+  EXPECT_EQ(d.reads, 1u);
+  EXPECT_EQ(d.hits, 0u);
+  EXPECT_EQ(d.misses, 1u);
+}
+
+// A read whose cover is not all resident reads the device and caches nothing, so a
+// second read of it goes to the device again.
+TEST_F(RawCacheTest, ReadMissFillsNothing) {
+  ASSERT_TRUE(pager_.WriteFresh(kRaw, payload_).ok());
+  pager_.Invalidate(kRaw + kPageSize);
+  const size_t cached = pager_.cached_pages();
+  Take();
+  for (int i = 0; i < 2; i++) {
+    std::string out;
+    ASSERT_TRUE(pager_.ReadRaw(kRaw, payload_.size(), &out).ok());
+    EXPECT_EQ(out, payload_);
+    EXPECT_EQ(pager_.cached_pages(), cached);
+    const Counts d = Take();
+    EXPECT_EQ(d.reads, 1u);
+    EXPECT_EQ(d.misses, 1u);
+  }
+  // A range inside the resident first page still hits.
+  std::string out;
+  ASSERT_TRUE(pager_.ReadRaw(kRaw + 10, 100, &out).ok());
+  EXPECT_EQ(out, payload_.substr(10, 100));
+  EXPECT_EQ(Take().hits, 1u);
+}
+
+// A fresh write replaces whatever copy of its pages is resident, zero-fills its partly
+// written last page, and a failed one leaves none of its pages resident.
+TEST_F(RawCacheTest, FreshWriteReplacesResidentPagesAndAFailedOneDropsThem) {
+  ASSERT_TRUE(pager_.WriteFresh(kRaw, payload_).ok());
+  ASSERT_TRUE(pager_.WriteFresh(kRaw, "short").ok());
+  PageRef first = pager_.Peek(kRaw);
+  ASSERT_NE(first, nullptr);
+  EXPECT_FALSE(first->dirty());
+  EXPECT_EQ(std::string(first->cdata(), kPageSize),
+            "short" + std::string(kPageSize - 5, '\0'));
+  first.reset();
+  std::string out;
+  ASSERT_TRUE(pager_.ReadRaw(kRaw, 5, &out).ok());
+  EXPECT_EQ(out, "short");
+
+  dev_.SetWriteBudget(0);
+  EXPECT_FALSE(pager_.WriteFresh(kRaw, payload_).ok());
+  for (uint64_t page = kRaw; page < kRaw + payload_.size(); page += kPageSize) {
+    EXPECT_EQ(pager_.Peek(page), nullptr) << page;
+  }
+}
+
+// An in-place write drops the resident pages it touches; the next read of them goes to
+// the device and returns the merged bytes.
+TEST_F(RawCacheTest, InPlaceWriteDropsThePagesItWrites) {
+  ASSERT_TRUE(pager_.WriteFresh(kRaw, payload_).ok());
+  ASSERT_TRUE(pager_.WriteRaw(kRaw + kPageSize + 10, "overwritten").ok());
+  EXPECT_NE(pager_.Peek(kRaw), nullptr);
+  EXPECT_EQ(pager_.Peek(kRaw + kPageSize), nullptr);
+  EXPECT_NE(pager_.Peek(kRaw + 2 * kPageSize), nullptr);
+  payload_.replace(kPageSize + 10, 11, "overwritten");
+  Take();
+  std::string out;
+  ASSERT_TRUE(pager_.ReadRaw(kRaw, payload_.size(), &out).ok());
+  EXPECT_EQ(out, payload_);
+  EXPECT_EQ(Take().reads, 1u);
+}
+
+// Resident raw pages are clean, so the sweep evicts them at capacity, also after a
+// long run of pages dropped and installed again below it (which rebuilds the ring).
+TEST(PagerTest, RawPagesAreEvictedAtCapacityAfterChurn) {
+  MemoryBlockDevice dev(kMiB);
+  Pager pager(&dev, 8);
+  for (int round = 0; round < 2000; round++) {
+    const uint64_t off = (round % 4) * kPageSize;
+    const std::string body(100, static_cast<char>('a' + round % 26));
+    ASSERT_TRUE(pager.WriteFresh(off, body).ok());
+    pager.Invalidate(off);
+  }
+  for (uint64_t i = 0; i < 32; i++) {
+    ASSERT_TRUE(pager.WriteFresh(i * kPageSize, std::string(kPageSize, 'z')).ok());
+  }
+  EXPECT_LE(pager.cached_pages(), 8u);
+  std::string out;
+  ASSERT_TRUE(pager.ReadRaw(31 * kPageSize, kPageSize, &out).ok());
+  EXPECT_EQ(out, std::string(kPageSize, 'z'));
+}
+
 // ---------------------------------------------------------------- PageChecksums
 
 // A page of distinct bytes for checksum cases.
@@ -743,6 +883,7 @@ TEST(PageChecksumsTest, PrefixStampVerifiesExactlyTheCoveredBytes) {
     std::string page = ChecksumPage(static_cast<uint32_t>(covered));
     table.Stamp(kPageSize, Slice(page.data(), covered));
     ASSERT_TRUE(table.HasChecksum(kPageSize));
+    EXPECT_EQ(table.CoveredLength(kPageSize), covered);
     EXPECT_TRUE(table.Verify(kPageSize, page).ok());
     for (size_t i = covered; i < kPageSize; i++) {
       page[i] = static_cast<char>(~page[i]);
@@ -764,9 +905,13 @@ TEST(PageChecksumsTest, FullStampClearsTheCoveredLength) {
   std::string page = ChecksumPage(7);
   table.Stamp(0, Slice(page.data(), 1000));
   table.Stamp(0, page);
+  EXPECT_EQ(table.CoveredLength(0), kPageSize);
   ASSERT_TRUE(table.Verify(0, page).ok());
   page[kPageSize - 1] = static_cast<char>(page[kPageSize - 1] ^ 0x10);
   EXPECT_TRUE(table.Verify(0, page).IsCorruption());
+  table.Quarantine(0);  // A quarantined or absent entry covers nothing.
+  EXPECT_EQ(table.CoveredLength(0), 0u);
+  EXPECT_EQ(table.CoveredLength(kPageSize), 0u);
 }
 
 // The serialized table keeps each page's covered length.

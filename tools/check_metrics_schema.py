@@ -34,6 +34,9 @@ REQUIRED_COUNTERS = [
     # Device reads Pager::WriteRaw makes to stamp a partly written page; writes into
     # fresh extents make none.
     "raw_write_readbacks",
+    # Pager::ReadRaw calls served from resident pages, and calls that read the device.
+    "raw_cache_hits",
+    "raw_cache_misses",
 ]
 
 REQUIRED_GAUGES = [
